@@ -3,15 +3,11 @@
 Four quantities per pair: boundary distance, signed clearance, SAT
 penetration, and enclosure robustness of the first polygon in the second.
 Each pair's geometry comes from its own RNG stream keyed by (seed, index),
-so results are identical no matter how many worker threads the sweep
-fans out across.
+so a pair's rows do not depend on which other pairs the sweep covers.
 """
 from __future__ import annotations
 
-import math
-import os
-from concurrent.futures import ThreadPoolExecutor
-from typing import Optional, Sequence
+from typing import Sequence
 
 from . import exactgeo as xg
 from .geometry import (ConvexPolygon, SmoothingConfig, signed_clearance,
@@ -23,8 +19,6 @@ from .randgeom import pair_for_index
 QUANTITIES = ("distance", "clearance", "penetration", "enclosure")
 
 ENCLOSURE_DELTA = 0.05
-
-THREADS_ENV = "DIFF_SPATIAL_THREADS"
 
 # Per-quantity regression bounds at tau=1e-3, S=32, frozen from the
 # smoothing-error budget evaluated at the sweep's worst-case geometry
@@ -79,39 +73,13 @@ def _rows_for_pair(index: int, seed: int, taus: Sequence[float],
     return out
 
 
-def thread_cap(default: int = 4) -> int:
-    raw = os.environ.get(THREADS_ENV)
-    if raw is None:
-        return max(1, min(default, os.cpu_count() or 1))
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise ValueError(f"{THREADS_ENV} must be an integer, got {raw!r}") from None
-    if cap < 1:
-        raise ValueError(f"{THREADS_ENV} must be >= 1, got {cap}")
-    return cap
-
-
 def run_sweep(n_pairs: int, taus: Sequence[float], samples_list: Sequence[int],
-              seed: int, max_workers: Optional[int] = None) -> list[tuple]:
-    """Rows (pair, tau, samples, quantity, exact, smooth), ordered by pair.
-
-    Work fans out across threads; ordering and content are independent of
-    the worker count because each pair owns its RNG stream.
-    """
+              seed: int) -> list[tuple]:
+    """Rows (pair, tau, samples, quantity, exact, smooth), ordered by pair."""
     if n_pairs < 0:
         raise ValueError("n_pairs must be >= 0")
-    if n_pairs == 0:
-        return []
-    workers = max_workers if max_workers is not None else thread_cap()
-    if workers == 1:
-        chunks = [_rows_for_pair(i, seed, taus, samples_list) for i in range(n_pairs)]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(
-                lambda i: _rows_for_pair(i, seed, taus, samples_list),
-                range(n_pairs)))
-    return [row for chunk in chunks for row in chunk]
+    return [row for i in range(n_pairs)
+            for row in _rows_for_pair(i, seed, taus, samples_list)]
 
 
 def max_errors(rows: Sequence[tuple]) -> dict[tuple, float]:

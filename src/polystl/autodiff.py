@@ -30,16 +30,14 @@ class Tape:
 
     Parallel lists hold per-node state: ``val`` (result), ``par`` (parent
     node indices) and ``dpar`` (local partial derivatives w.r.t. parents).
-    ``ops`` keeps the opcode for error messages and debugging.
     """
 
-    __slots__ = ("val", "par", "dpar", "ops")
+    __slots__ = ("val", "par", "dpar")
 
     def __init__(self) -> None:
         self.val: list[float] = []
         self.par: list[tuple] = []
         self.dpar: list[tuple] = []
-        self.ops: list[str] = []
 
     def __len__(self) -> int:
         return len(self.val)
@@ -52,7 +50,6 @@ class Tape:
         self.val.append(v)
         self.par.append(_EMPTY)
         self.dpar.append(_EMPTY)
-        self.ops.append("var")
         return Var(self, len(self.val) - 1)
 
     def vars(self, values: Sequence[float]) -> list["Var"]:
@@ -89,7 +86,6 @@ class Var:
             t.val.append(t.val[self.i] + other)
             t.par.append((self.i,))
             t.dpar.append(_ONE1)
-        t.ops.append("add")
         return Var(t, len(t.val) - 1)
 
     __radd__ = __add__
@@ -106,7 +102,6 @@ class Var:
             t.val.append(t.val[self.i] - other)
             t.par.append((self.i,))
             t.dpar.append(_ONE1)
-        t.ops.append("sub")
         return Var(t, len(t.val) - 1)
 
     def __rsub__(self, other):
@@ -115,7 +110,6 @@ class Var:
         t.val.append(other - t.val[self.i])
         t.par.append((self.i,))
         t.dpar.append(_NEG1)
-        t.ops.append("sub")
         return Var(t, len(t.val) - 1)
 
     def __mul__(self, other):
@@ -131,7 +125,6 @@ class Var:
             t.val.append(t.val[self.i] * other)
             t.par.append((self.i,))
             t.dpar.append((other,))
-        t.ops.append("mul")
         return Var(t, len(t.val) - 1)
 
     __rmul__ = __mul__
@@ -153,7 +146,6 @@ class Var:
             t.val.append(t.val[self.i] / other)
             t.par.append((self.i,))
             t.dpar.append((1.0 / other,))
-        t.ops.append("div")
         return Var(t, len(t.val) - 1)
 
     def __rtruediv__(self, other):
@@ -164,7 +156,6 @@ class Var:
         t.val.append(other / b)
         t.par.append((self.i,))
         t.dpar.append((-other / (b * b),))
-        t.ops.append("div")
         return Var(t, len(t.val) - 1)
 
     def __neg__(self):
@@ -172,16 +163,14 @@ class Var:
         t.val.append(-t.val[self.i])
         t.par.append((self.i,))
         t.dpar.append(_NEG1)
-        t.ops.append("neg")
         return Var(t, len(t.val) - 1)
 
 
-def _unary(x: Var, value: float, partial: float, op: str) -> Var:
+def _unary(x: Var, value: float, partial: float) -> Var:
     t = x.tape
     t.val.append(value)
     t.par.append((x.i,))
     t.dpar.append((partial,))
-    t.ops.append(op)
     return Var(t, len(t.val) - 1)
 
 
@@ -196,7 +185,7 @@ def value_of(x: Scalar) -> float:
 def exp(x: Scalar) -> Scalar:
     if isinstance(x, Var):
         v = math.exp(x.value)
-        return _unary(x, v, v, "exp")
+        return _unary(x, v, v)
     return math.exp(x)
 
 
@@ -205,7 +194,7 @@ def log(x: Scalar) -> Scalar:
         v = x.value
         if v <= 0.0:
             raise EvaluationError(f"log: non-positive argument {v!r} at node {len(x.tape.val)}")
-        return _unary(x, math.log(v), 1.0 / v, "log")
+        return _unary(x, math.log(v), 1.0 / v)
     if x <= 0.0:
         raise EvaluationError(f"log: non-positive argument {x!r}")
     return math.log(x)
@@ -219,7 +208,7 @@ def sqrt(x: Scalar) -> Scalar:
         if v < 0.0:
             raise EvaluationError(f"sqrt: negative argument {v!r} at node {len(x.tape.val)}")
         r = math.sqrt(v)
-        return _unary(x, r, 0.0 if r == 0.0 else 0.5 / r, "sqrt")
+        return _unary(x, r, 0.0 if r == 0.0 else 0.5 / r)
     if x < 0.0:
         raise EvaluationError(f"sqrt: negative argument {x!r}")
     return math.sqrt(x)
@@ -233,14 +222,14 @@ def sqrt_guarded(x: Scalar) -> Scalar:
     """
     if isinstance(x, Var):
         r = math.sqrt(x.value + SQRT_GUARD)
-        return _unary(x, r, 0.5 / r, "sqrt_guarded")
+        return _unary(x, r, 0.5 / r)
     return math.sqrt(x + SQRT_GUARD)
 
 
 def square(x: Scalar) -> Scalar:
     if isinstance(x, Var):
         v = x.value
-        return _unary(x, v * v, 2.0 * v, "square")
+        return _unary(x, v * v, 2.0 * v)
     return x * x
 
 
@@ -249,8 +238,8 @@ def relu(x: Scalar) -> Scalar:
     if isinstance(x, Var):
         v = x.value
         if v > 0.0:
-            return _unary(x, v, 1.0, "relu")
-        return _unary(x, 0.0, 0.0, "relu")
+            return _unary(x, v, 1.0)
+        return _unary(x, 0.0, 0.0)
     return x if x > 0.0 else 0.0
 
 
@@ -265,7 +254,7 @@ def _sigmoid_float(v: float) -> float:
 def sigmoid(x: Scalar) -> Scalar:
     if isinstance(x, Var):
         s = _sigmoid_float(x.value)
-        return _unary(x, s, s * (1.0 - s), "sigmoid")
+        return _unary(x, s, s * (1.0 - s))
     return _sigmoid_float(x)
 
 
@@ -274,19 +263,19 @@ def abs_smooth(x: Scalar) -> Scalar:
     if isinstance(x, Var):
         v = x.value
         r = math.sqrt(v * v + SQRT_GUARD)
-        return _unary(x, r, v / r, "abs_smooth")
+        return _unary(x, r, v / r)
     return math.sqrt(x * x + SQRT_GUARD)
 
 
 def sin(x: Scalar) -> Scalar:
     if isinstance(x, Var):
-        return _unary(x, math.sin(x.value), math.cos(x.value), "sin")
+        return _unary(x, math.sin(x.value), math.cos(x.value))
     return math.sin(x)
 
 
 def cos(x: Scalar) -> Scalar:
     if isinstance(x, Var):
-        return _unary(x, math.cos(x.value), -math.sin(x.value), "cos")
+        return _unary(x, math.cos(x.value), -math.sin(x.value))
     return math.cos(x)
 
 
@@ -298,7 +287,7 @@ def wrap_angle(x: Scalar) -> Scalar:
     if isinstance(x, Var):
         v = x.value
         w = v - _TWO_PI * math.ceil((v - math.pi) / _TWO_PI)
-        return _unary(x, w, 1.0, "wrap_angle")
+        return _unary(x, w, 1.0)
     return x - _TWO_PI * math.ceil((x - math.pi) / _TWO_PI)
 
 
@@ -327,7 +316,6 @@ def _binary(a: Scalar, b: Scalar, value: float, da: float, db: float, op: str) -
         t.dpar.append((db,))
     else:
         return value
-    t.ops.append(op)
     return Var(t, len(t.val) - 1)
 
 
@@ -392,7 +380,6 @@ def _lse(xs: Sequence[Scalar], tau: float, sign: float, op: str) -> Scalar:
     tape.val.append(out)
     tape.par.append(tuple(parents))
     tape.dpar.append(tuple(partials))
-    tape.ops.append(op)
     return Var(tape, len(tape.val) - 1)
 
 

@@ -13,7 +13,7 @@ from datetime import datetime, timezone
 
 from . import __version__
 from . import scenario as sio
-from .accuracy import run_sweep, thread_cap
+from .accuracy import run_sweep
 from .formulas import FormulaError, eval_exact, eval_smooth, satisfies, smoothing_budget
 from .geometry import (DEFAULT_SAMPLES_PER_EDGE, DEFAULT_TAU, SmoothingConfig)
 from .mining import make_demo_set, mine
@@ -41,12 +41,10 @@ def _ensure_out(args) -> str:
 def cmd_eval(args) -> int:
     scn = sio.load_scenario(args.scenario)
     poses = {m.name: list(m.initial_poses) for m in scn.problem.movables}
-    inputs = [args.scenario]
     if args.trajectory:
         poses = sio.read_trajectory_csv(args.trajectory,
                                         [m.name for m in scn.problem.movables],
                                         scn.horizon)
-        inputs.append(args.trajectory)
     traj = build_trajectory(scn.problem, poses)
 
     exact = eval_exact(scn.formula, traj)
@@ -203,11 +201,10 @@ def cmd_accuracy(args) -> int:
     summary = sio.accuracy_summary(rows)
     sio.write_accuracy_summary_csv(summary_path, summary)
     sio.write_manifest(os.path.join(out, "manifest.json"), "accuracy", args.seed,
-                       {"pairs": args.pairs, "tau": taus, "samples": samples_list,
-                        "threads": thread_cap()},
+                       {"pairs": args.pairs, "tau": taus, "samples": samples_list},
                        [], [rows_path, summary_path], _utc_now())
 
-    print(f"pairs: {args.pairs}  rows: {len(rows)}  threads: {thread_cap()}")
+    print(f"pairs: {args.pairs}  rows: {len(rows)}")
     print(f"{'quantity':<12} {'tau':>8} {'S':>4} {'max |err|':>12} {'mean |err|':>12}")
     for quantity, tau, samples, mx, mean in summary:
         print(f"{quantity:<12} {tau:>8g} {samples:>4d} {mx:>12.3e} {mean:>12.3e}")

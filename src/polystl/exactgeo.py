@@ -30,17 +30,22 @@ def signed_area2(vertices: Sequence[Point]) -> float:
     return total
 
 
-def validate_convex_ccw(vertices: Sequence[Point]) -> None:
-    """Raise unless vertices form a counter-clockwise convex polygon.
+def validate_convex_ccw(vertices: Sequence[Point]) -> list[int]:
+    """Raise unless vertices form a finite counter-clockwise convex polygon.
 
     Cross products of consecutive edges must be >= -1e-9; zero-length
-    edges are rejected.
+    edges are rejected. Returns the indices of the near-collinear corners,
+    whose cross product lies inside that tolerance.
     """
     n = len(vertices)
     if n < 3:
         raise GeometryError(f"polygon needs at least 3 vertices, got {n}")
+    for i, (x, y) in enumerate(vertices):
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise GeometryError(f"non-finite coordinate at vertex {i}: ({x!r}, {y!r})")
     if signed_area2(vertices) <= 0.0:
         raise GeometryError("vertices are clockwise; counter-clockwise order required")
+    collinear = []
     for i in range(n):
         ax, ay = vertices[i]
         bx, by = vertices[(i + 1) % n]
@@ -53,6 +58,9 @@ def validate_convex_ccw(vertices: Sequence[Point]) -> None:
         if cross < -COLLINEAR_EPS:
             raise GeometryError(
                 f"reflex corner at vertex {(i + 1) % n} (cross product {cross:.3g})")
+        if cross < COLLINEAR_EPS:
+            collinear.append((i + 1) % n)
+    return collinear
 
 
 def inward_edge_normals(vertices: Sequence[Point]) -> list[Point]:

@@ -21,7 +21,6 @@ log-sum-exp relaxation at one shared temperature.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -467,46 +466,6 @@ def satisfies(formula: Formula, trajectory: Trajectory, t: int = 0) -> bool:
         raise FormulaError(f"not a formula: {f!r}")
 
     return check(formula, t)
-
-
-# -- positive normal form --------------------------------------------------------
-
-
-def to_pnf(formula: Formula) -> Formula:
-    """Push negations down to atoms via duality; negation over Until is left
-    in place (with a warning) since its dual operator is not in the syntax."""
-    if isinstance(formula, Atom):
-        return formula
-    if isinstance(formula, Not):
-        inner = formula.child
-        if isinstance(inner, Atom):
-            return formula
-        if isinstance(inner, Not):
-            return to_pnf(inner.child)
-        if isinstance(inner, And):
-            return Or(tuple(to_pnf(Not(c)) for c in inner.children))
-        if isinstance(inner, Or):
-            return And(tuple(to_pnf(Not(c)) for c in inner.children))
-        if isinstance(inner, Always):
-            return Eventually(inner.lo, inner.hi, to_pnf(Not(inner.child)))
-        if isinstance(inner, Eventually):
-            return Always(inner.lo, inner.hi, to_pnf(Not(inner.child)))
-        if isinstance(inner, Until):
-            warnings.warn("negation over U has no dual in this syntax; left in place",
-                          stacklevel=2)
-            return Not(to_pnf(inner))
-        raise FormulaError(f"not a formula: {inner!r}")
-    if isinstance(formula, And):
-        return And(tuple(to_pnf(c) for c in formula.children))
-    if isinstance(formula, Or):
-        return Or(tuple(to_pnf(c) for c in formula.children))
-    if isinstance(formula, Always):
-        return Always(formula.lo, formula.hi, to_pnf(formula.child))
-    if isinstance(formula, Eventually):
-        return Eventually(formula.lo, formula.hi, to_pnf(formula.child))
-    if isinstance(formula, Until):
-        return Until(formula.lo, formula.hi, to_pnf(formula.left), to_pnf(formula.right))
-    raise FormulaError(f"not a formula: {formula!r}")
 
 
 # -- reporting helpers -------------------------------------------------------------

@@ -14,7 +14,7 @@ from typing import Sequence
 
 from . import autodiff as ad
 from .autodiff import Scalar, value_of
-from .exactgeo import COLLINEAR_EPS, GeometryError, signed_area2
+from .exactgeo import validate_convex_ccw
 
 ScalarPoint = tuple  # (Scalar, Scalar)
 
@@ -61,35 +61,17 @@ class Pose2D:
 class ConvexPolygon:
     """Counter-clockwise convex polygon over generic scalar coordinates.
 
-    Validation runs on the float snapshot of the coordinates: >= 3 vertices,
-    counter-clockwise, all corner cross products >= -1e-9 (near-collinear
-    corners inside the tolerance only produce a warning).
+    Validation runs :func:`exactgeo.validate_convex_ccw` on the float
+    snapshot of the coordinates; near-collinear corners inside its
+    tolerance only produce a warning.
     """
 
     __slots__ = ("vertices",)
 
     def __init__(self, vertices: Sequence[ScalarPoint]):
         vs = [(vx, vy) for vx, vy in vertices]
-        floats = [(value_of(vx), value_of(vy)) for vx, vy in vs]
-        n = len(floats)
-        if n < 3:
-            raise GeometryError(f"polygon needs at least 3 vertices, got {n}")
-        if signed_area2(floats) <= 0.0:
-            raise GeometryError("vertices are clockwise; counter-clockwise order required")
-        for i in range(n):
-            ax, ay = floats[i]
-            bx, by = floats[(i + 1) % n]
-            cx, cy = floats[(i + 2) % n]
-            e1x, e1y = bx - ax, by - ay
-            if e1x * e1x + e1y * e1y < 1e-24:
-                raise GeometryError(f"zero-length edge at vertex {i}")
-            cross = e1x * (cy - by) - e1y * (cx - bx)
-            if cross < -COLLINEAR_EPS:
-                raise GeometryError(
-                    f"reflex corner at vertex {(i + 1) % n} (cross product {cross:.3g})")
-            if cross < COLLINEAR_EPS:
-                warnings.warn(f"near-collinear corner at vertex {(i + 1) % n}",
-                              stacklevel=2)
+        for i in validate_convex_ccw([(value_of(vx), value_of(vy)) for vx, vy in vs]):
+            warnings.warn(f"near-collinear corner at vertex {i}", stacklevel=2)
         self.vertices = vs
 
     def __len__(self) -> int:

@@ -25,17 +25,12 @@ from typing import Optional, Sequence
 
 from . import autodiff as ad
 from .formulas import Always, Atom, Eventually, Formula, Trajectory, eval_exact
-from .predicates import (AxisAlignedBox3, PredicateKind, PredicateParams, Scene,
-                         SceneObject)
+from .predicates import (DIRECTIONAL, AxisAlignedBox3, PredicateKind, PredicateParams,
+                         Scene, SceneObject)
 
 
 class MiningError(ValueError):
     """Ill-formed demonstration set or mining configuration."""
-
-
-DIRECTIONAL_KINDS = (PredicateKind.LEFT_OF, PredicateKind.RIGHT_OF,
-                     PredicateKind.BEHIND, PredicateKind.IN_FRONT_OF,
-                     PredicateKind.BELOW, PredicateKind.ABOVE)
 
 
 @dataclass(frozen=True)
@@ -104,7 +99,7 @@ def enumerate_candidates(demos: DemonstrationSet) -> list[Candidate]:
     for phase in demos.phases:
         for obstacle in demos.obstacles:
             for temporal in ("F", "G"):
-                for kind in DIRECTIONAL_KINDS:
+                for kind in DIRECTIONAL:
                     out.append(Candidate(temporal, kind, phase, obstacle))
     return out
 

@@ -45,9 +45,10 @@ class PredicateKind(Enum):
     BEARING_TO = "bearingTo"
 
 
-DIRECTIONAL_2D = (PredicateKind.LEFT_OF, PredicateKind.RIGHT_OF,
-                  PredicateKind.BEHIND, PredicateKind.IN_FRONT_OF)
-DIRECTIONAL_3D = DIRECTIONAL_2D + (PredicateKind.BELOW, PredicateKind.ABOVE)
+# the order is the retention tie-break of mining's candidate enumeration
+DIRECTIONAL = (PredicateKind.LEFT_OF, PredicateKind.RIGHT_OF,
+               PredicateKind.BEHIND, PredicateKind.IN_FRONT_OF,
+               PredicateKind.BELOW, PredicateKind.ABOVE)
 
 # positional parameter names per predicate, in surface-syntax order
 PARAM_ORDER = {
@@ -333,8 +334,7 @@ def atom_robustness(scene: Scene, kind: PredicateKind, names: Sequence[str],
         return min(over, not_a_in_b, not_b_in_a)
     if kind is PredicateKind.ENCL_IN:
         return _enclosure(objs[0], objs[1], params.require("delta_inside", kind), smooth, cfg)
-    if kind in (PredicateKind.LEFT_OF, PredicateKind.RIGHT_OF, PredicateKind.BEHIND,
-                PredicateKind.IN_FRONT_OF, PredicateKind.BELOW, PredicateKind.ABOVE):
+    if kind in DIRECTIONAL:
         return _directional(objs[0], objs[1], kind, params.require("kappa", kind), smooth, cfg)
     if kind is PredicateKind.BETWEEN_PX:
         return _between(objs[0], objs[1], objs[2], 0, kind,

@@ -87,6 +87,6 @@ def random_polygon_pair(rng: random.Random,
 
 
 def pair_for_index(seed: int, index: int) -> tuple[list[Point], list[Point]]:
-    """Deterministic pair keyed by (seed, index); independent of how work
-    is split across threads."""
+    """Deterministic pair keyed by (seed, index); independent of which
+    other pairs are drawn, or in what order."""
     return random_polygon_pair(random.Random(seed * 1_000_003 + index))

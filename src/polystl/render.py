@@ -12,6 +12,7 @@ from __future__ import annotations
 import os
 from typing import Iterable, Sequence
 
+from .exactgeo import centroid
 from .geometry import ConvexPolygon, Pose2D
 from .optimize import PoseTriple, Problem
 from .predicates import AxisAlignedBox3
@@ -36,11 +37,6 @@ def _polygon_points(shape) -> list[tuple[float, float]]:
 def _subpath(points: Sequence[tuple[float, float]]) -> str:
     coords = " L ".join(f"{x:.4f} {-y:.4f}" for x, y in points)
     return f"M {coords} Z"
-
-
-def _centroid(points: Sequence[tuple[float, float]]) -> tuple[float, float]:
-    n = len(points)
-    return (sum(p[0] for p in points) / n, sum(p[1] for p in points) / n)
 
 
 def render_frame(problem: Problem, poses: dict[str, list[PoseTriple]],
@@ -78,7 +74,7 @@ def render_frame(problem: Problem, poses: dict[str, list[PoseTriple]],
         parts.append(f'<path id="{name}" d="{d}" fill="{fill}" fill-opacity="0.25" '
                      f'stroke="{fill}" stroke-width="0.015"/>')
         trail = " ".join(f"{cx:.4f},{-cy:.4f}"
-                         for cx, cy in (_centroid(f) for f in frames))
+                         for cx, cy in (centroid(f) for f in frames))
         parts.append(f'<polyline id="{name}-trail" points="{trail}" fill="none" '
                      f'stroke="{fill}" stroke-width="0.03"/>')
     parts.append("</svg>")

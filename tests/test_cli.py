@@ -49,6 +49,31 @@ class TestEval:
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_nan_start_pose_exits_2(self, tmp_path, capsys):
+        with open(scenario_path("single_obstacle")) as fh:
+            doc = json.load(fh)
+        doc["objects"][0]["start"] = [float("nan"), 0.0, 0.0]
+        path = tmp_path / "nan_start.json"
+        path.write_text(json.dumps(doc))   # json writes the bare NaN token
+        rc = main(["eval", str(path)])
+        out, err = capsys.readouterr()
+        assert rc == 2
+        assert "verdict" not in out
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_nan_trajectory_row_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "trajectory.csv"
+        rows = ["t,object,x,y,theta"]
+        rows += [f"{t},ee,{0.5 + 0.25 * t!r},2,0" for t in range(17)]
+        rows[2] = "1,ee,nan,2,0"
+        path.write_text("\n".join(rows) + "\n")
+        rc = main(["eval", scenario_path("single_obstacle"),
+                   "--trajectory", str(path)])
+        out, err = capsys.readouterr()
+        assert rc == 2
+        assert "verdict" not in out
+        assert err.startswith("error:") and err.count("\n") == 1
+
     def test_satisfied_after_optimize_exits_0(self, tmp_path, capsys):
         rc = main(["optimize", scenario_path("free_space"),
                    "--out-dir", str(tmp_path)])
@@ -186,19 +211,6 @@ class TestAccuracy:
         assert rc == 0
         lines = (tmp_path / "accuracy.csv").read_text().strip().splitlines()
         assert len(lines) == 1
-
-    def test_thread_env_does_not_change_rows(self, tmp_path, monkeypatch):
-        a, b = tmp_path / "a", tmp_path / "b"
-        main(["accuracy", "--pairs", "4", "--out-dir", str(a)])
-        monkeypatch.setenv("DIFF_SPATIAL_THREADS", "3")
-        main(["accuracy", "--pairs", "4", "--out-dir", str(b)])
-        assert (a / "accuracy.csv").read_bytes() == (b / "accuracy.csv").read_bytes()
-
-    def test_bad_thread_env_rejected(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("DIFF_SPATIAL_THREADS", "zero")
-        rc = main(["accuracy", "--pairs", "1", "--out-dir", str(tmp_path)])
-        assert rc == 2
-        assert "DIFF_SPATIAL_THREADS" in capsys.readouterr().err
 
 
 class TestParser:

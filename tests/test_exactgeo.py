@@ -45,6 +45,17 @@ def test_validate_rejects_duplicate_vertex():
         xg.validate_convex_ccw([(0, 0), (1, 0), (1, 0), (0, 1)])
 
 
+def test_validate_rejects_non_finite_coordinates():
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(xg.GeometryError, match="non-finite"):
+            xg.validate_convex_ccw([(0, 0), (1, 0), (1, bad), (0, 1)])
+
+
+def test_validate_returns_near_collinear_corners():
+    assert xg.validate_convex_ccw(UNIT_SQUARE) == []
+    assert xg.validate_convex_ccw([(0, 0), (1, 0), (2, 0), (2, 2), (0, 2)]) == [1]
+
+
 def test_inward_normals_unit_square():
     normals = xg.inward_edge_normals(UNIT_SQUARE)
     assert normals[0] == pytest.approx((0.0, 1.0))   # bottom edge

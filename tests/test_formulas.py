@@ -1,4 +1,4 @@
-"""Temporal layer: parsing, robustness semantics, normal form, monitor."""
+"""Temporal layer: parsing, robustness semantics, negation duals, monitor."""
 import math
 import random
 
@@ -8,7 +8,7 @@ from polystl import autodiff as ad
 from polystl import formulas as fm
 from polystl.formulas import (Always, And, Atom, Eventually, FormulaError, Not, Or,
                               Trajectory, Until, atoms_of, eval_exact, eval_smooth,
-                              parse, satisfies, smoothing_budget, to_pnf, to_text)
+                              parse, satisfies, smoothing_budget, to_text)
 from polystl.geometry import ConvexPolygon, SmoothingConfig
 from polystl.gradcheck import check_gradient
 from polystl.predicates import (AxisAlignedBox3, PredicateKind, PredicateParams,
@@ -411,59 +411,30 @@ def test_monitor_agrees_with_robustness_sign():
     assert checked > 100
 
 
-# -- positive normal form ----------------------------------------------------------
+# -- negation duals ----------------------------------------------------------------
 
 
-def test_pnf_pushes_negation_to_atoms():
-    phi = close_to("a", "b", 1.0)
-    f = Not(And((phi, Or((Not(phi), Always(0, 2, phi))))))
-    g = to_pnf(f)
-
-    def no_compound_negation(h):
-        if isinstance(h, Not):
-            return isinstance(h.child, Atom)
-        if isinstance(h, (And, Or)):
-            return all(no_compound_negation(c) for c in h.children)
-        if isinstance(h, (Always, Eventually)):
-            return no_compound_negation(h.child)
-        if isinstance(h, Until):
-            return no_compound_negation(h.left) and no_compound_negation(h.right)
-        return True
-
-    assert no_compound_negation(g)
-
-
-def test_pnf_dualities():
-    phi = close_to("a", "b", 1.0)
-    assert to_pnf(Not(Always(0, 3, phi))) == Eventually(0, 3, Not(phi))
-    assert to_pnf(Not(Eventually(1, 2, phi))) == Always(1, 2, Not(phi))
-    assert to_pnf(Not(Not(phi))) == phi
-    assert to_pnf(Not(And((phi, phi)))) == Or((Not(phi), Not(phi)))
-
-
-def test_pnf_preserves_exact_robustness():
+def test_negation_equals_its_dual_form_bit_for_bit():
+    """The evaluator negates a child's value, and lse_min(x) is computed as
+    -lse_max(-x), so each De Morgan / temporal dual gives the identical
+    float in exact mode and at every smoothing temperature."""
     traj = Trajectory([pair_scene(d) for d in (1.3, 2.0, 3.4, 1.8)])
     phi = close_to("a", "b", 2.0)
     psi = Atom(PredicateKind.FAR_FROM, ("a", "b"),
                PredicateParams.for_kind(PredicateKind.FAR_FROM, [1.5]))
     cases = [
-        Not(Always(0, 3, phi)),
-        Not(Or((phi, Not(psi)))),
-        Not(Eventually(0, 2, And((phi, psi)))),
-        Not(Not(Always(1, 3, Or((phi, psi))))),
+        (Not(Always(0, 3, phi)), Eventually(0, 3, Not(phi))),
+        (Not(Or((phi, Not(psi)))), And((Not(phi), psi))),
+        (Not(Eventually(0, 2, And((phi, psi)))),
+         Always(0, 2, Or((Not(phi), Not(psi))))),
+        (Not(Not(Always(1, 3, Or((phi, psi))))), Always(1, 3, Or((phi, psi)))),
     ]
-    for f in cases:
-        g = to_pnf(f)
-        assert eval_exact(g, traj).value == pytest.approx(
-            eval_exact(f, traj).value, abs=1e-12)
-
-
-def test_pnf_warns_on_negated_until():
-    phi = close_to("a", "b", 1.0)
-    f = Not(Until(0, 2, phi, phi))
-    with pytest.warns(UserWarning, match="U"):
-        g = to_pnf(f)
-    assert isinstance(g, Not) and isinstance(g.child, Until)
+    for f, dual in cases:
+        assert eval_exact(f, traj).value == eval_exact(dual, traj).value, to_text(f)
+        for tau in (1e-1, 1e-2, 1e-3):
+            cfg = SmoothingConfig(tau=tau)
+            assert (eval_smooth(f, traj, cfg=cfg).value
+                    == eval_smooth(dual, traj, cfg=cfg).value), (to_text(f), tau)
 
 
 # -- misc -------------------------------------------------------------------------

@@ -35,6 +35,13 @@ def test_polygon_rejects_bad_input():
         geo.ConvexPolygon([(0, 0), (0, 1), (1, 1), (1, 0)])  # clockwise
 
 
+def test_polygon_warns_once_per_near_collinear_corner():
+    with pytest.warns(UserWarning, match="near-collinear corner at vertex 1") as record:
+        geo.ConvexPolygon([(0.0, 0.0), (1.0, 0.0), (2.0, 0.0), (2.0, 2.0), (0.0, 2.0)])
+    assert len(record) == 1
+    assert record[0].filename == __file__   # reported at the caller
+
+
 def test_template_world_vertices():
     tpl = geo.PolygonTemplate([(-0.5, -0.5), (0.5, -0.5), (0.5, 0.5), (-0.5, 0.5)])
     world = tpl.at(geo.Pose2D(2.0, 1.0, math.pi / 2.0)).float_vertices()
