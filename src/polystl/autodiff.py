@@ -2,9 +2,12 @@
 
 Every operation appends one node to the tape; node indices are therefore
 already in topological order and a single reverse sweep computes adjoints.
-All functions in this module accept either ``Var`` operands or plain floats,
-so the same client code can run in recorded (differentiable) mode or in
-plain float mode with identical arithmetic.
+A node may have any number of parents: :meth:`Tape.node` records one value
+with its local partials, which is how the smoothed extrema here and the
+fused geometry kernels in :mod:`polystl.geometry` enter the tape as one node
+each. All functions in this module accept either ``Var`` operands or plain
+floats, so the same client code can run in recorded (differentiable) mode or
+in plain float mode with identical arithmetic.
 """
 from __future__ import annotations
 
@@ -54,6 +57,20 @@ class Tape:
 
     def vars(self, values: Sequence[float]) -> list["Var"]:
         return [self.var(v) for v in values]
+
+    def node(self, value: float, parents: Sequence["Var"], partials: Sequence[float],
+             op: str = "node") -> "Var":
+        """Append one node holding ``value`` whose partial derivative with
+        respect to ``parents[k]`` is ``partials[k]``. A parent may repeat;
+        its adjoint then accumulates every entry. All parents must live on
+        this tape."""
+        for p in parents:
+            if p.tape is not self:
+                raise EvaluationError(f"{op}: operands live on different tapes")
+        self.val.append(value)
+        self.par.append(tuple(p.i for p in parents))
+        self.dpar.append(tuple(partials))
+        return Var(self, len(self.val) - 1)
 
 
 class Var:
@@ -167,11 +184,7 @@ class Var:
 
 
 def _unary(x: Var, value: float, partial: float) -> Var:
-    t = x.tape
-    t.val.append(value)
-    t.par.append((x.i,))
-    t.dpar.append((partial,))
-    return Var(t, len(t.val) - 1)
+    return x.tape.node(value, (x,), (partial,))
 
 
 def value_of(x: Scalar) -> float:
@@ -295,28 +308,13 @@ def wrap_angle(x: Scalar) -> Scalar:
 
 
 def _binary(a: Scalar, b: Scalar, value: float, da: float, db: float, op: str) -> Scalar:
-    a_var = isinstance(a, Var)
-    b_var = isinstance(b, Var)
-    if a_var and b_var:
-        t = a.tape
-        if b.tape is not t:
-            raise EvaluationError(f"{op}: operands live on different tapes")
-        t.val.append(value)
-        t.par.append((a.i, b.i))
-        t.dpar.append((da, db))
-    elif a_var:
-        t = a.tape
-        t.val.append(value)
-        t.par.append((a.i,))
-        t.dpar.append((da,))
-    elif b_var:
-        t = b.tape
-        t.val.append(value)
-        t.par.append((b.i,))
-        t.dpar.append((db,))
-    else:
-        return value
-    return Var(t, len(t.val) - 1)
+    if isinstance(a, Var):
+        if isinstance(b, Var):
+            return a.tape.node(value, (a, b), (da, db), op)
+        return a.tape.node(value, (a,), (da,), op)
+    if isinstance(b, Var):
+        return b.tape.node(value, (b,), (db,), op)
+    return value
 
 
 def atan2(y: Scalar, x: Scalar) -> Scalar:
@@ -328,59 +326,34 @@ def atan2(y: Scalar, x: Scalar) -> Scalar:
     return _binary(y, x, math.atan2(yv, xv), xv / r2, -yv / r2, "atan2")
 
 
-def max2(a: Scalar, b: Scalar) -> Scalar:
-    """Hard max; on a tie the first operand wins the subgradient."""
-    av = value_of(a)
-    bv = value_of(b)
-    if av >= bv:
-        return _binary(a, b, av, 1.0, 0.0, "max2")
-    return _binary(a, b, bv, 0.0, 1.0, "max2")
-
-
-def min2(a: Scalar, b: Scalar) -> Scalar:
-    """Hard min; on a tie the first operand wins the subgradient."""
-    av = value_of(a)
-    bv = value_of(b)
-    if av <= bv:
-        return _binary(a, b, av, 1.0, 0.0, "min2")
-    return _binary(a, b, bv, 0.0, 1.0, "min2")
-
-
 # -- smoothed extrema ----------------------------------------------------
 
 
-def _lse(xs: Sequence[Scalar], tau: float, sign: float, op: str) -> Scalar:
-    if tau <= 0.0:
-        raise EvaluationError(f"{op}: temperature must be positive, got {tau!r}")
-    n = len(xs)
-    if n == 0:
-        raise EvaluationError(f"{op}: empty input")
-    tape = None
-    for x in xs:
-        if isinstance(x, Var):
-            tape = x.tape
-            break
-    vals = [x.tape.val[x.i] if isinstance(x, Var) else x for x in xs]
+def lse_parts(vals: Sequence[float], tau: float, sign: float) -> tuple[float, list[float], float]:
+    """Float core of :func:`lse_max` (``sign`` 1) and :func:`lse_min`
+    (``sign`` -1) over plain floats: the value, the shifted exponentials
+    ``w`` and their sum ``s``. The partial with respect to ``vals[i]`` is
+    ``w[i] / s``. No argument checks."""
     if sign < 0.0:
         vals = [-v for v in vals]
     m = max(vals)
     ws = [math.exp((v - m) / tau) for v in vals]
     s = math.fsum(ws)
-    out = sign * (m + tau * math.log(s))
-    if tape is None:
+    return sign * (m + tau * math.log(s)), ws, s
+
+
+def _lse(xs: Sequence[Scalar], tau: float, sign: float, op: str) -> Scalar:
+    if tau <= 0.0:
+        raise EvaluationError(f"{op}: temperature must be positive, got {tau!r}")
+    if not xs:
+        raise EvaluationError(f"{op}: empty input")
+    out, ws, s = lse_parts([x.tape.val[x.i] if isinstance(x, Var) else x for x in xs],
+                           tau, sign)
+    parents = [x for x in xs if isinstance(x, Var)]
+    if not parents:
         return out
-    parents = []
-    partials = []
-    for x, w in zip(xs, ws):
-        if isinstance(x, Var):
-            if x.tape is not tape:
-                raise EvaluationError(f"{op}: operands live on different tapes")
-            parents.append(x.i)
-            partials.append(w / s)
-    tape.val.append(out)
-    tape.par.append(tuple(parents))
-    tape.dpar.append(tuple(partials))
-    return Var(tape, len(tape.val) - 1)
+    partials = [w / s for x, w in zip(xs, ws) if isinstance(x, Var)]
+    return parents[0].tape.node(out, parents, partials, op)
 
 
 def lse_max(xs: Sequence[Scalar], tau: float) -> Scalar:

@@ -1,19 +1,23 @@
 """Smooth convex-polygon geometry: poses, boundary sampling, and the
 differentiable distance/penetration/enclosure surrogates.
 
-Coordinates are generic scalars (tape ``Var`` or plain float); the same
-code path serves recorded and plain evaluation. Hard counterparts for
-every quantity live in :mod:`polystl.exactgeo`.
+Coordinates are generic scalars (tape ``Var`` or plain float). The smooth
+distance, penetration and point signed distance are plain-float kernels over
+the float snapshot of the vertices, so both modes compute the same value bit
+for bit; when some input coordinate is a ``Var`` the kernel also derives its
+partials with respect to every vertex coordinate analytically and records the
+result as one tape node. Hard counterparts for every quantity live in
+:mod:`polystl.exactgeo`.
 """
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
 from . import autodiff as ad
-from .autodiff import Scalar, value_of
+from .autodiff import SQRT_GUARD, Scalar, value_of
 from .exactgeo import validate_convex_ccw
 
 ScalarPoint = tuple  # (Scalar, Scalar)
@@ -122,54 +126,133 @@ class PolygonTemplate:
 @dataclass
 class BoundarySamples:
     """Evenly spaced boundary points with their worst-case spacing."""
-    points: list[ScalarPoint]
+    points: list[tuple[float, float]]
     spacing: float
 
 
-def sample_boundary(polygon: ConvexPolygon, samples_per_edge: int) -> BoundarySamples:
-    """S points per edge at parameters k/S (each vertex appears once, as the
-    k=0 sample of its outgoing edge); spacing is max edge length / S."""
-    if samples_per_edge < 1:
-        raise ValueError(f"samples_per_edge must be >= 1, got {samples_per_edge}")
-    pts = []
+# -- float kernels ---------------------------------------------------------------
+#
+# The three smooth quantities below evaluate on the float snapshot of the
+# vertices. When some input coordinate is a tape Var they also accumulate the
+# analytic partials of the result with respect to every vertex coordinate (and
+# the query point) in reverse order, and record the result as one tape node
+# whose parents are those Vars. Distances use envelope partials: the clamped
+# projection parameter of a point onto a segment is held fixed, since the
+# distance is stationary in it wherever it is not clamped.
+
+
+def _edge_row(ax: float, ay: float, bx: float, by: float) -> tuple:
+    ex = bx - ax
+    ey = by - ay
+    return (ax, ay, ex, ey, ex * ex + ey * ey)
+
+
+def _edge_table(fv: Sequence[tuple[float, float]]) -> list[tuple]:
+    """(ax, ay, ex, ey, ex^2 + ey^2) of each directed edge a -> a + e."""
+    n = len(fv)
+    return [_edge_row(*fv[i], *fv[(i + 1) % n]) for i in range(n)]
+
+
+def _unit_normals(edges: Sequence[tuple]) -> list[tuple[float, float, float]]:
+    """(nx, ny, guarded edge length) of each edge's inward unit normal."""
+    out = []
+    for _, _, ex, ey, len2 in edges:
+        length = math.sqrt(len2 + SQRT_GUARD)
+        out.append((-ey / length, ex / length, length))
+    return out
+
+
+def _samples(edges: Sequence[tuple], samples_per_edge: int):
+    """(edge index, t, x, y) of the boundary points at parameters k/S."""
     inv = 1.0 / samples_per_edge
-    for (ax, ay), (bx, by) in polygon.edges():
-        ex = bx - ax
-        ey = by - ay
+    for i, (ax, ay, ex, ey, _) in enumerate(edges):
         for k in range(samples_per_edge):
             t = k * inv
             if t == 0.0:
-                pts.append((ax, ay))
+                yield i, t, ax, ay
             else:
-                pts.append((ax + t * ex, ay + t * ey))
-    return BoundarySamples(pts, polygon.max_edge_length() / samples_per_edge)
+                yield i, t, ax + t * ex, ay + t * ey
 
 
-def edge_normals(polygon: ConvexPolygon) -> list[ScalarPoint]:
+def _segment_offsets(px: float, py: float, edges: Sequence[tuple]) -> list[tuple]:
+    """(d, t, dx, dy) per edge: the guarded distance from (px, py) to the
+    edge, the hard-clamped projection parameter t (a tie keeps the
+    unclamped value) and the offset from the projected point."""
+    out = []
+    for ax, ay, ex, ey, len2 in edges:
+        t = ((px - ax) * ex + (py - ay) * ey) / len2
+        if t < 0.0:
+            t = 0.0
+        if t > 1.0:
+            t = 1.0
+        dx = px - (ax + t * ex)
+        dy = py - (ay + t * ey)
+        out.append((math.sqrt(dx * dx + dy * dy + SQRT_GUARD), t, dx, dy))
+    return out
+
+
+def _flat(points) -> list[Scalar]:
+    return [c for pt in points for c in pt]
+
+
+def _fused(value: float, coords: Sequence[Scalar], partials: Sequence[float]) -> ad.Var:
+    """One tape node for ``value`` with the Vars among ``coords`` as parents."""
+    parents = []
+    dpar = []
+    for c, g in zip(coords, partials):
+        if isinstance(c, ad.Var):
+            parents.append(c)
+            dpar.append(g)
+    return parents[0].tape.node(value, parents, dpar)
+
+
+def _segment_adjoint(g: list[float], k: int, t: float, gx: float, gy: float) -> None:
+    """Adjoint (gx, gy) of the offset p - (a + t e) pushed onto edge k's
+    vertices a = v_k and a + e = v_{k+1} in the flat gradient ``g``."""
+    j = 2 * ((k + 1) % (len(g) // 2))
+    g[2 * k] -= (1.0 - t) * gx
+    g[2 * k + 1] -= (1.0 - t) * gy
+    g[j] -= t * gx
+    g[j + 1] -= t * gy
+
+
+def _normal_adjoint(g: list[float], k: int, edge: tuple, length: float,
+                    gnx: float, gny: float) -> None:
+    """Adjoint (gnx, gny) of edge k's unit normal (-ey, ex) / length pushed
+    onto its vertices in the flat gradient ``g``."""
+    ex, ey = edge[2], edge[3]
+    inv = 1.0 / length
+    c = (gnx * ey - gny * ex) * inv * inv * inv
+    gex = inv * gny + c * ex
+    gey = c * ey - inv * gnx
+    j = 2 * ((k + 1) % (len(g) // 2))
+    g[2 * k] -= gex
+    g[2 * k + 1] -= gey
+    g[j] += gex
+    g[j + 1] += gey
+
+
+def sample_boundary(polygon: ConvexPolygon, samples_per_edge: int) -> BoundarySamples:
+    """S float points per edge at parameters k/S (each vertex appears once,
+    as the k=0 sample of its outgoing edge); spacing is max edge length / S."""
+    if samples_per_edge < 1:
+        raise ValueError(f"samples_per_edge must be >= 1, got {samples_per_edge}")
+    edges = _edge_table(polygon.float_vertices())
+    return BoundarySamples([(x, y) for _, _, x, y in _samples(edges, samples_per_edge)],
+                           polygon.max_edge_length() / samples_per_edge)
+
+
+def edge_normals(polygon: ConvexPolygon) -> list[tuple[float, float]]:
     """Inward unit normals, one per directed edge (interior is to the left
     of a counter-clockwise edge)."""
-    normals = []
-    for (ax, ay), (bx, by) in polygon.edges():
-        ex = bx - ax
-        ey = by - ay
-        length = ad.sqrt_guarded(ex * ex + ey * ey)
-        normals.append((-ey / length, ex / length))
-    return normals
+    return [(nx, ny) for nx, ny, _ in _unit_normals(_edge_table(polygon.float_vertices()))]
 
 
-def point_segment_distance(p: ScalarPoint, a: ScalarPoint, b: ScalarPoint) -> Scalar:
-    """Distance from p to segment ab with a hard-clamped projection; the
-    guarded sqrt keeps the gradient finite at contact."""
-    px, py = p
-    ax, ay = a
-    bx, by = b
-    ex = bx - ax
-    ey = by - ay
-    len2 = ex * ex + ey * ey
-    t = ad.min2(ad.max2(((px - ax) * ex + (py - ay) * ey) / len2, 0.0), 1.0)
-    dx = px - (ax + t * ex)
-    dy = py - (ay + t * ey)
-    return ad.sqrt_guarded(dx * dx + dy * dy)
+def point_segment_distance(p: tuple[float, float], a: tuple[float, float],
+                           b: tuple[float, float]) -> float:
+    """Float distance from p to segment ab with a hard-clamped projection,
+    through the same guarded sqrt as the smooth kernels."""
+    return _segment_offsets(p[0], p[1], [_edge_row(*a, *b)])[0][0]
 
 
 def point_polygon_signed_distance(p: ScalarPoint, polygon: ConvexPolygon,
@@ -182,14 +265,38 @@ def point_polygon_signed_distance(p: ScalarPoint, polygon: ConvexPolygon,
     sigmoid on the inside depth.
     """
     tau = cfg.tau
-    px, py = p
-    margins = []
-    for (vx, vy), (nx, ny) in zip([e[0] for e in polygon.edges()], edge_normals(polygon)):
-        margins.append((px - vx) * nx + (py - vy) * ny)
-    m_in = ad.lse_min(margins, tau)
-    m_out = ad.lse_min([point_segment_distance(p, a, b) for a, b in polygon.edges()], tau)
+    coords = list(p) + _flat(polygon.vertices)
+    px, py = value_of(p[0]), value_of(p[1])
+    edges = _edge_table(polygon.float_vertices())
+    normals = _unit_normals(edges)
+    margins = [(px - ax) * nx + (py - ay) * ny
+               for (ax, ay, _, _, _), (nx, ny, _) in zip(edges, normals)]
+    m_in, w_in, s_in = ad.lse_parts(margins, tau, -1.0)
+    offsets = _segment_offsets(px, py, edges)
+    m_out, w_out, s_out = ad.lse_parts([o[0] for o in offsets], tau, -1.0)
     w = ad.sigmoid(cfg.sigmoid_scale * m_in)
-    return (1.0 - w) * m_out - w * m_in
+    value = (1.0 - w) * m_out - w * m_in
+    if not any(isinstance(c, ad.Var) for c in coords):
+        return value
+
+    g_out = 1.0 - w
+    g_in = (-m_out - m_in) * (w * (1.0 - w)) * cfg.sigmoid_scale - w
+    gp = [0.0, 0.0]
+    gv = [0.0] * (2 * len(edges))
+    for k, (edge, (nx, ny, length), (d, t, dx, dy)) in enumerate(zip(edges, normals, offsets)):
+        a = g_in * (w_in[k] / s_in)   # adjoint of margin k
+        if a != 0.0:
+            gp[0] += a * nx
+            gp[1] += a * ny
+            gv[2 * k] -= a * nx
+            gv[2 * k + 1] -= a * ny
+            _normal_adjoint(gv, k, edge, length, a * (px - edge[0]), a * (py - edge[1]))
+        c = g_out * (w_out[k] / s_out) / d   # adjoint of distance k, over d
+        if c != 0.0:
+            gp[0] += c * dx
+            gp[1] += c * dy
+            _segment_adjoint(gv, k, t, c * dx, c * dy)
+    return _fused(value, coords, gp + gv)
 
 
 def smooth_sat_penetration(A: ConvexPolygon, B: ConvexPolygon,
@@ -203,17 +310,80 @@ def smooth_sat_penetration(A: ConvexPolygon, B: ConvexPolygon,
     aggregation.
     """
     tau = cfg.tau
+    coords = _flat(A.vertices) + _flat(B.vertices)
+    fvs = (A.float_vertices(), B.float_vertices())
+    axes = []
     overlaps = []
-    a_verts = A.vertices
-    b_verts = B.vertices
-    for normals in (edge_normals(A), edge_normals(B)):
-        for nx, ny in normals:
-            pa = [vx * nx + vy * ny for vx, vy in a_verts]
-            pb = [vx * nx + vy * ny for vx, vy in b_verts]
-            hi = ad.lse_min([ad.lse_max(pa, tau), ad.lse_max(pb, tau)], tau)
-            lo = ad.lse_max([ad.lse_min(pa, tau), ad.lse_min(pb, tau)], tau)
-            overlaps.append(hi - lo)
-    return ad.relu(ad.lse_min(overlaps, tau))
+    for owner, fv in enumerate(fvs):
+        edges = _edge_table(fv)
+        for k, (edge, (nx, ny, length)) in enumerate(zip(edges, _unit_normals(edges))):
+            projections = [[vx * nx + vy * ny for vx, vy in f] for f in fvs]
+            highs = [ad.lse_parts(pr, tau, 1.0) for pr in projections]
+            lows = [ad.lse_parts(pr, tau, -1.0) for pr in projections]
+            hi = ad.lse_parts([h[0] for h in highs], tau, -1.0)
+            lo = ad.lse_parts([l[0] for l in lows], tau, 1.0)
+            overlaps.append(hi[0] - lo[0])
+            axes.append((owner, k, edge, nx, ny, length, highs, lows, hi, lo))
+    total, ws, s = ad.lse_parts(overlaps, tau, -1.0)
+    value = total if total > 0.0 else 0.0
+    if not any(isinstance(c, ad.Var) for c in coords):
+        return value
+
+    relu = 1.0 if total > 0.0 else 0.0   # the clamp's partial, 0 at the kink
+    grads = ([0.0] * (2 * len(A)), [0.0] * (2 * len(B)))
+    for (owner, k, edge, nx, ny, length, highs, lows, hi, lo), w in zip(axes, ws):
+        c = relu * (w / s)
+        if c == 0.0:
+            continue
+        gnx = gny = 0.0
+        for q, (fv, g) in enumerate(zip(fvs, grads)):
+            ch = c * (hi[1][q] / hi[2])   # adjoint of this polygon's soft max
+            cl = c * (lo[1][q] / lo[2])   # and, negated, of its soft min
+            _, wh, sh = highs[q]
+            _, wl, sl = lows[q]
+            for i, (vx, vy) in enumerate(fv):
+                a = ch * (wh[i] / sh) - cl * (wl[i] / sl)   # adjoint of projection i
+                g[2 * i] += a * nx
+                g[2 * i + 1] += a * ny
+                gnx += a * vx
+                gny += a * vy
+        _normal_adjoint(grads[owner], k, edge, length, gnx, gny)
+    return _fused(value, coords, grads[0] + grads[1])
+
+
+def _sampled_side(src: list[tuple], dst: list[tuple], samples_per_edge: int, tau: float,
+                  rows: Optional[list]) -> tuple:
+    """lse_parts of the soft-min over src's boundary samples of each sample's
+    soft-min distance to dst's edges. With ``rows`` a list, appends
+    (edge index, t, offsets, weights, weight sum) of every sample to it."""
+    dists = []
+    for i, t, px, py in _samples(src, samples_per_edge):
+        offsets = _segment_offsets(px, py, dst)
+        d, ws, s = ad.lse_parts([o[0] for o in offsets], tau, -1.0)
+        dists.append(d)
+        if rows is not None:
+            rows.append((i, t, offsets, ws, s))
+    return ad.lse_parts(dists, tau, -1.0)
+
+
+def _sampled_side_adjoint(scale: float, side: tuple, rows: list,
+                          g_src: list[float], g_dst: list[float]) -> None:
+    """Push the adjoint ``scale`` of one side's soft-min onto the vertices of
+    both polygons."""
+    _, ws, s = side
+    for (i, t, offsets, vs, vsum), w in zip(rows, ws):
+        c = scale * (w / s)   # adjoint of this sample's soft-min distance
+        if c == 0.0:
+            continue
+        gx = gy = 0.0
+        for k, (d, tk, dx, dy) in enumerate(offsets):
+            ck = c * (vs[k] / vsum) / d
+            if ck != 0.0:
+                _segment_adjoint(g_dst, k, tk, ck * dx, ck * dy)
+                gx += ck * dx
+                gy += ck * dy
+        # the sample is a + t e on src's edge i; the offset's sign flips
+        _segment_adjoint(g_src, i, t, -gx, -gy)
 
 
 def smooth_polygon_distance(A: ConvexPolygon, B: ConvexPolygon,
@@ -222,14 +392,23 @@ def smooth_polygon_distance(A: ConvexPolygon, B: ConvexPolygon,
     unsigned distances of each polygon's boundary samples to the other
     polygon's edges."""
     tau = cfg.tau
-    sides = []
-    for src, dst in ((A, B), (B, A)):
-        edges = dst.edges()
-        dists = []
-        for p in sample_boundary(src, cfg.samples_per_edge).points:
-            dists.append(ad.lse_min([point_segment_distance(p, a, b) for a, b in edges], tau))
-        sides.append(ad.lse_min(dists, tau))
-    return ad.lse_min(sides, tau)
+    coords = _flat(A.vertices) + _flat(B.vertices)
+    grad = any(isinstance(c, ad.Var) for c in coords)
+    ea = _edge_table(A.float_vertices())
+    eb = _edge_table(B.float_vertices())
+    rows_a = [] if grad else None
+    rows_b = [] if grad else None
+    side_a = _sampled_side(ea, eb, cfg.samples_per_edge, tau, rows_a)
+    side_b = _sampled_side(eb, ea, cfg.samples_per_edge, tau, rows_b)
+    value, ws, s = ad.lse_parts([side_a[0], side_b[0]], tau, -1.0)
+    if not grad:
+        return value
+
+    ga = [0.0] * (2 * len(ea))
+    gb = [0.0] * (2 * len(eb))
+    _sampled_side_adjoint(ws[0] / s, side_a, rows_a, ga, gb)
+    _sampled_side_adjoint(ws[1] / s, side_b, rows_b, gb, ga)
+    return _fused(value, coords, ga + gb)
 
 
 def signed_clearance(A: ConvexPolygon, B: ConvexPolygon,

@@ -18,10 +18,9 @@ ends up in the result.
 """
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from . import autodiff as ad
 from .formulas import Always, Atom, Eventually, Formula, Trajectory, eval_exact

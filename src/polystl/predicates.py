@@ -9,7 +9,7 @@ so the two modes only differ in the arithmetic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence, Union
 

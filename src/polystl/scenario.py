@@ -45,11 +45,20 @@ def _require_keys(mapping: dict, required: Sequence[str], optional: Sequence[str
             raise ScenarioFileError(f"{where}: unknown key {k!r}")
 
 
+def _finite_floats(cells, where: str) -> tuple[float, ...]:
+    """Floats of ``cells``; NaN or infinity is an input error at ``where``
+    (JSON and ``float()`` both accept them)."""
+    values = tuple(float(c) for c in cells)
+    if not all(math.isfinite(v) for v in values):
+        raise ScenarioFileError(f"{where}: non-finite number in {list(cells)}")
+    return values
+
+
 def _as_pose(raw, where: str) -> PoseTriple:
     if (not isinstance(raw, (list, tuple)) or len(raw) != 3
             or not all(isinstance(c, (int, float)) for c in raw)):
         raise ScenarioFileError(f"{where}: pose must be [x, y, theta]")
-    return (float(raw[0]), float(raw[1]), float(raw[2]))
+    return _finite_floats(raw, where)
 
 
 def _interpolated_poses(start: PoseTriple, end: PoseTriple, n: int) -> list[PoseTriple]:
@@ -79,8 +88,8 @@ def _parse_shape(raw: dict, where: str):
             raise ScenarioFileError(f"{where}: box needs lo and hi corners")
         if "vertices" in raw:
             raise ScenarioFileError(f"{where}: box does not take vertices")
-        lo = tuple(float(c) for c in raw["lo"])
-        hi = tuple(float(c) for c in raw["hi"])
+        lo = _finite_floats(raw["lo"], f"{where}: lo")
+        hi = _finite_floats(raw["hi"], f"{where}: hi")
         return ("box", (lo, hi))
     raise ScenarioFileError(f"{where}: unknown shape kind {kind!r}")
 
@@ -159,7 +168,8 @@ def scenario_from_dict(doc: dict, where: str = "scenario") -> Scenario:
             if "poses" in raw:
                 if "start" in raw or "end" in raw:
                     raise ScenarioFileError(f"{oid}: give poses or start/end, not both")
-                poses = [_as_pose(p, oid) for p in raw["poses"]]
+                poses = [_as_pose(p, f"{oid}: object {name!r}: poses[{k}]")
+                         for k, p in enumerate(raw["poses"])]
                 if len(poses) != horizon + 1:
                     raise ScenarioFileError(
                         f"{oid}: poses must list horizon+1 = {horizon + 1} entries, "
@@ -167,8 +177,9 @@ def scenario_from_dict(doc: dict, where: str = "scenario") -> Scenario:
             else:
                 if "start" not in raw or "end" not in raw:
                     raise ScenarioFileError(f"{oid}: movable needs poses or start+end")
-                poses = _interpolated_poses(_as_pose(raw["start"], oid),
-                                            _as_pose(raw["end"], oid), horizon + 1)
+                poses = _interpolated_poses(
+                    _as_pose(raw["start"], f"{oid}: object {name!r}: start"),
+                    _as_pose(raw["end"], f"{oid}: object {name!r}: end"), horizon + 1)
             movables.append(Movable(name, template, poses))
         else:
             raise ScenarioFileError(f"{oid}: role must be 'static' or 'movable'")
@@ -229,7 +240,7 @@ def read_trajectory_csv(path: str, expected_objects: Sequence[str],
                 raise ScenarioFileError(f"{path}:{lineno}: unknown object {name!r}")
             if t in rows[name]:
                 raise ScenarioFileError(f"{path}:{lineno}: duplicate step {t} for {name!r}")
-            rows[name][t] = (float(row[2]), float(row[3]), float(row[4]))
+            rows[name][t] = _finite_floats(row[2:], f"{path}:{lineno}")
     out = {}
     for name, by_t in rows.items():
         missing = [t for t in range(horizon + 1) if t not in by_t]
@@ -356,13 +367,14 @@ def read_demo_dir(path: str) -> DemonstrationSet:
         meta = json.load(fh)
     _require_keys(meta, ["subject", "subject_half", "obstacles", "phases"], [],
                   meta_path)
-    half = tuple(float(c) for c in meta["subject_half"])
+    half = _finite_floats(meta["subject_half"], f"{meta_path}: subject_half")
     statics = []
     for raw in meta["obstacles"]:
         _require_keys(raw, ["name", "lo", "hi"], [], f"{meta_path} obstacle")
+        where = f"{meta_path}: obstacle {raw['name']!r}"
         statics.append(SceneObject(raw["name"],
-                                   AxisAlignedBox3(tuple(map(float, raw["lo"])),
-                                                   tuple(map(float, raw["hi"])))))
+                                   AxisAlignedBox3(_finite_floats(raw["lo"], f"{where}: lo"),
+                                                   _finite_floats(raw["hi"], f"{where}: hi"))))
     phases = []
     for raw in meta["phases"]:
         _require_keys(raw, ["name", "lo", "hi"], [], f"{meta_path} phase")
@@ -389,7 +401,7 @@ def read_demo_dir(path: str) -> DemonstrationSet:
                 t = int(row[0])
                 if t in centers:
                     raise ScenarioFileError(f"{fpath}:{lineno}: duplicate step {t}")
-                centers[t] = (float(row[2]), float(row[3]), float(row[4]))
+                centers[t] = _finite_floats(row[2:], f"{fpath}:{lineno}")
         horizon = max(centers)
         if sorted(centers) != list(range(horizon + 1)):
             raise ScenarioFileError(f"{fpath}: steps must cover 0..{horizon} without gaps")

@@ -47,6 +47,32 @@ def test_cross_tape_operands_rejected():
         ad.lse_max([a, b], 0.1)
 
 
+def test_node_records_value_and_partials():
+    t = ad.Tape()
+    a, b = t.var(2.0), t.var(-3.0)
+    out = t.node(7.5, [a, b], [0.25, -4.0])
+    assert (out.i, out.value) == (2, 7.5)
+    g = ad.backward(out * 2.0)
+    assert (g.wrt(a), g.wrt(b)) == (0.5, -8.0)
+
+
+def test_node_accumulates_repeated_parents():
+    t = ad.Tape()
+    a, b = t.var(1.0), t.var(5.0)
+    out = t.node(0.0, [a, b, a, a], [1.5, 2.0, -0.25, 3.0])
+    g = ad.backward(out)
+    assert g.wrt(a) == 1.5 - 0.25 + 3.0
+    assert g.wrt(b) == 2.0
+
+
+def test_node_rejects_parent_on_other_tape():
+    t1, t2 = ad.Tape(), ad.Tape()
+    a, b = t1.var(1.0), t2.var(2.0)
+    with pytest.raises(ad.EvaluationError, match="fused: operands live on different tapes"):
+        t1.node(3.0, [a, b], [1.0, 1.0], op="fused")
+    assert len(t1) == 1   # nothing appended
+
+
 def test_domain_errors_name_the_op():
     t = ad.Tape()
     a = t.var(-1.0)
@@ -122,15 +148,6 @@ def test_relu_subgradient_zero_at_kink():
     assert g.wrt(x) == 0.0
 
 
-def test_hard_min_max_tie_goes_to_first():
-    t = ad.Tape()
-    a, b = t.var(1.0), t.var(1.0)
-    g = ad.backward(ad.max2(a, b))
-    assert (g.wrt(a), g.wrt(b)) == (1.0, 0.0)
-    g = ad.backward(ad.min2(a, b))
-    assert (g.wrt(a), g.wrt(b)) == (1.0, 0.0)
-
-
 def test_wrap_angle_range_and_fixed_points():
     assert ad.wrap_angle(math.pi) == pytest.approx(math.pi)
     assert ad.wrap_angle(-math.pi) == pytest.approx(math.pi)
@@ -200,7 +217,6 @@ FD_CASES = [
     ("trig", lambda v: ad.sin(v[0]) * ad.cos(v[1]) + ad.atan2(v[0], v[1]), [0.9, 1.7]),
     ("lse", lambda v: ad.lse_max([v[0], v[1], v[0] * v[1]], 0.07), [0.25, -0.9]),
     ("wrap", lambda v: ad.square(ad.wrap_angle(v[0] - v[1])), [2.9, -2.8]),
-    ("min_max", lambda v: ad.max2(v[0], 0.1) * ad.min2(v[1], 2.0), [0.8, 1.4]),
 ]
 
 

@@ -12,8 +12,9 @@ import xml.etree.ElementTree as ET
 import pytest
 
 from polystl.cli import main
+from polystl.mining import make_demo_set
 from polystl.render import render_frame
-from polystl.scenario import load_scenario
+from polystl.scenario import load_scenario, write_demo_dir
 
 HERE = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SCENARIOS = os.path.join(HERE, "scenarios")
@@ -60,6 +61,22 @@ class TestEval:
         assert rc == 2
         assert "verdict" not in out
         assert err.startswith("error:") and err.count("\n") == 1
+        assert "object 'ee': start: non-finite number" in err
+
+    def test_infinite_listed_pose_names_its_index(self, tmp_path, capsys):
+        with open(scenario_path("single_obstacle")) as fh:
+            doc = json.load(fh)
+        ee = doc["objects"][0]
+        start, end = ee.pop("start"), ee.pop("end")
+        ee["poses"] = [start] * 8 + [[end[0], float("inf"), end[2]]] + [end] * 8
+        path = tmp_path / "inf_pose.json"
+        path.write_text(json.dumps(doc))   # json writes the bare Infinity token
+        rc = main(["eval", str(path)])
+        out, err = capsys.readouterr()
+        assert rc == 2
+        assert "verdict" not in out
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "object 'ee': poses[8]: non-finite number" in err
 
     def test_nan_trajectory_row_exits_2(self, tmp_path, capsys):
         path = tmp_path / "trajectory.csv"
@@ -73,6 +90,7 @@ class TestEval:
         assert rc == 2
         assert "verdict" not in out
         assert err.startswith("error:") and err.count("\n") == 1
+        assert f"{path}:3: non-finite number" in err
 
     def test_satisfied_after_optimize_exits_0(self, tmp_path, capsys):
         rc = main(["optimize", scenario_path("free_space"),
@@ -180,6 +198,21 @@ class TestLearn:
         a = (first / "mined_spec.csv").read_bytes()
         b = (second / "mined_spec.csv").read_bytes()
         assert a == b
+
+    def test_nan_demo_row_exits_2(self, tmp_path, capsys):
+        demos = tmp_path / "demos"
+        write_demo_dir(str(demos), make_demo_set(seed=0, n_demos=2))
+        csv_path = demos / "demo_001.csv"
+        lines = csv_path.read_text().splitlines()
+        t, subject = lines[4].split(",")[:2]
+        lines[4] = f"{t},{subject},0.5,nan,0.25"
+        csv_path.write_text("\n".join(lines) + "\n")
+        rc = main(["learn", str(demos), "--out-dir", str(tmp_path / "out")])
+        out, err = capsys.readouterr()
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert f"{csv_path}:5: non-finite number" in err
 
     def test_mined_csv_schema(self, tmp_path, capsys):
         main(["learn", "--synthetic", "2", "--out-dir", str(tmp_path)])

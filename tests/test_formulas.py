@@ -5,7 +5,6 @@ import random
 import pytest
 
 from polystl import autodiff as ad
-from polystl import formulas as fm
 from polystl.formulas import (Always, And, Atom, Eventually, FormulaError, Not, Or,
                               Trajectory, Until, atoms_of, eval_exact, eval_smooth,
                               parse, satisfies, smoothing_budget, to_text)

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+import geometry_reference as ref
 from polystl import autodiff as ad
 from polystl import exactgeo as xg
 from polystl import geometry as geo
@@ -274,3 +275,95 @@ def test_point_sd_gradient():
             list(p), 1e-5)
         assert max_gradient_error([g.wrt(px), g.wrt(py)], numeric) < 1e-4
     assert checked == 25
+
+
+# -- fused kernels against the scalar Var-path reference ----------------------
+
+REFERENCE_GRID = [(tau, s) for tau in (5e-3, 1e-3) for s in (8, 16)]
+ADJOINT_TOL = 1e-9
+
+
+def _on_tape(t, vertices):
+    return geo.ConvexPolygon([(t.var(x), t.var(y)) for x, y in vertices])
+
+
+def _reference_pairs(seed, n):
+    """Random pairs as drawn, and again with B's centroid moved next to A's,
+    so that the penetration terms are active."""
+    for i in range(n):
+        a_v, b_v = pair_for_index(seed, i)
+        (ax, ay), (bx, by) = xg.centroid(a_v), xg.centroid(b_v)
+        dx, dy = ax - bx + 0.1, ay - by - 0.05
+        yield a_v, b_v
+        yield a_v, [(x + dx, y + dy) for x, y in b_v]
+
+
+def _pair_adjoints(fn, a_v, b_v, cfg):
+    """Value of fn with Vars on both polygons, and every coordinate's adjoint."""
+    t = ad.Tape()
+    a, b = _on_tape(t, a_v), _on_tape(t, b_v)
+    out = fn(a, b, cfg)
+    g = ad.backward(out)
+    return out.value, [g.wrt(c) for v in a.vertices + b.vertices for c in v]
+
+
+FUSED_CASES = [
+    ("distance", geo.smooth_polygon_distance, ref.smooth_polygon_distance),
+    ("penetration", geo.smooth_sat_penetration, ref.smooth_sat_penetration),
+    ("clearance", geo.signed_clearance, ref.signed_clearance),
+]
+
+
+@pytest.mark.parametrize("name,fused,reference", FUSED_CASES, ids=[c[0] for c in FUSED_CASES])
+def test_fused_pair_kernels_match_scalar_reference(name, fused, reference):
+    active = 0
+    for tau, s in REFERENCE_GRID:
+        cfg = geo.SmoothingConfig(tau=tau, samples_per_edge=s)
+        for a_v, b_v in _reference_pairs(41, 5):
+            value = fused(poly(a_v), poly(b_v), cfg)
+            assert value == reference(poly(a_v), poly(b_v), cfg)
+            got, adjoints = _pair_adjoints(fused, a_v, b_v, cfg)
+            want, expected = _pair_adjoints(reference, a_v, b_v, cfg)
+            assert got == value == want
+            assert max(abs(x - y) for x, y in zip(adjoints, expected)) <= ADJOINT_TOL
+            active += any(y != 0.0 for y in expected)
+    assert active >= 20, f"{name}: only {active} cases with a non-zero gradient"
+
+
+def test_fused_point_signed_distance_matches_scalar_reference():
+    rng = random.Random(43)
+    for tau, s in REFERENCE_GRID:
+        cfg = geo.SmoothingConfig(tau=tau, samples_per_edge=s)
+        for i in range(12):
+            poly_v, _ = pair_for_index(43, i)
+            cx, cy = xg.centroid(poly_v)
+            p = (cx + rng.uniform(-1.5, 1.5), cy + rng.uniform(-1.5, 1.5))
+            value = geo.point_polygon_signed_distance(p, poly(poly_v), cfg)
+            assert value == ref.point_polygon_signed_distance(p, poly(poly_v), cfg)
+            results = []
+            for fn in (geo.point_polygon_signed_distance, ref.point_polygon_signed_distance):
+                t = ad.Tape()
+                pv = (t.var(p[0]), t.var(p[1]))
+                shape = _on_tape(t, poly_v)
+                out = fn(pv, shape, cfg)
+                g = ad.backward(out)
+                results.append((out.value, [g.wrt(c) for c in pv]
+                                + [g.wrt(c) for v in shape.vertices for c in v]))
+            (got, adjoints), (want, expected) = results
+            assert got == value == want
+            assert max(abs(x - y) for x, y in zip(adjoints, expected)) <= ADJOINT_TOL
+
+
+def test_fused_kernels_record_one_node():
+    cfg = geo.SmoothingConfig(tau=5e-3, samples_per_edge=8)
+    a_v, b_v = pair_for_index(44, 0)
+    for fn in (geo.smooth_polygon_distance, geo.smooth_sat_penetration):
+        t = ad.Tape()
+        a, b = _on_tape(t, a_v), _on_tape(t, b_v)
+        before = len(t)
+        out = fn(a, b, cfg)
+        assert isinstance(out, ad.Var) and len(t) == before + 1
+    t = ad.Tape()
+    shape = poly(a_v)
+    out = geo.point_polygon_signed_distance((t.var(0.1), t.var(0.2)), shape, cfg)
+    assert len(t) == 3 and out.tape is t

@@ -1,14 +1,12 @@
 """Specification mining: candidate pool, retention, margin widening."""
-import math
-
 import pytest
 
 from polystl.formulas import Trajectory, eval_exact, satisfies
-from polystl.mining import (APPROACH, RETREAT, Candidate, DemonstrationSet,
-                            LearnedMargin, MiningError, Phase, discover,
+from polystl.mining import (RETREAT, Candidate, DemonstrationSet,
+                            MiningError, Phase, discover,
                             enumerate_candidates, learn_margins, make_demo_set, mine,
                             planted_candidates, robustness_matrix)
-from polystl.predicates import AxisAlignedBox3, PredicateKind, Scene, SceneObject
+from polystl.predicates import PredicateKind
 
 
 @pytest.fixture(scope="module")

@@ -3,13 +3,12 @@ import math
 
 import pytest
 
-from polystl.formulas import Always, Atom, Eventually, parse
+from polystl.formulas import parse
 from polystl.geometry import PolygonTemplate
 from polystl.optimize import (Movable, OptimizationError, OptimizerConfig, Problem,
                               build_trajectory, evaluate_poses, optimize,
                               _poses_from_flat, _smoothness_penalty)
-from polystl.predicates import (AxisAlignedBox3, PredicateKind, PredicateParams,
-                                SceneObject)
+from polystl.predicates import AxisAlignedBox3, SceneObject
 from polystl.geometry import ConvexPolygon
 
 

@@ -116,6 +116,12 @@ class TestScenarioSchema:
         with pytest.raises(ScenarioFileError, match="polygon"):
             scenario_from_dict(doc(objects=[ee, GOAL]))
 
+    def test_non_finite_box_corner_names_object(self):
+        box = {"name": "shelf", "role": "static",
+               "shape": {"kind": "box", "lo": [0, 0, 0], "hi": [1, math.inf, 1]}}
+        with pytest.raises(ScenarioFileError, match=r"\(shelf\): hi: non-finite number"):
+            scenario_from_dict(doc(objects=[EE, GOAL, box]))
+
     def test_shape_kind_must_be_known(self):
         goal = copy.deepcopy(GOAL)
         goal["shape"] = {"kind": "circle"}
@@ -205,6 +211,16 @@ class TestDemoDir:
         os.makedirs(tmp_path / "empty")
         with pytest.raises(ScenarioFileError, match="meta.json"):
             read_demo_dir(str(tmp_path / "empty"))
+
+    def test_non_finite_obstacle_corner_rejected(self, tmp_path):
+        d = tmp_path / "demos"
+        write_demo_dir(str(d), make_demo_set(seed=0, n_demos=1))
+        meta = json.loads((d / "meta.json").read_text())
+        name = meta["obstacles"][0]["name"]
+        meta["obstacles"][0]["lo"][1] = math.nan
+        (d / "meta.json").write_text(json.dumps(meta))
+        with pytest.raises(ScenarioFileError, match=f"obstacle '{name}': lo: non-finite"):
+            read_demo_dir(str(d))
 
     def test_demo_dir_without_csvs_rejected(self, tmp_path):
         d = tmp_path / "demos"
