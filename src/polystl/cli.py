@@ -14,10 +14,10 @@ from datetime import datetime, timezone
 from . import __version__
 from . import scenario as sio
 from .accuracy import run_sweep
-from .formulas import FormulaError, eval_exact, eval_smooth, satisfies, smoothing_budget
+from .formulas import Evaluator, FormulaError, eval_exact, satisfies, smoothing_budget
 from .geometry import (DEFAULT_SAMPLES_PER_EDGE, DEFAULT_TAU, SmoothingConfig)
 from .mining import make_demo_set, mine
-from .optimize import OptimizerConfig, build_trajectory, optimize
+from .optimize import OptimizationError, OptimizerConfig, build_trajectory, optimize
 from .render import write_frames
 
 
@@ -47,9 +47,13 @@ def cmd_eval(args) -> int:
                                         scn.horizon)
     traj = build_trajectory(scn.problem, poses)
 
-    exact = eval_exact(scn.formula, traj)
     cfg = SmoothingConfig(tau=args.tau, samples_per_edge=args.samples)
-    smooth = eval_smooth(scn.formula, traj, cfg=cfg)
+    # one evaluator per mode: the breakdown re-anchors the formula on the
+    # memoized step values of the t=0 evaluation, so it adds no atom calls
+    evaluators = {"exact": Evaluator(traj, smooth=False),
+                  "smooth": Evaluator(traj, smooth=True, cfg=cfg)}
+    exact = evaluators["exact"].result(scn.formula)
+    smooth = evaluators["smooth"].result(scn.formula)
 
     print(f"scenario: {scn.name}")
     print(f"formula:  {scn.formula_text}")
@@ -65,10 +69,7 @@ def cmd_eval(args) -> int:
         print("per-step breakdown (formula re-anchored at each step):")
         for t in range(traj.horizon + 1):
             try:
-                if args.mode == "smooth":
-                    v = eval_smooth(scn.formula, traj, t=t, cfg=cfg).value
-                else:
-                    v = eval_exact(scn.formula, traj, t=t).value
+                v = evaluators[args.mode].result(scn.formula, t).value
             except FormulaError:
                 break   # a window emptied out; later anchors only get worse
             print(f"  t={t:4d}  {sio.fmt(v)}")
@@ -100,8 +101,11 @@ def cmd_optimize(args) -> int:
     if args.adam:
         overrides["use_adam"] = True
     base = scn.optimizer.__dict__ | overrides
-    cfg = OptimizerConfig(**{**base, "snapshot_iterations": _checkpoints(
-        base["iterations"], args.svg_every)})
+    try:
+        cfg = OptimizerConfig(**{**base, "snapshot_iterations": _checkpoints(
+            base["iterations"], args.svg_every)})
+    except OptimizationError as exc:   # a flag out of range
+        return _fail(str(exc))
 
     result = optimize(scn.problem, cfg)
 

@@ -108,6 +108,7 @@ Formula = Union[Atom, Not, And, Or, Always, Eventually, Until]
 
 _KIND_BY_NAME = {k.value: k for k in PredicateKind}
 _RESERVED = {"G", "F", "U"}
+MAX_NESTING = 100   # bounds the recursion of the parser and of the evaluators
 
 
 class _Tokenizer:
@@ -119,6 +120,7 @@ class _Tokenizer:
         self.tokens: list[tuple[str, str, int]] = []  # (kind, text, offset)
         self._scan()
         self.index = 0
+        self.depth = 0
 
     def _scan(self):
         text = self.text
@@ -218,6 +220,17 @@ def _parse_window(tz: _Tokenizer, op: str) -> tuple[int, int]:
 
 
 def _parse_unary(tz: _Tokenizer) -> Formula:
+    # every level of nesting (!, G, F, parentheses) passes through here
+    tz.depth += 1
+    if tz.depth > MAX_NESTING:
+        raise FormulaError(f"formula nests deeper than {MAX_NESTING} levels "
+                           f"at offset {tz.peek()[2]}")
+    formula = _parse_primary(tz)
+    tz.depth -= 1
+    return formula
+
+
+def _parse_primary(tz: _Tokenizer) -> Formula:
     kind, text, offset = tz.peek()
     if text == "!":
         tz.pop()
@@ -252,10 +265,10 @@ def _parse_atom(tz: _Tokenizer) -> Atom:
         tz.pop()
         objects.append(tz.pop("name")[1])
     tz.pop("punct", ";")
-    values = [float(tz.pop("number")[1])]
+    values = [_parse_number(tz)]
     while tz.peek()[1] == ",":
         tz.pop()
-        values.append(float(tz.pop("number")[1]))
+        values.append(_parse_number(tz))
     tz.pop("punct", ")")
     if len(objects) != ARITY[pred]:
         raise FormulaError(f"{name}: expected {ARITY[pred]} objects, got {len(objects)} "
@@ -265,6 +278,17 @@ def _parse_atom(tz: _Tokenizer) -> Atom:
     except ValueError as exc:
         raise FormulaError(f"{exc} (offset {name_tok[2]})") from None
     return Atom(pred, tuple(objects), params)
+
+
+def _parse_number(tz: _Tokenizer) -> float:
+    _, text, offset = tz.pop("number")
+    try:
+        value = float(text)
+    except ValueError:
+        raise FormulaError(f"malformed number {text!r} at offset {offset}") from None
+    if not math.isfinite(value):
+        raise FormulaError(f"non-finite number {text!r} at offset {offset}")
+    return value
 
 
 def to_text(formula: Formula) -> str:
@@ -350,14 +374,25 @@ def _window(t: int, lo: int, hi: int, horizon: int, op: str) -> range:
     return range(clipped_start, clipped_stop + 1)
 
 
-class _Evaluator:
-    """Shared recursion for both modes; memoizes per (subformula, time)."""
+class Evaluator:
+    """Robustness of any formula at any anchor over one trajectory, in one
+    mode.
 
-    def __init__(self, trajectory: Trajectory, smooth: bool, cfg: SmoothingConfig):
+    Values are memoized per (subformula, step) for the evaluator's
+    lifetime, so re-anchoring a formula, or evaluating formulas that share
+    atoms, evaluates no atom at a step twice. Each node seen gets a table
+    of values by step, found by the node's id; the evaluator keeps a
+    reference to every such node, so its id cannot be reused by a formula
+    built later. Equal atoms share one table.
+    """
+
+    def __init__(self, trajectory: Trajectory, smooth: bool,
+                 cfg: SmoothingConfig = SmoothingConfig()):
         self.traj = trajectory
         self.smooth = smooth
         self.cfg = cfg
-        self.memo: dict[tuple[int, int], Scalar] = {}
+        self._tables: dict[int, tuple[Formula, dict[int, Scalar]]] = {}
+        self._atom_tables: dict[Atom, dict[int, Scalar]] = {}
 
     def _min(self, xs: list[Scalar]) -> Scalar:
         if self.smooth:
@@ -372,12 +407,14 @@ class _Evaluator:
     def eval(self, f: Formula, t: int) -> Scalar:
         if t < 0 or t > self.traj.horizon:
             raise FormulaError(f"time {t} outside trajectory horizon [0,{self.traj.horizon}]")
-        key = (id(f), t)
-        hit = self.memo.get(key)
-        if hit is not None:
-            return hit
-        out = self._eval(f, t)
-        self.memo[key] = out
+        entry = self._tables.get(id(f))
+        if entry is None:
+            table = self._atom_tables.setdefault(f, {}) if isinstance(f, Atom) else {}
+            entry = self._tables[id(f)] = (f, table)
+        table = entry[1]
+        out = table.get(t)
+        if out is None:
+            out = table[t] = self._eval(f, t)
         return out
 
     def _eval(self, f: Formula, t: int) -> Scalar:
@@ -407,34 +444,38 @@ class _Evaluator:
             return self._max(candidates)
         raise FormulaError(f"not a formula: {f!r}")
 
-
-def _result(f: Formula, ev: _Evaluator, t: int, mode: str) -> RobustnessResult:
-    out = ev.eval(f, t)
-    per_time: list[tuple[int, float]]
-    if isinstance(f, (Always, Eventually)):
-        ts = _window(t, f.lo, f.hi, ev.traj.horizon, "G" if isinstance(f, Always) else "F")
-        per_time = [(u, value_of(ev.eval(f.child, u))) for u in ts]
-    elif isinstance(f, Until):
-        ts = _window(t, f.lo, f.hi, ev.traj.horizon, "U")
-        per_time = [(u, value_of(ev.eval(f.right, u))) for u in ts]
-    else:
-        per_time = [(t, value_of(out))]
-    node = out if isinstance(out, ad.Var) else None
-    return RobustnessResult(value_of(out), node, per_time, mode)
+    def result(self, f: Formula, t: int = 0) -> RobustnessResult:
+        """Robustness of ``f`` anchored at ``t``. In exact mode a non-finite
+        value or per-step value raises FormulaError: it can only come from
+        bad input, and must never certify a verdict."""
+        out = self.eval(f, t)
+        per_time: list[tuple[int, float]]
+        if isinstance(f, (Always, Eventually)):
+            ts = _window(t, f.lo, f.hi, self.traj.horizon,
+                         "G" if isinstance(f, Always) else "F")
+            per_time = [(u, value_of(self.eval(f.child, u))) for u in ts]
+        elif isinstance(f, Until):
+            ts = _window(t, f.lo, f.hi, self.traj.horizon, "U")
+            per_time = [(u, value_of(self.eval(f.right, u))) for u in ts]
+        else:
+            per_time = [(t, value_of(out))]
+        value = value_of(out)
+        if not self.smooth and not all(math.isfinite(v) for _, v in per_time + [(t, value)]):
+            raise FormulaError(f"exact robustness anchored at t={t} is not finite")
+        node = out if isinstance(out, ad.Var) else None
+        return RobustnessResult(value, node, per_time, "smooth" if self.smooth else "exact")
 
 
 def eval_exact(formula: Formula, trajectory: Trajectory, t: int = 0) -> RobustnessResult:
     """Exact robustness with hard min/max and reference geometry."""
-    ev = _Evaluator(trajectory, smooth=False, cfg=SmoothingConfig())
-    return _result(formula, ev, t, "exact")
+    return Evaluator(trajectory, smooth=False).result(formula, t)
 
 
 def eval_smooth(formula: Formula, trajectory: Trajectory, t: int = 0,
                 cfg: SmoothingConfig = SmoothingConfig()) -> RobustnessResult:
     """Smooth robustness; differentiable when the trajectory carries tape
     variables (the result's ``node`` is then a Var on the caller's tape)."""
-    ev = _Evaluator(trajectory, smooth=True, cfg=cfg)
-    return _result(formula, ev, t, "smooth")
+    return Evaluator(trajectory, smooth=True, cfg=cfg).result(formula, t)
 
 
 def satisfies(formula: Formula, trajectory: Trajectory, t: int = 0) -> bool:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from . import autodiff as ad
-from .formulas import Always, Atom, Eventually, Formula, Trajectory, eval_exact
+from .formulas import Always, Atom, Eventually, Evaluator, Formula, Trajectory
 from .predicates import (DIRECTIONAL, AxisAlignedBox3, PredicateKind, PredicateParams,
                          Scene, SceneObject)
 
@@ -105,10 +105,18 @@ def enumerate_candidates(demos: DemonstrationSet) -> list[Candidate]:
 
 def robustness_matrix(candidates: Sequence[Candidate], demos: DemonstrationSet,
                       kappa: float) -> list[list[float]]:
-    """Exact robustness, rows per candidate, columns per demonstration."""
-    return [[eval_exact(c.formula(demos.subject, kappa), traj).value
-             for traj in demos.trajectories]
-            for c in candidates]
+    """Exact robustness, rows per candidate, columns per demonstration.
+
+    One evaluator per demonstration serves every candidate, so the F and G
+    candidates over one (relation, obstacle, phase) share their atom values.
+    Demonstrations are taken one at a time, so one memo is alive at once.
+    """
+    formulas = [c.formula(demos.subject, kappa) for c in candidates]
+    columns = []
+    for traj in demos.trajectories:
+        ev = Evaluator(traj, smooth=False)
+        columns.append([ev.result(f).value for f in formulas])
+    return [list(row) for row in zip(*columns)]
 
 
 @dataclass

@@ -144,7 +144,7 @@ class SceneObject:
     def __post_init__(self):
         if self.heading is not None:
             ux, uy = (value_of(c) for c in self.heading)
-            if abs(math.hypot(ux, uy) - 1.0) > 1e-6:
+            if not abs(math.hypot(ux, uy) - 1.0) <= 1e-6:   # NaN fails too
                 raise SceneError(f"object {self.name!r}: heading must be unit length")
 
 

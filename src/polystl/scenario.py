@@ -21,7 +21,8 @@ from .autodiff import wrap_angle
 from .formulas import Formula, FormulaError, Trajectory, parse
 from .geometry import ConvexPolygon, PolygonTemplate
 from .mining import DemonstrationSet, LearnedMargin, Phase, RetainedFormula
-from .optimize import Movable, OptimizerConfig, PoseTriple, Problem, TraceRow
+from .optimize import (Movable, OptimizationError, OptimizerConfig, PoseTriple, Problem,
+                       TraceRow)
 from .predicates import AxisAlignedBox3, Scene, SceneObject
 
 
@@ -46,19 +47,43 @@ def _require_keys(mapping: dict, required: Sequence[str], optional: Sequence[str
 
 
 def _finite_floats(cells, where: str) -> tuple[float, ...]:
-    """Floats of ``cells``; NaN or infinity is an input error at ``where``
-    (JSON and ``float()`` both accept them)."""
-    values = tuple(float(c) for c in cells)
+    """Floats of ``cells``; a cell that is not a number, NaN or infinity is
+    an input error at ``where`` (JSON and ``float()`` both accept the last
+    two)."""
+    try:
+        values = tuple(float(c) for c in cells)
+    except ValueError:
+        raise ScenarioFileError(f"{where}: not a number in {list(cells)}") from None
     if not all(math.isfinite(v) for v in values):
         raise ScenarioFileError(f"{where}: non-finite number in {list(cells)}")
     return values
 
 
-def _as_pose(raw, where: str) -> PoseTriple:
-    if (not isinstance(raw, (list, tuple)) or len(raw) != 3
-            or not all(isinstance(c, (int, float)) for c in raw)):
-        raise ScenarioFileError(f"{where}: pose must be [x, y, theta]")
+def _step(cell: str, where: str) -> int:
+    try:
+        return int(cell)
+    except ValueError:
+        raise ScenarioFileError(f"{where}: step {cell!r} is not an integer") from None
+
+
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _is_integer(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _numbers(raw, count: int, shape: str, where: str) -> tuple[float, ...]:
+    """A JSON list of ``count`` finite numbers, described as ``shape``."""
+    if (not isinstance(raw, (list, tuple)) or len(raw) != count
+            or not all(_is_number(c) for c in raw)):
+        raise ScenarioFileError(f"{where}: must be {shape}")
     return _finite_floats(raw, where)
+
+
+def _as_pose(raw, where: str) -> PoseTriple:
+    return _numbers(raw, 3, "[x, y, theta]", where)
 
 
 def _interpolated_poses(start: PoseTriple, end: PoseTriple, n: int) -> list[PoseTriple]:
@@ -81,15 +106,18 @@ def _parse_shape(raw: dict, where: str):
             raise ScenarioFileError(f"{where}: polygon needs vertices")
         if "lo" in raw or "hi" in raw:
             raise ScenarioFileError(f"{where}: polygon does not take box corners")
-        verts = [(float(x), float(y)) for x, y in raw["vertices"]]
-        return ("polygon", verts)
+        verts = raw["vertices"]
+        if not isinstance(verts, (list, tuple)):
+            raise ScenarioFileError(f"{where}: vertices must be a list of [x, y] pairs")
+        return ("polygon", [_numbers(v, 2, "[x, y]", f"{where}: vertices[{k}]")
+                            for k, v in enumerate(verts)])
     if kind == "box":
         if "lo" not in raw or "hi" not in raw:
             raise ScenarioFileError(f"{where}: box needs lo and hi corners")
         if "vertices" in raw:
             raise ScenarioFileError(f"{where}: box does not take vertices")
-        lo = _finite_floats(raw["lo"], f"{where}: lo")
-        hi = _finite_floats(raw["hi"], f"{where}: hi")
+        lo = _numbers(raw["lo"], 3, "[x, y, z]", f"{where}: lo")
+        hi = _numbers(raw["hi"], 3, "[x, y, z]", f"{where}: hi")
         return ("box", (lo, hi))
     raise ScenarioFileError(f"{where}: unknown shape kind {kind!r}")
 
@@ -106,12 +134,29 @@ class Scenario:
     goal_names: frozenset[str]  # enclosure containers, styled specially in renders
 
 
+# what an optimizer override must be, by the type of the field's default
+_OVERRIDE_TYPES = {
+    bool: ("true or false", lambda v: isinstance(v, bool)),
+    int: ("an integer", _is_integer),
+    float: ("a finite number", lambda v: _is_number(v) and math.isfinite(v)),
+    tuple: ("a list of integers", lambda v: isinstance(v, list) and all(map(_is_integer, v))),
+}
+
+
 def _optimizer_from_overrides(raw: dict, where: str) -> OptimizerConfig:
-    valid = {f.name for f in dc_fields(OptimizerConfig)}
-    for k in raw:
-        if k not in valid:
+    if not isinstance(raw, dict):
+        raise ScenarioFileError(f"{where}: optimizer must be an object")
+    defaults = {f.name: f.default for f in dc_fields(OptimizerConfig)}
+    for k, v in raw.items():
+        if k not in defaults:
             raise ScenarioFileError(f"{where}: unknown optimizer key {k!r}")
-    return OptimizerConfig(**raw)
+        what, ok = _OVERRIDE_TYPES[type(defaults[k])]
+        if not ok(v):
+            raise ScenarioFileError(f"{where}: optimizer key {k!r} must be {what}, got {v!r}")
+    try:
+        return OptimizerConfig(**raw)
+    except OptimizationError as exc:
+        raise ScenarioFileError(f"{where}: optimizer: {exc}") from None
 
 
 def load_scenario(path: str) -> Scenario:
@@ -127,14 +172,14 @@ def scenario_from_dict(doc: dict, where: str = "scenario") -> Scenario:
     _require_keys(doc, ["name", "horizon", "formula", "objects"],
                   ["seed", "optimizer"], where)
     horizon = doc["horizon"]
-    if not isinstance(horizon, int) or horizon < 1:
+    if not _is_integer(horizon) or horizon < 1:
         raise ScenarioFileError(f"{where}: horizon must be a positive integer")
     try:
         formula = parse(doc["formula"])
     except FormulaError as exc:
         raise ScenarioFileError(f"{where}: formula does not parse: {exc}") from None
     seed = doc.get("seed", 0)
-    if not isinstance(seed, int):
+    if not _is_integer(seed):
         raise ScenarioFileError(f"{where}: seed must be an integer")
 
     statics: list[SceneObject] = []
@@ -155,7 +200,8 @@ def scenario_from_dict(doc: dict, where: str = "scenario") -> Scenario:
                 shape = AxisAlignedBox3(*data)
             heading = None
             if "heading" in raw:
-                heading = tuple(float(c) for c in raw["heading"])
+                heading = _numbers(raw["heading"], 2, "[ux, uy]",
+                                   f"{oid}: object {name!r}: heading")
             statics.append(SceneObject(name, shape, heading))
         elif raw["role"] == "movable":
             if kind != "polygon":
@@ -234,7 +280,7 @@ def read_trajectory_csv(path: str, expected_objects: Sequence[str],
         for lineno, row in enumerate(r, start=2):
             if len(row) != 5:
                 raise ScenarioFileError(f"{path}:{lineno}: expected 5 columns")
-            t = int(row[0])
+            t = _step(row[0], f"{path}:{lineno}")
             name = row[1]
             if name not in rows:
                 raise ScenarioFileError(f"{path}:{lineno}: unknown object {name!r}")
@@ -367,14 +413,14 @@ def read_demo_dir(path: str) -> DemonstrationSet:
         meta = json.load(fh)
     _require_keys(meta, ["subject", "subject_half", "obstacles", "phases"], [],
                   meta_path)
-    half = _finite_floats(meta["subject_half"], f"{meta_path}: subject_half")
+    half = _numbers(meta["subject_half"], 3, "[hx, hy, hz]", f"{meta_path}: subject_half")
     statics = []
     for raw in meta["obstacles"]:
         _require_keys(raw, ["name", "lo", "hi"], [], f"{meta_path} obstacle")
         where = f"{meta_path}: obstacle {raw['name']!r}"
-        statics.append(SceneObject(raw["name"],
-                                   AxisAlignedBox3(_finite_floats(raw["lo"], f"{where}: lo"),
-                                                   _finite_floats(raw["hi"], f"{where}: hi"))))
+        lo = _numbers(raw["lo"], 3, "[x, y, z]", f"{where}: lo")
+        hi = _numbers(raw["hi"], 3, "[x, y, z]", f"{where}: hi")
+        statics.append(SceneObject(raw["name"], AxisAlignedBox3(lo, hi)))
     phases = []
     for raw in meta["phases"]:
         _require_keys(raw, ["name", "lo", "hi"], [], f"{meta_path} phase")
@@ -398,7 +444,7 @@ def read_demo_dir(path: str) -> DemonstrationSet:
                 if len(row) != 5 or row[1] != subject:
                     raise ScenarioFileError(
                         f"{fpath}:{lineno}: rows must name the subject {subject!r}")
-                t = int(row[0])
+                t = _step(row[0], f"{fpath}:{lineno}")
                 if t in centers:
                     raise ScenarioFileError(f"{fpath}:{lineno}: duplicate step {t}")
                 centers[t] = _finite_floats(row[2:], f"{fpath}:{lineno}")

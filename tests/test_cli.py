@@ -11,10 +11,14 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
+from polystl import formulas
 from polystl.cli import main
+from polystl.formulas import FormulaError, atoms_of, eval_exact, eval_smooth
+from polystl.geometry import SmoothingConfig
 from polystl.mining import make_demo_set
+from polystl.optimize import build_trajectory
 from polystl.render import render_frame
-from polystl.scenario import load_scenario, write_demo_dir
+from polystl.scenario import fmt, load_scenario, write_demo_dir
 
 HERE = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SCENARIOS = os.path.join(HERE, "scenarios")
@@ -37,6 +41,46 @@ class TestEval:
         out = capsys.readouterr().out
         assert rc == 1
         assert "t=   0" in out and "t=  12" in out
+
+    @pytest.mark.parametrize("mode", ["exact", "smooth"])
+    def test_breakdown_matches_fresh_evaluations(self, mode, capsys):
+        rc = main(["eval", scenario_path("single_obstacle"), "--breakdown",
+                   "--mode", mode, "--tau", "0.02"])
+        out = capsys.readouterr().out
+        assert rc == 1
+        printed = out.split("per-step breakdown")[1].splitlines()[1:-1]
+        scn = load_scenario(scenario_path("single_obstacle"))
+        traj = build_trajectory(scn.problem, {m.name: list(m.initial_poses)
+                                              for m in scn.problem.movables})
+        expected = []
+        for t in range(traj.horizon + 1):
+            try:
+                if mode == "smooth":
+                    v = eval_smooth(scn.formula, traj, t=t, cfg=SmoothingConfig(tau=0.02))
+                else:
+                    v = eval_exact(scn.formula, traj, t=t)
+            except FormulaError:
+                break
+            expected.append(f"  t={t:4d}  {fmt(v.value)}")
+        assert len(expected) == 17
+        assert printed == expected
+
+    def test_breakdown_evaluates_each_atom_once_per_step(self, monkeypatch, capsys):
+        calls = {False: 0, True: 0}
+        real = formulas.atom_robustness
+
+        def counting(scene, kind, names, params, smooth, cfg):
+            calls[smooth] += 1
+            return real(scene, kind, names, params, smooth, cfg)
+
+        monkeypatch.setattr(formulas, "atom_robustness", counting)
+        rc = main(["eval", scenario_path("single_obstacle"), "--breakdown"])
+        capsys.readouterr()
+        assert rc == 1
+        scn = load_scenario(scenario_path("single_obstacle"))
+        steps = scn.horizon + 1
+        assert len(atoms_of(scn.formula)) * steps == 34
+        assert calls == {False: 34, True: 34}
 
     def test_smooth_mode_accepted(self, capsys):
         rc = main(["eval", scenario_path("free_space"), "--mode", "smooth",
@@ -91,6 +135,23 @@ class TestEval:
         assert "verdict" not in out
         assert err.startswith("error:") and err.count("\n") == 1
         assert f"{path}:3: non-finite number" in err
+
+    @pytest.mark.parametrize("row, where", [
+        ("1,ee,abc,2,0", "not a number in ['abc', '2', '0']"),
+        ("x,ee,0.75,2,0", "step 'x' is not an integer"),
+    ])
+    def test_non_numeric_trajectory_cell_names_its_line(self, tmp_path, capsys, row, where):
+        path = tmp_path / "trajectory.csv"
+        rows = ["t,object,x,y,theta"]
+        rows += [f"{t},ee,{0.5 + 0.25 * t!r},2,0" for t in range(17)]
+        rows[2] = row
+        path.write_text("\n".join(rows) + "\n")
+        rc = main(["eval", scenario_path("single_obstacle"),
+                   "--trajectory", str(path)])
+        out, err = capsys.readouterr()
+        assert rc == 2
+        assert out == ""
+        assert err == f"error: {path}:3: {where}\n"
 
     def test_satisfied_after_optimize_exits_0(self, tmp_path, capsys):
         rc = main(["optimize", scenario_path("free_space"),
@@ -178,6 +239,65 @@ class TestRender:
         assert root.find(".//{http://www.w3.org/2000/svg}polyline") is not None
 
 
+def _set(path, value):
+    """A scenario edit that sets doc[path[0]][path[1]]... to value."""
+    def edit(doc):
+        *outer, last = path
+        for key in outer:
+            doc = doc[key]
+        doc[last] = value
+    return edit
+
+
+MALFORMED = {
+    "vertices_not_a_list": (_set(["objects", 0, "shape", "vertices"], 5),
+                            "objects[0] (ee): vertices must be a list of [x, y] pairs"),
+    "iterations_as_string": (_set(["optimizer", "iterations"], "5"),
+                             "optimizer key 'iterations' must be an integer, got '5'"),
+    "iterations_out_of_range": (_set(["optimizer", "iterations"], 0),
+                                "optimizer: iterations must be >= 1"),
+    "deeply_nested_formula": (lambda doc: doc.update(formula="(" * 2000 + doc["formula"]
+                                                     + ")" * 2000),
+                              "formula nests deeper than 100 levels at offset 100"),
+    "horizon_true": (_set(["horizon"], True), "horizon must be a positive integer"),
+    "infinite_threshold": (_set(["formula"], "G[0,16] closeTo(ee, goal; 1e999)"),
+                           "non-finite number '1e999' at offset 26"),
+    "nan_static_heading": (_set(["objects", 2, "heading"], [float("nan"), 0]),
+                           "object 'obs': heading: non-finite number in [nan, 0]"),
+}
+
+
+class TestMalformedScenario:
+    """Every malformed scenario exits 2 with one error line, never 1 or a
+    traceback, whichever command reads it."""
+
+    @pytest.mark.parametrize("command", ["eval", "optimize"])
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_exits_2_with_one_error_line(self, tmp_path, capsys, case, command):
+        edit, message = MALFORMED[case]
+        with open(scenario_path("single_obstacle")) as fh:
+            doc = json.load(fh)
+        edit(doc)
+        path = tmp_path / f"{case}.json"
+        path.write_text(json.dumps(doc))
+        argv = [command, str(path)]
+        if command == "optimize":
+            argv += ["--iterations", "1", "--out-dir", str(tmp_path / "out")]
+        rc = main(argv)
+        out, err = capsys.readouterr()
+        assert rc == 2
+        assert out == ""
+        assert err.startswith(f"error: {case}.json: ") and err.endswith(f"{message}\n")
+        assert err.count("\n") == 1
+
+    def test_out_of_range_iterations_flag_exits_2(self, tmp_path, capsys):
+        rc = main(["optimize", scenario_path("free_space"), "--iterations", "0",
+                   "--out-dir", str(tmp_path)])
+        out, err = capsys.readouterr()
+        assert rc == 2
+        assert err == "error: iterations must be >= 1\n"
+
+
 class TestLearn:
     def test_synthetic_run_recovers_and_exits_0(self, tmp_path, capsys):
         rc = main(["learn", "--synthetic", "3", "--out-dir", str(tmp_path)])
@@ -213,6 +333,20 @@ class TestLearn:
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1
         assert f"{csv_path}:5: non-finite number" in err
+
+    def test_non_numeric_demo_cell_names_its_line(self, tmp_path, capsys):
+        demos = tmp_path / "demos"
+        write_demo_dir(str(demos), make_demo_set(seed=0, n_demos=2))
+        csv_path = demos / "demo_001.csv"
+        lines = csv_path.read_text().splitlines()
+        t, subject = lines[4].split(",")[:2]
+        lines[4] = f"{t},{subject},0.5,abc,0.25"
+        csv_path.write_text("\n".join(lines) + "\n")
+        rc = main(["learn", str(demos), "--out-dir", str(tmp_path / "out")])
+        out, err = capsys.readouterr()
+        assert rc == 2
+        assert out == ""
+        assert err == f"error: {csv_path}:5: not a number in ['0.5', 'abc', '0.25']\n"
 
     def test_mined_csv_schema(self, tmp_path, capsys):
         main(["learn", "--synthetic", "2", "--out-dir", str(tmp_path)])

@@ -5,9 +5,10 @@ import random
 import pytest
 
 from polystl import autodiff as ad
-from polystl.formulas import (Always, And, Atom, Eventually, FormulaError, Not, Or,
-                              Trajectory, Until, atoms_of, eval_exact, eval_smooth,
-                              parse, satisfies, smoothing_budget, to_text)
+from polystl.formulas import (MAX_NESTING, Always, And, Atom, Evaluator, Eventually,
+                              FormulaError, Not, Or, Trajectory, Until, atoms_of,
+                              eval_exact, eval_smooth, parse, satisfies,
+                              smoothing_budget, to_text)
 from polystl.geometry import ConvexPolygon, SmoothingConfig
 from polystl.gradcheck import check_gradient
 from polystl.predicates import (AxisAlignedBox3, PredicateKind, PredicateParams,
@@ -99,10 +100,27 @@ def test_parse_between_takes_three_objects():
     "closeTo(a, b)",                       # missing parameter block
     "closeTo(a, b; 0.5",                   # unclosed paren
     "@closeTo(a,b;1)",                     # stray character
+    "closeTo(a, b; 1e999)",                # overflows to infinity
+    "closeTo(a, b; 1.2.3)",                # malformed number
 ])
 def test_parse_rejects(text):
     with pytest.raises(FormulaError):
         parse(text)
+
+
+def test_parse_rejects_non_finite_number_with_offset():
+    with pytest.raises(FormulaError, match=r"non-finite number '1e999' at offset 26"):
+        parse("G[0,16] closeTo(ee, goal; 1e999)")
+
+
+@pytest.mark.parametrize("opener, closer", [("(", ")"), ("!", ""), ("G[0,1] ", "")])
+def test_parse_depth_limit(opener, closer):
+    atom = "closeTo(a, b; 1)"
+    inside = opener * (MAX_NESTING - 1) + atom + closer * (MAX_NESTING - 1)
+    assert atoms_of(parse(inside)) == [parse(atom)]
+    for depth in (MAX_NESTING, 2000):
+        with pytest.raises(FormulaError, match="nests deeper"):
+            parse(opener * depth + atom + closer * depth)
 
 
 @pytest.mark.parametrize("text", [
@@ -371,14 +389,15 @@ def test_memo_shares_subformula_work():
 # -- boolean monitor cross-check ---------------------------------------------------
 
 
-def test_monitor_agrees_with_robustness_sign():
-    rng = random.Random(20260815)
+def random_formula(rng, depth, pairs=(("a", "b"),)):
+    """A random formula over closeTo/farFrom/leftOf atoms on the object pairs."""
     kinds = [PredicateKind.CLOSE_TO, PredicateKind.FAR_FROM, PredicateKind.LEFT_OF]
 
     def gen(depth):
         if depth == 0 or rng.random() < 0.35:
             k = rng.choice(kinds)
-            return Atom(k, ("a", "b"),
+            objects = pairs[0] if len(pairs) == 1 else rng.choice(pairs)
+            return Atom(k, objects,
                         PredicateParams.for_kind(k, [round(rng.uniform(0.2, 3.0), 2)]))
         op = rng.randrange(6)
         if op == 0:
@@ -395,10 +414,15 @@ def test_monitor_agrees_with_robustness_sign():
             return Eventually(lo, hi, gen(depth - 1))
         return Until(lo, hi, gen(depth - 1), gen(depth - 1))
 
+    return gen(depth)
+
+
+def test_monitor_agrees_with_robustness_sign():
+    rng = random.Random(20260815)
     traj = Trajectory([pair_scene(d) for d in (1.3, 2.0, 3.4, 1.8, 2.7)])
     checked = 0
     for _ in range(150):
-        f = gen(3)
+        f = random_formula(rng, 3)
         try:
             rho = eval_exact(f, traj).value
         except FormulaError:
@@ -408,6 +432,67 @@ def test_monitor_agrees_with_robustness_sign():
         assert satisfies(f, traj) == (rho > 0.0), to_text(f)
         checked += 1
     assert checked > 100
+
+
+# -- one evaluator reused across anchors and formulas --------------------------------
+
+
+def _result_or_error(ev, f, t):
+    try:
+        return ev.result(f, t)
+    except FormulaError as exc:   # a window fell off the horizon
+        return str(exc)
+
+
+@pytest.mark.parametrize("smooth", [False, True])
+def test_reused_evaluator_matches_fresh_ones(smooth):
+    """Formulas are built, evaluated at every anchor on one shared evaluator
+    and dropped in turn, so later formulas reuse the memory (and the ids) of
+    earlier ones; every result must equal a fresh evaluator's."""
+    rng = random.Random(20261018)
+    traj = Trajectory([pair_scene(d, d_ac) for d, d_ac in
+                       ((1.3, 2.2), (2.0, 1.6), (3.4, 3.0), (1.8, 2.5), (2.7, 1.4))])
+    cfg = SmoothingConfig(tau=0.05)
+    shared = Evaluator(traj, smooth, cfg)
+    compared = 0
+    for _ in range(200):
+        f = random_formula(rng, 3, pairs=(("a", "b"), ("a", "c")))
+        for t in range(traj.horizon + 1):
+            got = _result_or_error(shared, f, t)
+            assert got == _result_or_error(Evaluator(traj, smooth, cfg), f, t), to_text(f)
+            compared += not isinstance(got, str)
+        del f
+    assert compared > 500
+
+
+def test_structurally_equal_atoms_share_one_evaluation(monkeypatch):
+    from polystl import formulas
+    calls = []
+    real = formulas.atom_robustness
+
+    def counting(*args):
+        calls.append(args[1])
+        return real(*args)
+
+    monkeypatch.setattr(formulas, "atom_robustness", counting)
+    traj = traj_with_values([1.0, 3.0, -2.0, 0.5])
+    ev = Evaluator(traj, smooth=False)
+    formulas = [cls(0, 3 - t, close_to("a", "b", 4.0))   # all alive at once
+                for t in range(4) for cls in (Always, Eventually)]
+    for k, f in enumerate(formulas):
+        ev.result(f, k // 2)
+    assert len(calls) == 4
+
+
+@pytest.mark.parametrize("eps", [math.inf, math.nan])
+def test_exact_evaluator_rejects_non_finite_robustness(eps):
+    """Parsed formulas cannot carry such a threshold; the guard is the last
+    line of defence for any other way in."""
+    traj = traj_with_values([1.0, 3.0])
+    for f in (close_to("a", "b", eps), Not(Always(0, 1, close_to("a", "b", eps)))):
+        with pytest.raises(FormulaError, match="not finite"):
+            eval_exact(f, traj)
+        eval_smooth(f, traj)   # the smooth value is evidence, never a verdict
 
 
 # -- negation duals ----------------------------------------------------------------

@@ -122,6 +122,15 @@ def test_retention_orders_by_worst_case(demos):
         assert group[0].worst >= group[1].worst
 
 
+def test_shared_evaluators_give_the_per_candidate_matrix():
+    demos = make_demo_set(seed=0)
+    cands = enumerate_candidates(demos)
+    assert len(cands) == 72
+    fresh = [[eval_exact(c.formula(demos.subject, 0.05), traj).value
+              for traj in demos.trajectories] for c in cands]
+    assert robustness_matrix(cands, demos, 0.05) == fresh
+
+
 def test_worst_case_filter_drops_negative_candidates(demos):
     cands = enumerate_candidates(demos)
     matrix = robustness_matrix(cands, demos, 0.05)

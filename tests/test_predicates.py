@@ -192,6 +192,12 @@ def test_unknown_object_rejected():
         rob(sc, K.CLOSE_TO, ["a", "missing"], False, eps_close=1.0)
 
 
+@pytest.mark.parametrize("heading", [(math.nan, 0.0), (0.0, math.inf), (0.6, 0.6)])
+def test_heading_must_be_unit_length(heading):
+    with pytest.raises(pr.SceneError, match="object 'obs': heading"):
+        SceneObject("obs", square(0, 0), heading)
+
+
 def test_missing_parameter_rejected():
     sc = scene(a=square(0, 0), b=square(2, 0))
     with pytest.raises(pr.SceneError, match="eps_close"):
