@@ -78,6 +78,9 @@ def run_sweep(n_pairs: int, taus: Sequence[float], samples_list: Sequence[int],
     """Rows (pair, tau, samples, quantity, exact, smooth), ordered by pair."""
     if n_pairs < 0:
         raise ValueError("n_pairs must be >= 0")
+    for tau in taus:    # reject every bad entry, even when no pair would use it
+        for samples in samples_list:
+            SmoothingConfig(tau=tau, samples_per_edge=samples)
     return [row for i in range(n_pairs)
             for row in _rows_for_pair(i, seed, taus, samples_list)]
 

@@ -450,13 +450,12 @@ class Evaluator:
         bad input, and must never certify a verdict."""
         out = self.eval(f, t)
         per_time: list[tuple[int, float]]
-        if isinstance(f, (Always, Eventually)):
-            ts = _window(t, f.lo, f.hi, self.traj.horizon,
-                         "G" if isinstance(f, Always) else "F")
-            per_time = [(u, value_of(self.eval(f.child, u))) for u in ts]
-        elif isinstance(f, Until):
-            ts = _window(t, f.lo, f.hi, self.traj.horizon, "U")
-            per_time = [(u, value_of(self.eval(f.right, u))) for u in ts]
+        if isinstance(f, (Always, Eventually, Until)):
+            # eval(f, t) filled the child's table over this (non-empty) window
+            child = f.right if isinstance(f, Until) else f.child
+            table = self._tables[id(child)][1]
+            per_time = [(u, value_of(table[u]))
+                        for u in _window(t, f.lo, f.hi, self.traj.horizon, "")]
         else:
             per_time = [(t, value_of(out))]
         value = value_of(out)

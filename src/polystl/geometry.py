@@ -40,12 +40,12 @@ class SmoothingConfig:
     sigmoid_scale: float = DEFAULT_SIGMOID_SCALE
 
     def __post_init__(self):
-        if self.tau <= 0.0:
-            raise ValueError(f"tau must be positive, got {self.tau}")
+        for name in ("tau", "sigmoid_scale"):
+            v = getattr(self, name)
+            if not (math.isfinite(v) and v > 0.0):
+                raise ValueError(f"{name} must be positive and finite, got {v}")
         if self.samples_per_edge < 1:
             raise ValueError(f"samples_per_edge must be >= 1, got {self.samples_per_edge}")
-        if self.sigmoid_scale <= 0.0:
-            raise ValueError(f"sigmoid_scale must be positive, got {self.sigmoid_scale}")
 
 
 @dataclass

@@ -12,14 +12,15 @@ so the largest admissible widening has the closed form
 
     eps_k = min over demonstrations of rho_k(kappa)
 
-The gradient-ascent estimator from the same additive structure is run as
-well and cross-checked against the closed form; the closed form is what
-ends up in the result.
+A gradient-ascent estimator, whose gradient is also closed form (plain
+floats, no tape), is run as well and cross-checked against the closed
+form; the closed form is what ends up in the result.
 """
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Sequence
 
 from . import autodiff as ad
@@ -136,6 +137,8 @@ def discover(demos: DemonstrationSet, base_kappa: float = 0.05,
     enumeration order."""
     if base_kappa <= 0:
         raise MiningError("base_kappa must be positive")
+    if keep_per_group < 1:
+        raise MiningError(f"keep_per_group must be >= 1, got {keep_per_group}")
     cands = enumerate_candidates(demos)
     matrix = robustness_matrix(cands, demos, base_kappa)
     retained: list[RetainedFormula] = []
@@ -167,38 +170,43 @@ def learn_margins(retained: Sequence[RetainedFormula], tau: float = 1e-3,
 
     The ascent maximizes sum(eps) - penalty * relu(-softmin of residuals)
     over the stacked residuals r[demo, k] - eps[k], projecting eps onto
-    eps >= 0 each step. The step holds at full size long enough for every
-    margin to climb to its boundary, then decays 10x: near the boundary
-    the iterate hops between the two hinge slopes, so the final resolution
-    is penalty_weight times the final step. The closed form min_demo
-    r[., k] maximizes the same objective in the hard limit and is what
-    the result carries.
+    eps >= 0 each step. The gradient is closed form, in floats with no
+    tape: 1 - penalty * sum_demo w[demo, k] / s, with w / s the softmin
+    weights, while the hinge is active, else 1. The step holds at full
+    size long enough for every margin to climb to its boundary, then
+    decays 10x: near the boundary the iterate hops between the two hinge
+    slopes, so the final resolution is penalty_weight times the final
+    step. The closed form min_demo r[., k] maximizes the same objective in
+    the hard limit and is what the result carries.
     """
+    if not tau > 0.0:   # NaN fails too
+        raise MiningError(f"tau must be positive, got {tau}")
     if not retained:
         return []
     closed = [max(0.0, r.worst) for r in retained]
 
+    # margin k's residuals are stacked[bounds[k]:bounds[k + 1]]
+    bounds = list(accumulate((len(r.per_demo) for r in retained), initial=0))
     eps = [0.0] * len(retained)
     decay_from = int(0.7 * iterations)
     for it in range(iterations):
         step = step_size
         if it >= decay_from:
             step /= 1.0 + 9.0 * (it - decay_from) / max(1, iterations - decay_from)
-        tape = ad.Tape()
-        evars = [tape.var(e) for e in eps]
-        residuals = [r.per_demo[j] - evars[k]
-                     for k, r in enumerate(retained)
-                     for j in range(len(r.per_demo))]
-        slack = ad.lse_min(residuals, tau)
-        objective = sum(evars) - penalty_weight * ad.relu(-slack)
-        grads = ad.backward(objective)
-        eps = [max(0.0, e + step * grads.wrt(v)) for e, v in zip(eps, evars)]
+        stacked = [d - e for r, e in zip(retained, eps) for d in r.per_demo]
+        slack, ws, s = ad.lse_parts(stacked, tau, -1.0)
+        grads = [1.0] * len(eps)
+        if -slack > 0.0:
+            # the hinge is active; the terms go last demonstration first, the
+            # order of a reverse sweep over the stacked residuals, so the
+            # estimate is bit for bit the one a tape would give
+            for k in range(len(eps)):
+                for w in reversed(ws[bounds[k]:bounds[k + 1]]):
+                    grads[k] -= penalty_weight * (w / s)
+        eps = [max(0.0, e + step * g) for e, g in zip(eps, grads)]
 
-    out = []
-    for r, e_hat, e_star in zip(retained, eps, closed):
-        out.append(LearnedMargin(r.candidate, e_star, e_hat,
-                                 abs(e_hat - e_star) <= check_tol))
-    return out
+    return [LearnedMargin(r.candidate, e_star, e_hat, abs(e_hat - e_star) <= check_tol)
+            for r, e_hat, e_star in zip(retained, eps, closed)]
 
 
 @dataclass

@@ -99,8 +99,10 @@ class OptimizerConfig:
     def __post_init__(self):
         if self.iterations < 1:
             raise OptimizationError("iterations must be >= 1")
-        if self.step_size <= 0 or self.tau_start <= 0 or self.tau_end <= 0:
-            raise OptimizationError("step size and temperatures must be positive")
+        if not all(math.isfinite(v) and v > 0
+                   for v in (self.step_size, self.tau_start, self.tau_end, self.sigmoid_scale)):
+            raise OptimizationError(
+                "step size, temperatures and sigmoid scale must be positive and finite")
         if not 0.0 <= self.anneal_fraction <= 1.0:
             raise OptimizationError("anneal_fraction must lie in [0, 1]")
 
@@ -190,17 +192,6 @@ def _smoothness_penalty(problem: Problem, poses: dict[str, list[tuple]]) -> Scal
             ddt = d1 - d0
             total = total + ad.square(ddx) + ad.square(ddy) + ad.square(ddt)
     return total
-
-
-def evaluate_poses(problem: Problem, poses: dict[str, list[tuple]],
-                   tau: float, cfg: OptimizerConfig) -> tuple[float, float]:
-    """(smooth, exact) robustness of the formula at the given float poses."""
-    traj = build_trajectory(problem, poses)
-    scfg = SmoothingConfig(tau=tau, samples_per_edge=cfg.samples_per_edge,
-                           sigmoid_scale=cfg.sigmoid_scale)
-    smooth = eval_smooth(problem.formula, traj, cfg=scfg).value
-    exact = eval_exact(problem.formula, traj).value
-    return smooth, exact
 
 
 def optimize(problem: Problem, cfg: OptimizerConfig = OptimizerConfig()) -> OptimizationResult:

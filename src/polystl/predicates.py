@@ -45,10 +45,14 @@ class PredicateKind(Enum):
     BEARING_TO = "bearingTo"
 
 
+# directional kind -> (axis, flipped): a flipped relation swaps its operands;
 # the order is the retention tie-break of mining's candidate enumeration
-DIRECTIONAL = (PredicateKind.LEFT_OF, PredicateKind.RIGHT_OF,
-               PredicateKind.BEHIND, PredicateKind.IN_FRONT_OF,
-               PredicateKind.BELOW, PredicateKind.ABOVE)
+_DIRECTIONAL_AXES = {
+    PredicateKind.LEFT_OF: (0, False), PredicateKind.RIGHT_OF: (0, True),
+    PredicateKind.BEHIND: (1, False), PredicateKind.IN_FRONT_OF: (1, True),
+    PredicateKind.BELOW: (2, False), PredicateKind.ABOVE: (2, True),
+}
+DIRECTIONAL = tuple(_DIRECTIONAL_AXES)
 
 # positional parameter names per predicate, in surface-syntax order
 PARAM_ORDER = {
@@ -251,13 +255,8 @@ def _enclosure(inner: SceneObject, outer: SceneObject, delta_inside: float,
 
 def _directional(a: SceneObject, b: SceneObject, kind: PredicateKind, kappa: float,
                  smooth: bool, cfg: SmoothingConfig) -> Scalar:
-    # (leading object, trailing object, axis): positive when a's extent is
-    # clear of b's along the axis by more than kappa
-    axis = {PredicateKind.LEFT_OF: 0, PredicateKind.RIGHT_OF: 0,
-            PredicateKind.BEHIND: 1, PredicateKind.IN_FRONT_OF: 1,
-            PredicateKind.BELOW: 2, PredicateKind.ABOVE: 2}[kind]
-    flipped = kind in (PredicateKind.RIGHT_OF, PredicateKind.IN_FRONT_OF,
-                       PredicateKind.ABOVE)
+    # positive when a's extent is clear of b's along the axis by more than kappa
+    axis, flipped = _DIRECTIONAL_AXES[kind]
     lo_obj, hi_obj = (b, a) if flipped else (a, b)
     # margin = min(hi_obj extent) - max(lo_obj extent) - kappa
     _, lo_max = _axis_extremes(lo_obj, axis, kind, smooth, cfg.tau)

@@ -298,6 +298,26 @@ class TestMalformedScenario:
         assert err == "error: iterations must be >= 1\n"
 
 
+class TestSmoothingFlags:
+    @pytest.mark.parametrize("tau", ["nan", "inf", "0", "-0.5"])
+    @pytest.mark.parametrize("command", ["eval", "optimize", "accuracy"])
+    def test_bad_tau_exits_2_with_one_error_line(self, tmp_path, capsys, command, tau):
+        out_dir = ["--out-dir", str(tmp_path)]
+        argv = {"eval": ["eval", scenario_path("free_space"), "--tau", tau],
+                "optimize": ["optimize", scenario_path("free_space"), "--tau", tau,
+                             "--iterations", "2"] + out_dir,
+                # every entry of the list is checked, not only the first
+                "accuracy": ["accuracy", "--pairs", "1", "--tau", f"1e-2,{tau}"] + out_dir,
+                }[command]
+        rc = main(argv)
+        out, err = capsys.readouterr()
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "positive" in err
+        assert not (tmp_path / "accuracy.csv").exists()
+
+
 class TestLearn:
     def test_synthetic_run_recovers_and_exits_0(self, tmp_path, capsys):
         rc = main(["learn", "--synthetic", "3", "--out-dir", str(tmp_path)])
@@ -347,6 +367,14 @@ class TestLearn:
         assert rc == 2
         assert out == ""
         assert err == f"error: {csv_path}:5: not a number in ['0.5', 'abc', '0.25']\n"
+
+    @pytest.mark.parametrize("keep", ["0", "-1"])
+    def test_keep_below_one_exits_2(self, tmp_path, capsys, keep):
+        rc = main(["learn", "--synthetic", "1", "--keep", keep, "--out-dir", str(tmp_path)])
+        out, err = capsys.readouterr()
+        assert rc == 2
+        assert out == ""
+        assert err == f"error: keep_per_group must be >= 1, got {keep}\n"
 
     def test_mined_csv_schema(self, tmp_path, capsys):
         main(["learn", "--synthetic", "2", "--out-dir", str(tmp_path)])

@@ -465,6 +465,31 @@ def test_reused_evaluator_matches_fresh_ones(smooth):
     assert compared > 500
 
 
+@pytest.mark.parametrize("smooth", [False, True])
+def test_window_per_time_is_the_child_value_at_each_step(smooth):
+    rng = random.Random(20261019)
+    traj = Trajectory([pair_scene(d, d_ac) for d, d_ac in
+                       ((1.3, 2.2), (2.0, 1.6), (3.4, 3.0), (1.8, 2.5), (2.7, 1.4))])
+    cfg = SmoothingConfig(tau=0.05)
+    checked = set()
+    for _ in range(200):
+        f = random_formula(rng, 3, pairs=(("a", "b"), ("a", "c")))
+        if not isinstance(f, (Always, Eventually, Until)):
+            continue
+        child = f.right if isinstance(f, Until) else f.child
+        ev = Evaluator(traj, smooth, cfg)
+        for t in range(traj.horizon + 1):
+            got = _result_or_error(ev, f, t)
+            if isinstance(got, str):
+                continue
+            lo, hi = t + f.lo, min(t + f.hi, traj.horizon)
+            fresh = Evaluator(traj, smooth, cfg)
+            assert got.per_time == [(u, ad.value_of(fresh.eval(child, u)))
+                                    for u in range(lo, hi + 1)], to_text(f)
+            checked.add(type(f))
+    assert checked == {Always, Eventually, Until}
+
+
 def test_structurally_equal_atoms_share_one_evaluation(monkeypatch):
     from polystl import formulas
     calls = []

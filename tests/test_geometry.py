@@ -36,6 +36,14 @@ def test_polygon_rejects_bad_input():
         geo.ConvexPolygon([(0, 0), (0, 1), (1, 1), (1, 0)])  # clockwise
 
 
+@pytest.mark.parametrize("field", ["tau", "sigmoid_scale"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -1e-3])
+def test_smoothing_config_rejects_non_finite_or_non_positive(field, bad):
+    # NaN compares false with everything, so a plain <= 0 test lets it through
+    with pytest.raises(ValueError, match=f"{field} must be positive and finite"):
+        geo.SmoothingConfig(**{field: bad})
+
+
 def test_polygon_warns_once_per_near_collinear_corner():
     with pytest.warns(UserWarning, match="near-collinear corner at vertex 1") as record:
         geo.ConvexPolygon([(0.0, 0.0), (1.0, 0.0), (2.0, 0.0), (2.0, 2.0), (0.0, 2.0)])

@@ -1,9 +1,10 @@
 """Specification mining: candidate pool, retention, margin widening."""
 import pytest
 
+from polystl import autodiff as ad
 from polystl.formulas import Trajectory, eval_exact, satisfies
 from polystl.mining import (RETREAT, Candidate, DemonstrationSet,
-                            MiningError, Phase, discover,
+                            MiningError, Phase, RetainedFormula, discover,
                             enumerate_candidates, learn_margins, make_demo_set, mine,
                             planted_candidates, robustness_matrix)
 from polystl.predicates import PredicateKind
@@ -111,6 +112,12 @@ def test_retention_caps_each_group(demos):
     assert kinds == {PredicateKind.RIGHT_OF, PredicateKind.LEFT_OF}
 
 
+@pytest.mark.parametrize("keep", [0, -1])
+def test_retention_rejects_keep_below_one(demos, keep):
+    with pytest.raises(MiningError, match="keep_per_group"):
+        discover(demos, keep_per_group=keep)
+
+
 def test_retention_orders_by_worst_case(demos):
     retained = discover(demos)
     by_group = {}
@@ -193,6 +200,78 @@ def test_robustness_decreases_with_widening(demos):
 
 def test_learn_margins_empty_input():
     assert learn_margins([]) == []
+
+
+@pytest.mark.parametrize("tau", [0.0, -1e-3, float("nan")])
+def test_learn_margins_rejects_bad_temperature(demos, tau):
+    with pytest.raises(MiningError, match="tau must be positive"):
+        learn_margins(discover(demos), tau=tau)
+
+
+def tape_ascent(retained, tau=1e-3, step_size=5e-3, iterations=3000,
+                penalty_weight=50.0):
+    """Reference margin ascent: each iteration records the objective on a
+    fresh tape and takes its gradient with one reverse sweep."""
+    eps = [0.0] * len(retained)
+    decay_from = int(0.7 * iterations)
+    for it in range(iterations):
+        step = step_size
+        if it >= decay_from:
+            step /= 1.0 + 9.0 * (it - decay_from) / max(1, iterations - decay_from)
+        tape = ad.Tape()
+        evars = [tape.var(e) for e in eps]
+        residuals = [r.per_demo[j] - evars[k]
+                     for k, r in enumerate(retained)
+                     for j in range(len(r.per_demo))]
+        slack = ad.lse_min(residuals, tau)
+        objective = sum(evars) - penalty_weight * ad.relu(-slack)
+        grads = ad.backward(objective)
+        eps = [max(0.0, e + step * grads.wrt(v)) for e, v in zip(eps, evars)]
+    return eps
+
+
+def hand_built(rows):
+    cands = enumerate_candidates(make_demo_set(seed=0, n_demos=1))
+    return [RetainedFormula(c, list(row)) for c, row in zip(cands, rows)]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_margin_estimate_is_the_tape_ascent_bit_for_bit(seed):
+    retained = discover(make_demo_set(seed=seed))
+    estimates = [m.margin_estimate for m in learn_margins(retained)]
+    assert estimates == tape_ascent(retained)
+
+
+@pytest.mark.parametrize("kwargs", [{}, {"tau": 1e-2, "step_size": 2e-2, "iterations": 400,
+                                         "penalty_weight": 7.5}])
+def test_active_hinge_ascent_is_the_tape_ascent_bit_for_bit(kwargs):
+    # margins climb into the hinge and stop near their closed forms;
+    # without the hinge every margin would climb past step_size *
+    # iterations / 2
+    rows = [(0.31, 0.27, 0.9), (1.2, 0.08, 0.5), (0.03, 0.4, 0.4), (0.6, 0.6, 0.6)]
+    retained = hand_built(rows)
+    margins = learn_margins(retained, **kwargs)
+    assert [m.margin_estimate for m in margins] == tape_ascent(retained, **kwargs)
+    for m, row in zip(margins, rows):
+        assert m.margin == max(0.0, min(row))
+        assert m.estimate_agrees
+
+
+def test_single_demo_ascent_is_the_tape_ascent_bit_for_bit():
+    retained = hand_built([(0.45,), (2.0,), (0.05,)])
+    margins = learn_margins(retained, iterations=1500)
+    assert [m.margin_estimate for m in margins] == tape_ascent(retained, iterations=1500)
+    assert all(m.estimate_agrees for m in margins)
+
+
+def test_learn_margins_records_no_tape(demos, monkeypatch):
+    def no_tape(*args, **kwargs):
+        raise AssertionError("learn_margins built a tape")
+
+    retained = discover(demos)
+    monkeypatch.setattr(ad, "Tape", no_tape)
+    monkeypatch.setattr(ad, "backward", no_tape)
+    assert len(learn_margins(retained)) == len(retained)
 
 
 def test_mining_result_formula_export(demos):

@@ -3,13 +3,12 @@ import math
 
 import pytest
 
-from polystl.formulas import parse
-from polystl.geometry import PolygonTemplate
+from polystl.formulas import eval_exact, eval_smooth, parse
+from polystl.geometry import ConvexPolygon, PolygonTemplate, SmoothingConfig
 from polystl.optimize import (Movable, OptimizationError, OptimizerConfig, Problem,
-                              build_trajectory, evaluate_poses, optimize,
+                              build_trajectory, optimize,
                               _poses_from_flat, _smoothness_penalty)
 from polystl.predicates import AxisAlignedBox3, SceneObject
-from polystl.geometry import ConvexPolygon
 
 
 def square_template(half):
@@ -79,6 +78,10 @@ def test_config_validation():
         OptimizerConfig(step_size=-1.0)
     with pytest.raises(OptimizationError):
         OptimizerConfig(anneal_fraction=1.5)
+    for field in ("step_size", "tau_start", "tau_end", "sigmoid_scale"):
+        for bad in (math.nan, math.inf, 0.0):
+            with pytest.raises(OptimizationError, match="positive and finite"):
+                OptimizerConfig(**{field: bad})
 
 
 # -- schedules and penalties ---------------------------------------------------
@@ -216,6 +219,16 @@ def test_stall_perturbation_keeps_the_loop_alive():
     assert res.iterations_run == 15
     assert not res.success  # robustness is fixed and negative
     assert any(r.gradient_norm < cfg.stall_grad_norm for r in res.trace)
+
+
+def evaluate_poses(problem, poses, tau, cfg):
+    """(smooth, exact) robustness of the formula at the given float poses."""
+    traj = build_trajectory(problem, poses)
+    scfg = SmoothingConfig(tau=tau, samples_per_edge=cfg.samples_per_edge,
+                           sigmoid_scale=cfg.sigmoid_scale)
+    smooth = eval_smooth(problem.formula, traj, cfg=scfg).value
+    exact = eval_exact(problem.formula, traj).value
+    return smooth, exact
 
 
 def test_evaluate_poses_matches_trace_head():

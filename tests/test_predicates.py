@@ -162,6 +162,23 @@ def test_box_directional_uses_exact_corners():
     assert rob(sc, K.BELOW, ["obs", "arm"], False, kappa=0.5) == pytest.approx(0.5)
 
 
+def test_directional_table_keys_are_the_directional_kinds_in_order():
+    # DIRECTIONAL is read off the table, and its order is the retention
+    # tie-break of mining's candidate enumeration
+    assert tuple(pr._DIRECTIONAL_AXES) == pr.DIRECTIONAL == (
+        K.LEFT_OF, K.RIGHT_OF, K.BEHIND, K.IN_FRONT_OF, K.BELOW, K.ABOVE)
+
+
+@pytest.mark.parametrize("smooth", [False, True])
+def test_each_directional_kind_reads_its_axis_and_side(smooth):
+    # b is clear of a by 1, 2 and 3 along x, y and z
+    sc = scene(a=AxisAlignedBox3((0.0, 0.0, 0.0), (1.0, 1.0, 1.0)),
+               b=AxisAlignedBox3((2.0, 3.0, 4.0), (3.0, 4.0, 5.0)))
+    expected = {K.LEFT_OF: 0.5, K.RIGHT_OF: -3.5, K.BEHIND: 1.5,
+                K.IN_FRONT_OF: -4.5, K.BELOW: 2.5, K.ABOVE: -5.5}
+    assert {k: rob(sc, k, ["a", "b"], smooth, kappa=0.5) for k in pr.DIRECTIONAL} == expected
+
+
 def test_box_enclosure():
     sc = scene(inner=AxisAlignedBox3((0.4, 0.4, 0.4), (0.6, 0.6, 0.6)),
                outer=AxisAlignedBox3((0.0, 0.0, 0.0), (1.0, 1.0, 1.0)))
