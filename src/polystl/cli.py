@@ -16,7 +16,7 @@ from . import scenario as sio
 from .accuracy import run_sweep
 from .formulas import Evaluator, FormulaError, eval_exact, satisfies, smoothing_budget
 from .geometry import (DEFAULT_SAMPLES_PER_EDGE, DEFAULT_TAU, SmoothingConfig)
-from .mining import make_demo_set, mine
+from .mining import check_retention, make_demo_set, mine
 from .optimize import OptimizationError, OptimizerConfig, build_trajectory, optimize
 from .render import write_frames
 
@@ -136,6 +136,7 @@ def cmd_optimize(args) -> int:
 
 
 def cmd_learn(args) -> int:
+    check_retention(args.kappa, args.keep)   # before anything is written
     out = _ensure_out(args)
     inputs = []
     written = []

@@ -175,16 +175,15 @@ def polygons_intersect(A: Sequence[Point], B: Sequence[Point]) -> bool:
 
 
 def exact_distance(A: Sequence[Point], B: Sequence[Point]) -> float:
-    """Minimum boundary-to-boundary distance; 0 if the polygons intersect."""
+    """Minimum boundary-to-boundary distance; 0 if the polygons intersect.
+
+    Disjoint polygons have no two edges that meet, so the distance of every
+    edge pair is attained at an endpoint, and the minimum over all pairs is
+    the smallest vertex-edge distance in either direction."""
     if polygons_intersect(A, B):
         return 0.0
-    best = math.inf
-    for a1, a2 in _edges(A):
-        for b1, b2 in _edges(B):
-            d = segment_distance(a1, a2, b1, b2)
-            if d < best:
-                best = d
-    return best
+    return min(point_segment_distance(p, a, b)
+               for src, dst in ((A, B), (B, A)) for p in src for a, b in _edges(dst))
 
 
 def exact_penetration(A: Sequence[Point], B: Sequence[Point]) -> float:

@@ -479,12 +479,24 @@ def eval_smooth(formula: Formula, trajectory: Trajectory, t: int = 0,
 
 def satisfies(formula: Formula, trajectory: Trajectory, t: int = 0) -> bool:
     """Independent boolean monitor (no robustness arithmetic); atoms hold
-    iff their exact robustness is strictly positive."""
+    iff their exact robustness is strictly positive.
+
+    Verdicts are memoized per (subformula, step), so nested windows cost
+    time linear in the formula size times the horizon; ``all`` and ``any``
+    still stop at the first deciding operand."""
     horizon = trajectory.horizon
     if t < 0 or t > horizon:
         raise FormulaError(f"time {t} outside trajectory horizon [0,{horizon}]")
+    memo: dict[tuple[int, int], bool] = {}   # the nodes live in ``formula``
 
     def check(f: Formula, u: int) -> bool:
+        key = (id(f), u)
+        out = memo.get(key)
+        if out is None:
+            out = memo[key] = holds(f, u)
+        return out
+
+    def holds(f: Formula, u: int) -> bool:
         if isinstance(f, Atom):
             return value_of(atom_robustness(trajectory.scene(u), f.kind, f.objects,
                                             f.params, smooth=False)) > 0.0

@@ -8,17 +8,30 @@ for bit; when some input coordinate is a ``Var`` the kernel also derives its
 partials with respect to every vertex coordinate analytically and records the
 result as one tape node. Hard counterparts for every quantity live in
 :mod:`polystl.exactgeo`.
+
+The smooth distance of an n-gon and an m-gon at S samples per edge is one
+flat log-sum-exp, -tau log sum exp(-d / tau), over the 2 n S m distances
+from each polygon's boundary samples to the other polygon's edges (the
+nested soft-min over sides, samples and edges, written as one sum). The
+2 n m vertex-edge terms are always evaluated. Their minimum U bounds the
+smallest term from above, and unless two edges intersect, the distances
+of one edge's samples to the other edge are at least the smallest of the
+pair's four endpoint terms. A pair whose bound exceeds
+U + tau (CULL_GAP + log(2 n S m)) skips its interior samples: together
+they weigh less than e^-CULL_GAP of the sum, which double precision
+cannot see, and dropping terms only moves a soft-min towards the hard
+minimum, so the budget of the full sum still holds.
 """
 from __future__ import annotations
 
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from . import autodiff as ad
 from .autodiff import SQRT_GUARD, Scalar, value_of
-from .exactgeo import validate_convex_ccw
+from .exactgeo import segments_intersect, validate_convex_ccw
 
 ScalarPoint = tuple  # (Scalar, Scalar)
 
@@ -351,64 +364,106 @@ def smooth_sat_penetration(A: ConvexPolygon, B: ConvexPolygon,
     return _fused(value, coords, grads[0] + grads[1])
 
 
-def _sampled_side(src: list[tuple], dst: list[tuple], samples_per_edge: int, tau: float,
-                  rows: Optional[list]) -> tuple:
-    """lse_parts of the soft-min over src's boundary samples of each sample's
-    soft-min distance to dst's edges. With ``rows`` a list, appends
-    (edge index, t, offsets, weights, weight sum) of every sample to it."""
-    dists = []
-    for i, t, px, py in _samples(src, samples_per_edge):
-        offsets = _segment_offsets(px, py, dst)
-        d, ws, s = ad.lse_parts([o[0] for o in offsets], tau, -1.0)
-        dists.append(d)
-        if rows is not None:
-            rows.append((i, t, offsets, ws, s))
-    return ad.lse_parts(dists, tau, -1.0)
+# Interior samples of an edge pair are skipped when a lower bound on their
+# distances exceeds the smallest vertex-edge distance by more than
+# tau * (CULL_GAP + log N), N the number of terms of the flat soft-min. Each
+# skipped term then weighs less than e^-CULL_GAP / N of the largest one, so
+# together they move the value by less than tau * e^-CULL_GAP, about
+# tau * 6e-19: below half an ulp of the soft-min's weight sum (which is >= 1),
+# so double precision cannot see them. A fixed constant, not a knob.
+CULL_GAP = 42.0
 
 
-def _sampled_side_adjoint(scale: float, side: tuple, rows: list,
-                          g_src: list[float], g_dst: list[float]) -> None:
-    """Push the adjoint ``scale`` of one side's soft-min onto the vertices of
-    both polygons."""
-    _, ws, s = side
-    for (i, t, offsets, vs, vsum), w in zip(rows, ws):
-        c = scale * (w / s)   # adjoint of this sample's soft-min distance
-        if c == 0.0:
-            continue
-        gx = gy = 0.0
-        for k, (d, tk, dx, dy) in enumerate(offsets):
-            ck = c * (vs[k] / vsum) / d
-            if ck != 0.0:
-                _segment_adjoint(g_dst, k, tk, ck * dx, ck * dy)
-                gx += ck * dx
-                gy += ck * dy
-        # the sample is a + t e on src's edge i; the offset's sign flips
-        _segment_adjoint(g_src, i, t, -gx, -gy)
+def _kept_pairs(fa: list[tuple], fb: list[tuple], va: list[list], vb: list[list],
+                cut: float) -> tuple[list[list[int]], list[list[int]]]:
+    """For each edge of A, the edges of B whose pair keeps its interior
+    samples, and the same for each edge of B.
+
+    ``va[i][k]`` is the offset row of vertex i of A against edge k of B, and
+    ``vb`` the converse. Unless the edges intersect, the distance from any
+    point of A's edge i to B's edge k is at least the segment distance,
+    which is the smallest of its four endpoint terms; the guarded sqrt is
+    monotone, so the bound survives the guard. An intersecting pair is
+    bounded by 0 only, and always kept."""
+    n, m = len(fa), len(fb)
+    keep_a = [[] for _ in range(n)]
+    keep_b = [[] for _ in range(m)]
+    for i in range(n):
+        i1 = (i + 1) % n
+        for k in range(m):
+            k1 = (k + 1) % m
+            if (min(va[i][k][0], va[i1][k][0], vb[k][i][0], vb[k1][i][0]) <= cut
+                    or segments_intersect(fa[i], fa[i1], fb[k], fb[k1])):
+                keep_a[i].append(k)
+                keep_b[k].append(i)
+    return keep_a, keep_b
 
 
 def smooth_polygon_distance(A: ConvexPolygon, B: ConvexPolygon,
                             cfg: SmoothingConfig = SmoothingConfig()) -> Scalar:
-    """Smooth boundary-to-boundary distance: symmetric soft-min over the
-    unsigned distances of each polygon's boundary samples to the other
-    polygon's edges."""
+    """Smooth boundary-to-boundary distance: one soft-min over the unsigned
+    distances of every boundary sample of each polygon to every edge of the
+    other, 2 n S m terms for an n-gon and an m-gon at S samples per edge.
+
+    The vertex-edge terms (the samples at t = 0) are always evaluated; the
+    interior samples of an edge pair are skipped when their terms cannot
+    carry weight (see ``CULL_GAP`` and ``_kept_pairs``). Skipping terms only
+    moves a soft-min towards the hard minimum, so the log-sum-exp gap of the
+    full sum still bounds the error."""
     tau = cfg.tau
     coords = _flat(A.vertices) + _flat(B.vertices)
-    grad = any(isinstance(c, ad.Var) for c in coords)
-    ea = _edge_table(A.float_vertices())
-    eb = _edge_table(B.float_vertices())
-    rows_a = [] if grad else None
-    rows_b = [] if grad else None
-    side_a = _sampled_side(ea, eb, cfg.samples_per_edge, tau, rows_a)
-    side_b = _sampled_side(eb, ea, cfg.samples_per_edge, tau, rows_b)
-    value, ws, s = ad.lse_parts([side_a[0], side_b[0]], tau, -1.0)
-    if not grad:
+    n = 2 * len(A)
+    # a polygon with no Var coordinate gets no partials, so none are pushed to it
+    live = (any(isinstance(c, ad.Var) for c in coords[:n]),
+            any(isinstance(c, ad.Var) for c in coords[n:]))
+    fa, fb = A.float_vertices(), B.float_vertices()
+    ea, eb = _edge_table(fa), _edge_table(fb)
+    va = [_segment_offsets(x, y, eb) for x, y in fa]
+    vb = [_segment_offsets(x, y, ea) for x, y in fb]
+    n_terms = 2 * len(ea) * cfg.samples_per_edge * len(eb)
+    cut = (min(o[0] for row in va + vb for o in row)
+           + tau * (CULL_GAP + math.log(n_terms)))
+    keep_a, keep_b = _kept_pairs(fa, fb, va, vb, cut)
+
+    # the interior points of sample_boundary: a + t e at t = j * (1 / S), 0 < j < S
+    inv = 1.0 / cfg.samples_per_edge
+    interior = [j * inv for j in range(1, cfg.samples_per_edge)]
+    dists = []
+    rows = [] if any(live) else None   # (side, src edge, t, dst edges, offsets) per sample
+    for side, src, dst, verts, keep in ((0, ea, eb, va, keep_a), (1, eb, ea, vb, keep_b)):
+        every = range(len(dst))
+        for i, (ax, ay, ex, ey, _) in enumerate(src):
+            samples = [(0.0, every, verts[i])]
+            ks = keep[i]
+            if ks:
+                near = [dst[k] for k in ks]
+                samples += [(t, ks, _segment_offsets(ax + t * ex, ay + t * ey, near))
+                            for t in interior]
+            for t, ks, offsets in samples:
+                dists += [o[0] for o in offsets]
+                if rows is not None:
+                    rows.append((side, i, t, ks, offsets))
+    value, ws, s = ad.lse_parts(dists, tau, -1.0)
+    if rows is None:
         return value
 
-    ga = [0.0] * (2 * len(ea))
-    gb = [0.0] * (2 * len(eb))
-    _sampled_side_adjoint(ws[0] / s, side_a, rows_a, ga, gb)
-    _sampled_side_adjoint(ws[1] / s, side_b, rows_b, gb, ga)
-    return _fused(value, coords, ga + gb)
+    grads = ([0.0] * n, [0.0] * (len(coords) - n))
+    pos = 0
+    for side, i, t, ks, offsets in rows:
+        g_dst = grads[1 - side] if live[1 - side] else None
+        gx = gy = 0.0
+        for k, (d, tk, dx, dy), w in zip(ks, offsets, ws[pos:pos + len(offsets)]):
+            c = (w / s) / d   # adjoint of this term, over its distance
+            if c != 0.0:
+                if g_dst is not None:
+                    _segment_adjoint(g_dst, k, tk, c * dx, c * dy)
+                gx += c * dx
+                gy += c * dy
+        pos += len(offsets)
+        # the sample is a + t e on the source's edge i; the offset's sign flips
+        if live[side]:
+            _segment_adjoint(grads[side], i, t, -gx, -gy)
+    return _fused(value, coords, grads[0] + grads[1])
 
 
 def signed_clearance(A: ConvexPolygon, B: ConvexPolygon,
@@ -434,13 +489,13 @@ SAMPLING_ERROR_COEFF = 0.25
 def distance_error_budget(A: ConvexPolygon, B: ConvexPolygon,
                           cfg: SmoothingConfig = SmoothingConfig()) -> float:
     """Upper bound on |smooth - exact| for the boundary-sampled distance:
-    a C*h sampling term plus the stacked log-sum-exp gaps."""
+    a C*h sampling term plus the log-sum-exp gap tau*log(2nSm) of the one
+    flat soft-min over all sample-edge terms. The culled terms only raise
+    the value towards the hard minimum over the samples, so the gap of the
+    full sum still bounds it from below."""
     s = cfg.samples_per_edge
     h = max(A.max_edge_length(), B.max_edge_length()) / s
-    side_a = math.log(len(A) * s) + math.log(len(B))  # A's samples against B's edges
-    side_b = math.log(len(B) * s) + math.log(len(A))
-    lse_terms = math.log(2.0) + max(side_a, side_b)   # outer symmetric soft-min
-    return SAMPLING_ERROR_COEFF * h + cfg.tau * lse_terms
+    return SAMPLING_ERROR_COEFF * h + cfg.tau * math.log(2 * len(A) * s * len(B))
 
 
 def penetration_error_budget(A: ConvexPolygon, B: ConvexPolygon,

@@ -18,6 +18,7 @@ form; the closed form is what ends up in the result.
 """
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from itertools import accumulate
@@ -130,15 +131,22 @@ class RetainedFormula:
         return min(self.per_demo)
 
 
+def check_retention(base_kappa: float, keep_per_group: int) -> None:
+    """Raise MiningError unless base_kappa is positive and finite and
+    keep_per_group is at least 1."""
+    # NaN compares false with everything, so a plain <= 0 test lets it through
+    if not (math.isfinite(base_kappa) and base_kappa > 0.0):
+        raise MiningError(f"base_kappa must be positive and finite, got {base_kappa}")
+    if keep_per_group < 1:
+        raise MiningError(f"keep_per_group must be >= 1, got {keep_per_group}")
+
+
 def discover(demos: DemonstrationSet, base_kappa: float = 0.05,
              keep_per_group: int = 2) -> list[RetainedFormula]:
     """Filter candidates on worst-case exact robustness, then keep the
     most robust keep_per_group per (phase, obstacle); ties fall back to
     enumeration order."""
-    if base_kappa <= 0:
-        raise MiningError("base_kappa must be positive")
-    if keep_per_group < 1:
-        raise MiningError(f"keep_per_group must be >= 1, got {keep_per_group}")
+    check_retention(base_kappa, keep_per_group)
     cands = enumerate_candidates(demos)
     matrix = robustness_matrix(cands, demos, base_kappa)
     retained: list[RetainedFormula] = []

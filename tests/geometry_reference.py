@@ -148,3 +148,16 @@ def signed_clearance(A: ConvexPolygon, B: ConvexPolygon,
     """Smooth distance minus smooth penetration: positive when separated,
     negative when overlapping; in each regime the other term is ~0."""
     return smooth_polygon_distance(A, B, cfg) - smooth_sat_penetration(A, B, cfg)
+
+
+def flat_polygon_distance(A: ConvexPolygon, B: ConvexPolygon,
+                          cfg: SmoothingConfig = SmoothingConfig()) -> float:
+    """The smooth distance as one log-sum-exp over all 2 n S m distances
+    from each polygon's boundary samples to the other polygon's edges, with
+    no term skipped; float polygons only."""
+    dists = []
+    for src, dst in ((A, B), (B, A)):
+        edges = dst.edges()
+        for p in sample_boundary(src, cfg.samples_per_edge).points:
+            dists += [point_segment_distance(p, a, b) for a, b in edges]
+    return ad.lse_min(dists, cfg.tau)

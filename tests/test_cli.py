@@ -376,6 +376,23 @@ class TestLearn:
         assert out == ""
         assert err == f"error: keep_per_group must be >= 1, got {keep}\n"
 
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--keep", "0", "keep_per_group must be >= 1, got 0"),
+        ("--kappa", "nan", "base_kappa must be positive and finite, got nan"),
+        ("--kappa", "inf", "base_kappa must be positive and finite, got inf"),
+        ("--kappa", "0", "base_kappa must be positive and finite, got 0.0"),
+        ("--kappa", "-0.1", "base_kappa must be positive and finite, got -0.1"),
+    ])
+    def test_bad_retention_argument_writes_nothing(self, tmp_path, capsys, flag, value,
+                                                   message):
+        out_dir = tmp_path / "out"
+        rc = main(["learn", "--synthetic", "2", flag, value, "--out-dir", str(out_dir)])
+        out, err = capsys.readouterr()
+        assert rc == 2
+        assert out == ""
+        assert err == f"error: {message}\n"
+        assert not out_dir.exists()   # neither the demos nor the directory itself
+
     def test_mined_csv_schema(self, tmp_path, capsys):
         main(["learn", "--synthetic", "2", "--out-dir", str(tmp_path)])
         capsys.readouterr()

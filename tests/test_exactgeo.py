@@ -113,6 +113,43 @@ def test_segment_distance_parallel():
     assert xg.segment_distance((0, 0), (1, 0), (0.5, -1), (0.5, 1)) == 0.0
 
 
+def _edge_pair_distance(A, B):
+    """exact_distance as first written: every edge pair's segment distance,
+    each with its own intersection test."""
+    if xg.polygons_intersect(A, B):
+        return 0.0
+    n, m = len(A), len(B)
+    return min(xg.segment_distance(A[i], A[(i + 1) % n], B[k], B[(k + 1) % m])
+               for i in range(n) for k in range(m))
+
+
+TOUCHING_OR_COLLINEAR = [
+    square(1.5, 0.5, 0.5),                              # a shared edge
+    square(1.5, 1.5, 0.5),                              # corner to corner
+    [(1.0, 0.5), (2.0, 0.0), (2.0, 1.0)],               # a vertex on an edge
+    [(1.25, 0.5), (2.0, 0.0), (2.0, 1.0)],              # a vertex facing an edge
+    square(2.5, 0.5, 0.5),                              # collinear top and bottom edges
+    [(1.5, 0.0), (3.0, 0.0), (3.0, 0.5), (1.5, 0.5)],   # one collinear edge
+    [(2.0, 2.0), (3.0, 1.0), (4.0, 2.0), (3.0, 3.0)],   # diamond on the diagonal
+]
+
+
+@pytest.mark.parametrize("other", TOUCHING_OR_COLLINEAR)
+def test_distance_is_the_edge_pair_minimum_on_contact_and_collinear_edges(other):
+    assert xg.exact_distance(UNIT_SQUARE, other) == _edge_pair_distance(UNIT_SQUARE, other)
+    assert xg.exact_distance(other, UNIT_SQUARE) == _edge_pair_distance(other, UNIT_SQUARE)
+
+
+def test_distance_is_the_edge_pair_minimum_on_random_pairs():
+    separated = 0
+    for i in range(300):
+        a, b = pair_for_index(57, i)
+        d = xg.exact_distance(a, b)
+        assert d == _edge_pair_distance(a, b) and xg.exact_distance(b, a) == d
+        separated += d > 0.0
+    assert separated >= 100
+
+
 # -- brute-force agreement ---------------------------------------------------
 
 

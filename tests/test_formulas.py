@@ -5,6 +5,7 @@ import random
 import pytest
 
 from polystl import autodiff as ad
+from polystl import formulas
 from polystl.formulas import (MAX_NESTING, Always, And, Atom, Evaluator, Eventually,
                               FormulaError, Not, Or, Trajectory, Until, atoms_of,
                               eval_exact, eval_smooth, parse, satisfies,
@@ -432,6 +433,76 @@ def test_monitor_agrees_with_robustness_sign():
         assert satisfies(f, traj) == (rho > 0.0), to_text(f)
         checked += 1
     assert checked > 100
+
+
+def _plain_satisfies(formula, trajectory, t=0):
+    """satisfies as first written: the same recursion with no memo."""
+    horizon = trajectory.horizon
+
+    def check(f, u):
+        if isinstance(f, Atom):
+            return ad.value_of(formulas.atom_robustness(trajectory.scene(u), f.kind, f.objects,
+                                                        f.params, smooth=False)) > 0.0
+        if isinstance(f, Not):
+            return not check(f.child, u)
+        if isinstance(f, And):
+            return all(check(c, u) for c in f.children)
+        if isinstance(f, Or):
+            return any(check(c, u) for c in f.children)
+        if isinstance(f, Always):
+            return all(check(f.child, v) for v in formulas._window(u, f.lo, f.hi, horizon, "G"))
+        if isinstance(f, Eventually):
+            return any(check(f.child, v) for v in formulas._window(u, f.lo, f.hi, horizon, "F"))
+        if isinstance(f, Until):
+            for v in formulas._window(u, f.lo, f.hi, horizon, "U"):
+                if check(f.right, v) and all(check(f.left, w) for w in range(u, v + 1)):
+                    return True
+            return False
+        raise FormulaError(f"not a formula: {f!r}")
+
+    return check(formula, t)
+
+
+def _verdict_or_error(monitor, f, traj, t):
+    try:
+        return monitor(f, traj, t)
+    except FormulaError as exc:   # a window fell off the horizon
+        return str(exc)
+
+
+def test_memoized_monitor_matches_the_plain_recursion():
+    rng = random.Random(20261020)
+    traj = Trajectory([pair_scene(d, d_ac) for d, d_ac in
+                       ((1.3, 2.2), (2.0, 1.6), (3.4, 3.0), (1.8, 2.5), (2.7, 1.4), (1.1, 3.3))])
+    verdicts = set()
+    for _ in range(200):
+        f = random_formula(rng, 4, pairs=(("a", "b"), ("a", "c")))
+        for t in range(traj.horizon + 1):
+            got = _verdict_or_error(satisfies, f, traj, t)
+            assert got == _verdict_or_error(_plain_satisfies, f, traj, t), to_text(f)
+            verdicts.add(got)
+    assert {True, False} <= verdicts
+
+
+def test_monitor_evaluates_each_atom_once_per_step_under_nested_windows(monkeypatch):
+    # G[0,1] nested 18 deep over a trajectory where the atom always holds:
+    # no all() stops early, and the plain recursion evaluates the atom 2^18
+    # times at the root; the memo evaluates it once per step.
+    depth = 18
+    traj = traj_with_values([1.0] * (depth + 1))
+    f = close_to("a", "b", 4.0)
+    for _ in range(depth):
+        f = Always(0, 1, f)
+    calls = []
+    real = formulas.atom_robustness
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(formulas, "atom_robustness", counting)
+    assert satisfies(f, traj)
+    assert len(calls) == depth + 1
 
 
 # -- one evaluator reused across anchors and formulas --------------------------------
