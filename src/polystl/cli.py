@@ -49,9 +49,11 @@ def cmd_eval(args) -> int:
 
     cfg = SmoothingConfig(tau=args.tau, samples_per_edge=args.samples)
     # one evaluator per mode: the breakdown re-anchors the formula on the
-    # memoized step values of the t=0 evaluation, so it adds no atom calls
-    evaluators = {"exact": Evaluator(traj, smooth=False),
-                  "smooth": Evaluator(traj, smooth=True, cfg=cfg)}
+    # memoized step values of the t=0 evaluation, so it adds no atom calls;
+    # the exact values also let smooth windows skip steps with no weight
+    exact_ev = Evaluator(traj, smooth=False)
+    evaluators = {"exact": exact_ev,
+                  "smooth": Evaluator(traj, smooth=True, cfg=cfg, exact=exact_ev)}
     exact = evaluators["exact"].result(scn.formula)
     smooth = evaluators["smooth"].result(scn.formula)
 
@@ -137,6 +139,8 @@ def cmd_optimize(args) -> int:
 
 def cmd_learn(args) -> int:
     check_retention(args.kappa, args.keep)   # before anything is written
+    if args.demos is None and args.synthetic < 1:
+        return _fail(f"--synthetic must be >= 1, got {args.synthetic}")
     out = _ensure_out(args)
     inputs = []
     written = []

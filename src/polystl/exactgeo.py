@@ -129,15 +129,6 @@ def segments_intersect(a1: Point, a2: Point, b1: Point, b2: Point) -> bool:
     return False
 
 
-def segment_distance(a1: Point, a2: Point, b1: Point, b2: Point) -> float:
-    if segments_intersect(a1, a2, b1, b2):
-        return 0.0
-    return min(point_segment_distance(a1, b1, b2),
-               point_segment_distance(a2, b1, b2),
-               point_segment_distance(b1, a1, a2),
-               point_segment_distance(b2, a1, a2))
-
-
 def _edges(vertices: Sequence[Point]):
     n = len(vertices)
     for i in range(n):

@@ -17,6 +17,16 @@ disjunction max, G min over its window, F max, and U max over the release
 instant of the min between the releasing operand there and the held
 operand up to it. Smooth mode swaps every hard min/max for its
 log-sum-exp relaxation at one shared temperature.
+
+A smooth pass can lean on an exact pass over the same geometry (see
+``Evaluator``): each atom's exact value at a step, moved by the atom's
+proved gap (``predicates.smooth_gaps``), bounds its smooth value there. A
+``G`` window over an atom then evaluates first the step with the lowest
+bound, whose smooth value v* bounds the soft-min from above, and leaves
+out every step whose bound exceeds v* + tau*(CULL_GAP + log N): such a term
+weighs less than e^-CULL_GAP / N of the largest, and all of them together
+add less than e^-CULL_GAP to a weight sum of at least 1, below half an ulp
+of it. ``F`` is the mirror case with upper bounds.
 """
 from __future__ import annotations
 
@@ -26,9 +36,9 @@ from typing import Optional, Union
 
 from . import autodiff as ad
 from .autodiff import Scalar, value_of
-from .geometry import SmoothingConfig
+from .geometry import CULL_GAP, SmoothingConfig
 from .predicates import (ARITY, PARAM_ORDER, PredicateKind, PredicateParams, Scene,
-                         atom_robustness)
+                         atom_robustness, smooth_gaps)
 
 
 class FormulaError(ValueError):
@@ -384,13 +394,33 @@ class Evaluator:
     of values by step, found by the node's id; the evaluator keeps a
     reference to every such node, so its id cannot be reused by a formula
     built later. Equal atoms share one table.
+
+    A smooth evaluator may take an exact partner over the same geometry
+    (the same scenes, or float copies of them). For a ``G`` window over an
+    atom, the partner's value at step u less the atom's ``below`` gap is a
+    lower bound L_u on the smooth value there. The step with the smallest
+    L_u is evaluated first; with v* its smooth value, the steps with
+    L_u > v* + tau*(CULL_GAP + log N), N the window length, are left out of
+    the soft-min, because v* bounds its minimum term from above and each
+    such term weighs less than e^-CULL_GAP / N of it. ``F`` mirrors this
+    with upper bounds (the ``above`` gap). The soft extrema add their
+    weights with ``math.fsum``, which rounds once, so the value is the
+    unscreened one unless the weight sum lies within e^-CULL_GAP of a
+    rounding boundary. An infinite gap, no partner, a child that is not an
+    atom or a bound that is not finite leaves every step in. A left-out
+    step is not in the child's table; ``eval`` computes it on demand.
     """
 
     def __init__(self, trajectory: Trajectory, smooth: bool,
-                 cfg: SmoothingConfig = SmoothingConfig()):
+                 cfg: SmoothingConfig = SmoothingConfig(),
+                 exact: Optional["Evaluator"] = None):
+        if exact is not None and (exact.smooth or exact.traj.horizon != trajectory.horizon):
+            raise FormulaError("the exact partner must be an exact evaluator "
+                               "over a trajectory of the same length")
         self.traj = trajectory
         self.smooth = smooth
         self.cfg = cfg
+        self.exact = exact if smooth else None
         self._tables: dict[int, tuple[Formula, dict[int, Scalar]]] = {}
         self._atom_tables: dict[Atom, dict[int, Scalar]] = {}
 
@@ -429,10 +459,10 @@ class Evaluator:
             return self._max([self.eval(c, t) for c in f.children])
         if isinstance(f, Always):
             ts = _window(t, f.lo, f.hi, self.traj.horizon, "G")
-            return self._min([self.eval(f.child, u) for u in ts])
+            return self._min(self._window_values(f.child, ts, -1.0))
         if isinstance(f, Eventually):
             ts = _window(t, f.lo, f.hi, self.traj.horizon, "F")
-            return self._max([self.eval(f.child, u) for u in ts])
+            return self._max(self._window_values(f.child, ts, 1.0))
         if isinstance(f, Until):
             ts = _window(t, f.lo, f.hi, self.traj.horizon, "U")
             candidates = []
@@ -444,6 +474,25 @@ class Evaluator:
             return self._max(candidates)
         raise FormulaError(f"not a formula: {f!r}")
 
+    def _window_values(self, child: Formula, ts: range, sign: float) -> list[Scalar]:
+        """The child's values over the steps of a soft-min (``sign`` -1) or
+        soft-max (``sign`` 1) window that can carry weight, in step order."""
+        exact = self.exact
+        if exact is None or not isinstance(child, Atom) or len(ts) == 1:
+            return [self.eval(child, u) for u in ts]
+        # keys[i] bounds -sign * (smooth value at ts[i]) from below
+        keys = []
+        for u in ts:
+            below, above = smooth_gaps(self.traj.scene(u), child.kind, child.objects, self.cfg)
+            gap = below if sign < 0.0 else above
+            if gap == math.inf:
+                return [self.eval(child, u) for u in ts]
+            keys.append(-sign * exact.eval(child, u) - gap)
+        first = min(range(len(ts)), key=keys.__getitem__)
+        cut = (-sign * value_of(self.eval(child, ts[first]))
+               + self.cfg.tau * (CULL_GAP + math.log(len(ts))))
+        return [self.eval(child, u) for u, key in zip(ts, keys) if not cut < key < math.inf]
+
     def result(self, f: Formula, t: int = 0) -> RobustnessResult:
         """Robustness of ``f`` anchored at ``t``. In exact mode a non-finite
         value or per-step value raises FormulaError: it can only come from
@@ -451,10 +500,11 @@ class Evaluator:
         out = self.eval(f, t)
         per_time: list[tuple[int, float]]
         if isinstance(f, (Always, Eventually, Until)):
-            # eval(f, t) filled the child's table over this (non-empty) window
+            # eval(f, t) filled the child's table over this (non-empty)
+            # window, bar the steps a screened window left out
             child = f.right if isinstance(f, Until) else f.child
             table = self._tables[id(child)][1]
-            per_time = [(u, value_of(table[u]))
+            per_time = [(u, value_of(table[u] if u in table else self.eval(child, u)))
                         for u in _window(t, f.lo, f.hi, self.traj.horizon, "")]
         else:
             per_time = [(t, value_of(out))]
@@ -465,16 +515,30 @@ class Evaluator:
         return RobustnessResult(value, node, per_time, "smooth" if self.smooth else "exact")
 
 
-def eval_exact(formula: Formula, trajectory: Trajectory, t: int = 0) -> RobustnessResult:
-    """Exact robustness with hard min/max and reference geometry."""
-    return Evaluator(trajectory, smooth=False).result(formula, t)
+def eval_exact(formula: Formula, trajectory: Trajectory, t: int = 0,
+               evaluator: Optional[Evaluator] = None) -> RobustnessResult:
+    """Exact robustness with hard min/max and reference geometry.
+
+    ``evaluator``, an exact Evaluator over ``trajectory``, keeps the
+    per-step values, so it can then serve as the exact partner of a smooth
+    pass over the same geometry."""
+    if evaluator is None:
+        evaluator = Evaluator(trajectory, smooth=False)
+    elif evaluator.smooth or evaluator.traj is not trajectory:
+        raise FormulaError("eval_exact: the evaluator must be exact and over this trajectory")
+    return evaluator.result(formula, t)
 
 
 def eval_smooth(formula: Formula, trajectory: Trajectory, t: int = 0,
-                cfg: SmoothingConfig = SmoothingConfig()) -> RobustnessResult:
+                cfg: SmoothingConfig = SmoothingConfig(),
+                exact: Optional[Evaluator] = None) -> RobustnessResult:
     """Smooth robustness; differentiable when the trajectory carries tape
-    variables (the result's ``node`` is then a Var on the caller's tape)."""
-    return Evaluator(trajectory, smooth=True, cfg=cfg).result(formula, t)
+    variables (the result's ``node`` is then a Var on the caller's tape).
+
+    ``exact``, an exact Evaluator over the same geometry, lets ``G`` and
+    ``F`` windows over atoms skip the steps that carry no weight (see
+    ``Evaluator``)."""
+    return Evaluator(trajectory, smooth=True, cfg=cfg, exact=exact).result(formula, t)
 
 
 def satisfies(formula: Formula, trajectory: Trajectory, t: int = 0) -> bool:
@@ -557,13 +621,24 @@ def smoothing_budget(formula: Formula, trajectory: Trajectory, tau: float,
                      t: int = 0) -> Optional[float]:
     """Cumulative log-sum-exp gap bound |smooth - exact| for formulas whose
     atoms avoid boundary sampling (directional, between, oriented, bearing);
-    returns None when a sampled atom makes the simple bound inapplicable."""
+    returns None when a sampled atom makes the simple bound inapplicable.
+
+    Budgets are memoized per (subformula, step), so nested windows cost
+    time linear in the formula size times the horizon."""
 
     def vertex_count(name: str) -> int:
         shape = trajectory.scene(0).get(name).shape
         return 1 if not hasattr(shape, "vertices") else len(shape.vertices)
 
+    memo: dict[tuple[int, int], Optional[float]] = {}   # the nodes live in ``formula``
+
     def budget(f: Formula, u: int) -> Optional[float]:
+        key = (id(f), u)
+        if key not in memo:
+            memo[key] = fresh(f, u)
+        return memo[key]
+
+    def fresh(f: Formula, u: int) -> Optional[float]:
         if isinstance(f, Atom):
             if f.kind in _SAMPLED:
                 return None

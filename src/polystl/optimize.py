@@ -21,7 +21,8 @@ from typing import Sequence
 
 from . import autodiff as ad
 from .autodiff import Scalar, value_of
-from .formulas import Formula, Trajectory, atoms_of, eval_exact, eval_smooth
+from .formulas import (Evaluator, Formula, FormulaError, Trajectory, atoms_of, eval_exact,
+                       eval_smooth)
 from .geometry import Pose2D, PolygonTemplate, SmoothingConfig
 from .predicates import Scene, SceneObject
 
@@ -228,13 +229,23 @@ def optimize(problem: Problem, cfg: OptimizerConfig = OptimizerConfig()) -> Opti
         if it in snap_at:
             snapshots[it] = float_pose_dict(flat)
 
+        # the exact pass runs first: its memoized atom values bound the smooth
+        # ones, so the smooth pass skips window steps that carry no weight
+        exact = Evaluator(build_trajectory(problem, _poses_from_flat(problem, flat)),
+                          smooth=False)
+        exact_error = None
+        try:
+            rho_exact = eval_exact(problem.formula, exact.traj, evaluator=exact).value
+        except FormulaError as exc:   # not finite: a non-finite loss is reported first
+            exact_error = exc
+
         tape = ad.Tape()
         vars_ = [tape.var(v) for v in flat]
         poses = _poses_from_flat(problem, vars_)
         traj = build_trajectory(problem, poses)
         scfg = SmoothingConfig(tau=tau, samples_per_edge=cfg.samples_per_edge,
                                sigmoid_scale=cfg.sigmoid_scale)
-        res = eval_smooth(problem.formula, traj, cfg=scfg)
+        res = eval_smooth(problem.formula, traj, cfg=scfg, exact=exact)
         rho_node: Scalar = res.node if res.node is not None else res.value
         hinge = ad.relu(cfg.satisfaction_margin - rho_node)
         loss = hinge + cfg.smoothness_weight * _smoothness_penalty(problem, poses)
@@ -242,9 +253,8 @@ def optimize(problem: Problem, cfg: OptimizerConfig = OptimizerConfig()) -> Opti
         loss_val = value_of(loss)
         if not math.isfinite(loss_val):
             raise OptimizationError(f"non-finite loss at iteration {it}")
-
-        float_poses = _poses_from_flat(problem, flat)
-        rho_exact = eval_exact(problem.formula, build_trajectory(problem, float_poses)).value
+        if exact_error is not None:
+            raise exact_error
 
         if isinstance(loss, ad.Var):
             grads = ad.backward(loss)

@@ -355,3 +355,57 @@ def exact_atom_robustness(scene: Scene, kind: PredicateKind, names: Sequence[str
                           params: PredicateParams) -> float:
     """Exact-mode robustness as a plain float (reference semantics)."""
     return value_of(atom_robustness(scene, kind, names, params, smooth=False))
+
+
+def _corners_blunt(polygon: ConvexPolygon) -> bool:
+    """True when every interior angle phi of the polygon has
+    sin(phi/2) >= 1/3, that is cos(phi) <= 7/9 (phi >= 38.94 degrees)."""
+    fv = polygon.float_vertices()
+    n = len(fv)
+    for i in range(n):
+        (ax, ay), (bx, by), (cx, cy) = fv[i - 1], fv[i], fv[(i + 1) % n]
+        ux, uy, wx, wy = bx - ax, by - ay, cx - bx, cy - by
+        # cos(phi) is minus the cosine of the turn between the two edges
+        if ux * wx + uy * wy < -7.0 / 9.0 * math.hypot(ux, uy) * math.hypot(wx, wy):
+            return False
+    return True
+
+
+def smooth_gaps(scene: Scene, kind: PredicateKind, names: Sequence[str],
+                cfg: SmoothingConfig = SmoothingConfig()) -> tuple[float, float]:
+    """(below, above): how far the smooth value of an atom on ``scene`` can
+    fall below its exact value, and how far it can rise above it;
+    ``math.inf`` wherever no bound is proved. The threshold parameters
+    shift both values alike, so they do not enter.
+
+    - farFrom, below by tau*log(2nSm): every term of the sampled soft-min
+      is a guarded point-to-edge distance, at least the exact distance, and
+      a soft-min over at most 2nSm terms (the cull keeps fewer) lies within
+      tau*log(2nSm) of their minimum. closeTo negates it: above, the same.
+    - enclIn on polygons, above by ``enclosure_error_budget``, when every
+      corner of the outer polygon is at least 38.94 degrees. Inside, the
+      blended signed distance of a vertex is at least the exact one minus
+      tau*log E. Outside, at distance d from a corner of angle phi, the hard
+      inward margin is at most -d*sin(phi/2), so the sigmoid weight on the
+      inside branch costs at most (1/k)*sup u*sigmoid(-u)*(1/sin(phi/2) - 1),
+      within the budget's 2/k term once sin(phi/2) >= 1/3. A sharper
+      corner breaks the budget above, and many near-collinear outer edges
+      break it below, so those get no gap.
+    - Directional kinds: each polygon's soft extreme lies on the side of
+      its hard extreme that lowers the margin, within tau*log n; box
+      extremes are exact. So the smooth value is at most the exact one and
+      at least the exact one minus tau*(log n + log m).
+
+    Every other kind gets ``inf`` on both sides."""
+    shapes = [scene.get(n).shape for n in names]
+    polygons = all(isinstance(s, ConvexPolygon) for s in shapes)
+    if kind in (PredicateKind.FAR_FROM, PredicateKind.CLOSE_TO) and polygons:
+        a, b = shapes
+        gap = cfg.tau * math.log(2 * len(a) * cfg.samples_per_edge * len(b))
+        return (gap, math.inf) if kind is PredicateKind.FAR_FROM else (math.inf, gap)
+    if kind is PredicateKind.ENCL_IN and polygons and _corners_blunt(shapes[1]):
+        return math.inf, geo.enclosure_error_budget(shapes[0], shapes[1], cfg)
+    if kind in DIRECTIONAL:
+        return cfg.tau * sum(math.log(len(s)) for s in shapes
+                             if isinstance(s, ConvexPolygon)), 0.0
+    return math.inf, math.inf

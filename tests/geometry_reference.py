@@ -6,10 +6,14 @@ boundary sample against every edge is recorded as a chain of scalar tape
 operations. The bodies below are kept verbatim, together with the hard
 ``max2``/``min2`` they clamp with, so the fused kernels can be checked
 against them for equal values and matching adjoints.
+
+``segment_distance`` is the exact distance of two closed segments, the
+edge-pair formulation ``exactgeo.exact_distance`` is checked against.
 """
 import types
 
 from polystl import autodiff as _autodiff
+from polystl import exactgeo as _exactgeo
 from polystl.autodiff import Scalar, _binary, value_of
 from polystl.geometry import BoundarySamples, ConvexPolygon, ScalarPoint, SmoothingConfig
 
@@ -161,3 +165,12 @@ def flat_polygon_distance(A: ConvexPolygon, B: ConvexPolygon,
         for p in sample_boundary(src, cfg.samples_per_edge).points:
             dists += [point_segment_distance(p, a, b) for a, b in edges]
     return ad.lse_min(dists, cfg.tau)
+
+
+def segment_distance(a1, a2, b1, b2) -> float:
+    if _exactgeo.segments_intersect(a1, a2, b1, b2):
+        return 0.0
+    return min(_exactgeo.point_segment_distance(a1, b1, b2),
+               _exactgeo.point_segment_distance(a2, b1, b2),
+               _exactgeo.point_segment_distance(b1, a1, a2),
+               _exactgeo.point_segment_distance(b2, a1, a2))

@@ -19,6 +19,7 @@ from time import perf_counter
 
 import pytest
 
+from gradcheck import central_difference, max_gradient_error
 import polystl.autodiff as ad
 import polystl.exactgeo as xg
 import polystl.geometry as geo
@@ -27,7 +28,6 @@ import polystl.scenario as sio
 from polystl.accuracy import (FROZEN_BOUNDS, QUANTITIES, max_errors, run_sweep,
                               sign_disagreements)
 from polystl.formulas import Trajectory, eval_exact, eval_smooth, parse
-from polystl.gradcheck import central_difference, max_gradient_error
 from polystl.mining import make_demo_set, mine, planted_candidates
 from polystl.optimize import OptimizerConfig, build_trajectory, optimize
 from polystl.predicates import (AxisAlignedBox3, PredicateKind as K,

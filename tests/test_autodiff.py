@@ -4,8 +4,8 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gradcheck import central_difference, max_gradient_error
 from polystl import autodiff as ad
-from polystl.gradcheck import central_difference, max_gradient_error
 
 finite = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False)
 positive = st.floats(min_value=1e-3, max_value=50.0)

@@ -65,22 +65,41 @@ class TestEval:
         assert len(expected) == 17
         assert printed == expected
 
-    def test_breakdown_evaluates_each_atom_once_per_step(self, monkeypatch, capsys):
-        calls = {False: 0, True: 0}
+    @staticmethod
+    def _atom_calls(monkeypatch, argv):
+        """(smooth, atom, scene) per atom evaluation of one eval command;
+        each step of the trajectory is its own scene object."""
+        calls = []
         real = formulas.atom_robustness
 
         def counting(scene, kind, names, params, smooth, cfg):
-            calls[smooth] += 1
+            calls.append((smooth, kind, tuple(names), params, id(scene)))
             return real(scene, kind, names, params, smooth, cfg)
 
         monkeypatch.setattr(formulas, "atom_robustness", counting)
-        rc = main(["eval", scenario_path("single_obstacle"), "--breakdown"])
+        assert main(argv) == 1
+        return calls
+
+    def test_breakdown_evaluates_each_atom_once_per_step(self, monkeypatch, capsys):
+        calls = self._atom_calls(monkeypatch,
+                                 ["eval", scenario_path("single_obstacle"), "--breakdown"])
         capsys.readouterr()
-        assert rc == 1
         scn = load_scenario(scenario_path("single_obstacle"))
         steps = scn.horizon + 1
         assert len(atoms_of(scn.formula)) * steps == 34
-        assert calls == {False: 34, True: 34}
+        assert len(set(calls)) == len(calls)   # no (atom, step) twice, in either mode
+        exact = [c for c in calls if not c[0]]
+        assert len(exact) == 34
+        # the exact values let the smooth windows skip steps with no weight
+        assert len(calls) - len(exact) < 34
+
+    def test_smooth_breakdown_evaluates_each_atom_once_per_step(self, monkeypatch, capsys):
+        # re-anchored smooth windows compute the steps skipped at t=0 on demand
+        calls = self._atom_calls(monkeypatch, ["eval", scenario_path("single_obstacle"),
+                                               "--breakdown", "--mode", "smooth"])
+        capsys.readouterr()
+        assert len(set(calls)) == len(calls)
+        assert sum(1 for c in calls if not c[0]) == 34
 
     def test_smooth_mode_accepted(self, capsys):
         rc = main(["eval", scenario_path("free_space"), "--mode", "smooth",
@@ -392,6 +411,16 @@ class TestLearn:
         assert out == ""
         assert err == f"error: {message}\n"
         assert not out_dir.exists()   # neither the demos nor the directory itself
+
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_no_synthetic_demos_writes_nothing(self, tmp_path, capsys, count):
+        out_dir = tmp_path / "out"
+        rc = main(["learn", "--synthetic", count, "--out-dir", str(out_dir)])
+        out, err = capsys.readouterr()
+        assert rc == 2
+        assert out == ""
+        assert err == f"error: --synthetic must be >= 1, got {count}\n"
+        assert not out_dir.exists()
 
     def test_mined_csv_schema(self, tmp_path, capsys):
         main(["learn", "--synthetic", "2", "--out-dir", str(tmp_path)])

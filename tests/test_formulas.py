@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from gradcheck import check_gradient
 from polystl import autodiff as ad
 from polystl import formulas
 from polystl.formulas import (MAX_NESTING, Always, And, Atom, Evaluator, Eventually,
@@ -11,7 +12,6 @@ from polystl.formulas import (MAX_NESTING, Always, And, Atom, Evaluator, Eventua
                               eval_exact, eval_smooth, parse, satisfies,
                               smoothing_budget, to_text)
 from polystl.geometry import ConvexPolygon, SmoothingConfig
-from polystl.gradcheck import check_gradient
 from polystl.predicates import (AxisAlignedBox3, PredicateKind, PredicateParams,
                                 Scene, SceneObject)
 
@@ -390,9 +390,11 @@ def test_memo_shares_subformula_work():
 # -- boolean monitor cross-check ---------------------------------------------------
 
 
-def random_formula(rng, depth, pairs=(("a", "b"),)):
-    """A random formula over closeTo/farFrom/leftOf atoms on the object pairs."""
-    kinds = [PredicateKind.CLOSE_TO, PredicateKind.FAR_FROM, PredicateKind.LEFT_OF]
+def random_formula(rng, depth, pairs=(("a", "b"),),
+                   kinds=(PredicateKind.CLOSE_TO, PredicateKind.FAR_FROM, PredicateKind.LEFT_OF)):
+    """A random formula over atoms of the given kinds (closeTo/farFrom/leftOf
+    by default) on the object pairs."""
+    kinds = list(kinds)
 
     def gen(depth):
         if depth == 0 or rng.random() < 0.35:
@@ -630,3 +632,229 @@ def test_atoms_of_walks_everything():
 def test_trajectory_requires_scenes():
     with pytest.raises(FormulaError):
         Trajectory([])
+
+
+# -- screened smooth windows ----------------------------------------------------------
+
+
+def _far_from(x, y, eps):
+    return Atom(PredicateKind.FAR_FROM, (x, y),
+                PredicateParams.for_kind(PredicateKind.FAR_FROM, [eps]))
+
+
+def _three_squares(steps, tape=None):
+    """a at the origin, b and c at the given x per step (c lifted by 0.3);
+    with a tape, b's and c's x are tape variables, returned as well."""
+    scenes, xs = [], []
+    for d_ab, d_ac in steps:
+        if tape is not None:
+            d_ab, d_ac = tape.var(d_ab), tape.var(d_ac)
+            xs += [d_ab, d_ac]
+        scenes.append(Scene([SceneObject("a", square(0, 0)), SceneObject("b", square(d_ab, 0)),
+                             SceneObject("c", square(d_ac, 0.3))]))
+    return Trajectory(scenes), xs
+
+
+def _counting_atoms(monkeypatch):
+    calls = []
+    real = formulas.atom_robustness
+
+    def counting(*args):
+        calls.append(args[4])   # the smooth flag
+        return real(*args)
+
+    monkeypatch.setattr(formulas, "atom_robustness", counting)
+    return calls
+
+
+def _value_or_error(ev, f, t):
+    try:
+        return ev.eval(f, t)
+    except FormulaError as exc:   # a window fell off the horizon
+        return str(exc)
+
+
+@pytest.mark.parametrize("tau", [0.05, 0.01])
+def test_screened_windows_match_unscreened(tau, monkeypatch):
+    """Every anchor of random formulas over random trajectories whose steps
+    overlap, touch (distance 0), nearly touch or lie far apart: the screened
+    value equals the unscreened one, and so do the tape gradients and,
+    computed last, the per-step values of ``result``."""
+    rng = random.Random(20261102)
+    cfg = SmoothingConfig(tau=tau)
+    calls = _counting_atoms(monkeypatch)
+    counts = {"screened": 0, "full": 0}
+    compared = 0
+    for _ in range(12):
+        steps = [tuple(rng.choice([1.0, 0.6, rng.uniform(1.0, 1.05), rng.uniform(1.0, 2.0),
+                                   rng.uniform(2.0, 8.0)]) for _ in range(2))
+                 for _ in range(6)]
+        exact = Evaluator(_three_squares(steps)[0], smooth=False)
+        for _ in range(6):
+            f = random_formula(rng, 3, pairs=(("a", "b"), ("a", "c")))
+            tape = ad.Tape()
+            traj, xs = _three_squares(steps, tape)
+            evs = {"screened": Evaluator(traj, True, cfg, exact=exact),
+                   "full": Evaluator(traj, True, cfg)}
+            for t in range(traj.horizon + 1):
+                got = {}
+                for name, ev in evs.items():
+                    before = len(calls)
+                    got[name] = _value_or_error(ev, f, t)
+                    counts[name] += calls[before:].count(True)
+                mine, full = got["screened"], got["full"]
+                if isinstance(full, str):
+                    assert mine == full, to_text(f)
+                    continue
+                assert abs(ad.value_of(mine) - ad.value_of(full)) <= 1e-15 * abs(ad.value_of(full))
+                if isinstance(full, ad.Var):
+                    g_mine, g_full = ad.backward(mine), ad.backward(full)
+                    for x in xs:
+                        assert abs(g_mine.wrt(x) - g_full.wrt(x)) <= 1e-12, to_text(f)
+                compared += 1
+            for t in range(traj.horizon + 1):
+                mine, full = (_result_or_error(ev, f, t) for ev in evs.values())
+                assert isinstance(mine, str) or mine.per_time == full.per_time, to_text(f)
+    assert compared > 150
+    assert counts["screened"] < counts["full"]   # some steps were left out
+
+
+def test_screen_skips_the_steps_far_from_the_obstacle(monkeypatch):
+    # the obstacle comes near at steps 5 and 11 only; every other step of
+    # G[0,16] farFrom sits about 6.5 above them, far past tau*(CULL_GAP + log 17)
+    steps = [8.0] * 17
+    steps[5], steps[11] = 1.5, 1.6
+    traj = Trajectory([pair_scene(d) for d in steps])
+    cfg = SmoothingConfig(tau=1e-2)
+    exact = Evaluator(traj, smooth=False)
+    calls = _counting_atoms(monkeypatch)
+    for f in (Always(0, 16, _far_from("a", "b", 0.3)),
+              Eventually(0, 16, close_to("a", "b", 0.3))):
+        exact.result(f)
+        full = eval_smooth(f, traj, cfg=cfg).value
+        del calls[:]
+        screened = Evaluator(traj, True, cfg, exact=exact)
+        assert screened.eval(f, 0) == full
+        assert calls == [True, True], to_text(f)
+        # a skipped step is computed on demand
+        assert screened.result(f).per_time == eval_smooth(f, traj, cfg=cfg).per_time
+
+
+def test_screen_needs_a_proved_gap_and_an_atom_child(monkeypatch):
+    steps = [8.0] * 17
+    steps[5] = 1.5
+    traj = Trajectory([pair_scene(d) for d in steps])
+    exact = Evaluator(traj, smooth=False)
+    calls = _counting_atoms(monkeypatch)
+    touch = Atom(PredicateKind.TOUCH, ("a", "b"),
+                 PredicateParams.for_kind(PredicateKind.TOUCH, [0.1]))
+    for f in (Always(0, 16, touch),                          # no proved gap
+              Eventually(0, 16, _far_from("a", "b", 0.3)),   # farFrom has no upper bound
+              Always(0, 16, Not(close_to("a", "b", 0.3)))):  # not an atom
+        del calls[:]
+        eval_smooth(f, traj, cfg=SmoothingConfig(tau=1e-2), exact=exact)
+        assert calls.count(True) == 17, to_text(f)
+
+
+def test_exact_partner_must_be_exact_over_as_many_steps():
+    traj = traj_with_values([1.0, 3.0, -2.0])
+    with pytest.raises(FormulaError, match="exact partner"):
+        Evaluator(traj, True, exact=Evaluator(traj, smooth=True))
+    with pytest.raises(FormulaError, match="exact partner"):
+        Evaluator(traj, True, exact=Evaluator(traj_with_values([1.0]), smooth=False))
+    with pytest.raises(FormulaError, match="exact and over this trajectory"):
+        eval_exact(close_to("a", "b", 4.0), traj,
+                   evaluator=Evaluator(traj_with_values([1.0, 3.0, -2.0]), smooth=False))
+
+
+# -- smoothing budget -------------------------------------------------------------------
+
+
+def _plain_smoothing_budget(formula, trajectory, tau, t=0):
+    """smoothing_budget as first written: the same recursion with no memo."""
+
+    def vertex_count(name):
+        shape = trajectory.scene(0).get(name).shape
+        return 1 if not hasattr(shape, "vertices") else len(shape.vertices)
+
+    def budget(f, u):
+        if isinstance(f, Atom):
+            if f.kind in formulas._SAMPLED:
+                return None
+            if f.kind in (PredicateKind.ORIENTED, PredicateKind.BEARING_TO):
+                return 0.0
+            if f.kind in (PredicateKind.BETWEEN_PX, PredicateKind.BETWEEN_PY):
+                ni, nj, nk = (vertex_count(n) for n in f.objects)
+                clause = max(formulas._extreme_gap(ni) + formulas._extreme_gap(nj),
+                             formulas._extreme_gap(ni) + formulas._extreme_gap(nk))
+                return tau * (math.log(2.0) + clause)
+            return tau * sum(formulas._extreme_gap(vertex_count(n)) for n in f.objects)
+        if isinstance(f, Not):
+            return budget(f.child, u)
+        if isinstance(f, (And, Or)):
+            parts = [budget(c, u) for c in f.children]
+            if any(p is None for p in parts):
+                return None
+            return tau * math.log(len(f.children)) + max(parts)
+        if isinstance(f, (Always, Eventually)):
+            ts = formulas._window(u, f.lo, f.hi, trajectory.horizon, "G")
+            parts = [budget(f.child, v) for v in ts]
+            if any(p is None for p in parts):
+                return None
+            return tau * math.log(len(ts)) + max(parts)
+        if isinstance(f, Until):
+            ts = formulas._window(u, f.lo, f.hi, trajectory.horizon, "U")
+            parts = [budget(f.right, v) for v in ts]
+            parts += [budget(f.left, v) for v in range(u, ts.stop)]
+            if any(p is None for p in parts):
+                return None
+            width = ts.stop - u
+            return tau * (math.log(len(ts)) + math.log(width + 1)) + max(parts)
+        raise FormulaError(f"not a formula: {f!r}")
+
+    return budget(formula, t)
+
+
+def _budget_or_error(budget, f, traj, t):
+    try:
+        return budget(f, traj, 0.01, t)
+    except FormulaError as exc:   # a window fell off the horizon
+        return str(exc)
+
+
+def test_memoized_budget_matches_the_plain_recursion():
+    rng = random.Random(20261103)
+    traj = Trajectory([pair_scene(d, d_ac) for d, d_ac in
+                       ((1.3, 2.2), (2.0, 1.6), (3.4, 3.0), (1.8, 2.5), (2.7, 1.4), (1.1, 3.3))])
+    kinds = (PredicateKind.LEFT_OF, PredicateKind.BEHIND, PredicateKind.CLOSE_TO)
+    seen = set()
+    for _ in range(200):
+        f = random_formula(rng, 4, pairs=(("a", "b"), ("a", "c")), kinds=kinds)
+        for t in range(traj.horizon + 1):
+            got = _budget_or_error(smoothing_budget, f, traj, t)
+            assert got == _budget_or_error(_plain_smoothing_budget, f, traj, t), to_text(f)
+            seen.add(type(got))
+    assert seen == {float, type(None), str}
+
+
+def test_budget_takes_linear_time_under_nested_windows(monkeypatch):
+    # G[0,1] nested 18 deep: the plain recursion opens 2^18 - 1 windows at
+    # the root, the memo one per (node, step)
+    depth = 18
+    traj = traj_with_values([1.0] * (depth + 1))
+    f = Atom(PredicateKind.LEFT_OF, ("a", "b"),
+             PredicateParams.for_kind(PredicateKind.LEFT_OF, [0.1]))
+    for _ in range(depth):
+        f = Always(0, 1, f)
+    windows = []
+    real = formulas._window
+
+    def counting(*args):
+        windows.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(formulas, "_window", counting)
+    budget = smoothing_budget(f, traj, 0.01)
+    assert len(windows) <= depth * (depth + 1)
+    # every level but the innermost sees two steps; the atom adds two soft extremes
+    assert budget == pytest.approx(0.01 * (depth * math.log(2.0) + 2.0 * math.log(4.0)))

@@ -5,11 +5,11 @@ import random
 
 import pytest
 
+from gradcheck import central_difference, max_gradient_error
 import geometry_reference as ref
 from polystl import autodiff as ad
 from polystl import exactgeo as xg
 from polystl import geometry as geo
-from polystl.gradcheck import central_difference, max_gradient_error
 from polystl.randgeom import pair_for_index
 
 SHARP = geo.SmoothingConfig(tau=1e-3, samples_per_edge=32)

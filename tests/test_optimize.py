@@ -1,9 +1,10 @@
 """Optimizer loop: loss shape, schedules, convergence on small problems."""
+import importlib
 import math
 
 import pytest
 
-from polystl.formulas import eval_exact, eval_smooth, parse
+from polystl.formulas import Evaluator, eval_exact, eval_smooth, parse
 from polystl.geometry import ConvexPolygon, PolygonTemplate, SmoothingConfig
 from polystl.optimize import (Movable, OptimizationError, OptimizerConfig, Problem,
                               build_trajectory, optimize,
@@ -257,3 +258,24 @@ def test_directional_objective_moves_the_box_world():
     assert res.success
     xs = [p[0] for p in res.poses["ee"]]
     assert min(xs[1:]) < -0.7  # crossed to the far side with the margin
+
+def test_non_finite_loss_is_reported_after_the_exact_pass(monkeypatch):
+    # each iteration hands its exact evaluator to the smooth pass; a smooth
+    # value that is not finite still stops the run with OptimizationError
+    opt = importlib.import_module("polystl.optimize")   # the package exports optimize()
+    partners = []
+    real = opt.eval_smooth
+
+    def nan_at_third(formula, traj, t=0, cfg=SmoothingConfig(), exact=None):
+        partners.append(exact)
+        res = real(formula, traj, t, cfg=cfg, exact=exact)
+        if len(partners) == 3:
+            res.value = -math.inf
+            res.node = None
+        return res
+
+    monkeypatch.setattr(opt, "eval_smooth", nan_at_third)
+    with pytest.raises(OptimizationError, match="non-finite loss at iteration 2"):
+        optimize(reach_problem(), OptimizerConfig(iterations=10, samples_per_edge=4))
+    assert len(partners) == 3
+    assert all(isinstance(e, Evaluator) and not e.smooth for e in partners)

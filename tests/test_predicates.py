@@ -2,14 +2,16 @@
 gradients, operand validation."""
 import math
 import random
+import warnings
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+from gradcheck import central_difference, max_gradient_error
 from polystl import autodiff as ad
 from polystl import exactgeo as xg
 from polystl import geometry as geo
 from polystl import predicates as pr
-from polystl.gradcheck import central_difference, max_gradient_error
 from polystl.predicates import (AxisAlignedBox3, PredicateKind as K, PredicateParams,
                                 Scene, SceneObject)
 from polystl.randgeom import pair_for_index
@@ -368,3 +370,150 @@ def test_box_center_gradient():
     g = ad.backward(out)
     numeric = central_difference(value, xs, 1e-5)
     assert max_gradient_error([g.wrt(v) for v in c], numeric) < 1e-4
+
+
+# -- one-sided smooth/exact gaps -------------------------------------------------
+
+# the gaps are proved in real arithmetic; the two values are computed along
+# different float paths, so each side gets this much rounding slack
+ROUNDING = 1e-12
+
+
+def _polygon_or_none(points):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")   # near-collinear corners are fine here
+        try:
+            return geo.ConvexPolygon(points)
+        except xg.GeometryError:
+            return None
+
+
+@st.composite
+def polygons(draw, near=None):
+    """Convex polygons: points on a rotated ellipse (aspect up to 1:40, so
+    thin shapes) or an isosceles needle with an apex of 0.5 to 90 degrees.
+    ``near`` is a polygon whose vertices the new one is placed close to."""
+    rot = draw(st.floats(0.0, 2.0 * math.pi))
+    if draw(st.booleans()):
+        n = draw(st.integers(3, 9))
+        angles = sorted(draw(st.lists(st.floats(0.0, 2.0 * math.pi), min_size=n,
+                                      max_size=n, unique=True)))
+        rx, ry = draw(st.floats(0.05, 2.0)), draw(st.floats(0.05, 2.0))
+        local = [(rx * math.cos(a), ry * math.sin(a)) for a in angles]
+    else:
+        apex = math.radians(draw(st.floats(0.5, 90.0)))
+        length = draw(st.floats(0.1, 3.0))
+        half = length * math.tan(apex / 2.0)
+        local = [(0.0, -half), (length, 0.0), (0.0, half)]
+    if near is not None and draw(st.booleans()):
+        vx, vy = draw(st.sampled_from(near.float_vertices()))
+        r, phi = draw(st.floats(0.0, 0.6)), draw(st.floats(0.0, 2.0 * math.pi))
+        cx, cy = vx + r * math.cos(phi), vy + r * math.sin(phi)
+    else:
+        cx, cy = draw(st.floats(-3.0, 3.0)), draw(st.floats(-3.0, 3.0))
+    c, s = math.cos(rot), math.sin(rot)
+    poly = _polygon_or_none([(cx + c * x - s * y, cy + s * x + c * y) for x, y in local])
+    assume(poly is not None)
+    return poly
+
+
+@st.composite
+def smoothing(draw):
+    return geo.SmoothingConfig(tau=draw(st.sampled_from([1e-1, 1e-2, 1e-3])),
+                               samples_per_edge=draw(st.sampled_from([1, 2, 4, 16])),
+                               sigmoid_scale=draw(st.sampled_from([10.0, 50.0, 200.0])))
+
+
+def _check_gaps(sc, kind, names, cfg, **params):
+    below, above = pr.smooth_gaps(sc, kind, names, cfg)
+    exact = rob(sc, kind, names, False, cfg, **params)
+    smooth = rob(sc, kind, names, True, cfg, **params)
+    assert smooth >= exact - below - ROUNDING, (exact, smooth, below)
+    assert smooth <= exact + above + ROUNDING, (exact, smooth, above)
+    return below, above
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=polygons(), b=polygons(), cfg=smoothing())
+def test_distance_gaps_hold(a, b, cfg):
+    sc = scene(a=a, b=b)
+    gap = cfg.tau * math.log(2 * len(a) * cfg.samples_per_edge * len(b))
+    assert _check_gaps(sc, K.FAR_FROM, ["a", "b"], cfg, eps_far=0.3) == (gap, math.inf)
+    assert _check_gaps(sc, K.CLOSE_TO, ["a", "b"], cfg, eps_close=0.3) == (math.inf, gap)
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data(), cfg=smoothing())
+def test_enclosure_gap_holds(data, cfg):
+    outer = data.draw(polygons())
+    inner = data.draw(polygons(near=outer))
+    below, above = _check_gaps(scene(i=inner, o=outer), K.ENCL_IN, ["i", "o"], cfg,
+                               delta_inside=0.05)
+    assert below == math.inf
+    assert above == (geo.enclosure_error_budget(inner, outer, cfg)
+                     if pr._corners_blunt(outer) else math.inf)
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=polygons(), b=polygons(), cfg=smoothing(), kind=st.sampled_from(pr.DIRECTIONAL[:4]),
+       box=st.sampled_from([None, "a", "b"]))
+def test_directional_gaps_hold(a, b, cfg, kind, box):
+    shapes = {"a": a, "b": b}
+    if box is not None:   # a box has exact extremes and adds no gap
+        xs, ys = zip(*shapes[box].float_vertices())
+        shapes[box] = AxisAlignedBox3((min(xs), min(ys), 0.0), (max(xs), max(ys), 1.0))
+    gap = cfg.tau * sum(math.log(len(s)) for s in shapes.values()
+                        if isinstance(s, geo.ConvexPolygon))
+    assert _check_gaps(scene(**shapes), kind, ["a", "b"], cfg, kappa=0.1) == (gap, 0.0)
+
+
+def test_directional_gaps_on_boxes_are_zero():
+    sc = scene(a=AxisAlignedBox3((0.0, 0.0, 0.0), (1.0, 1.0, 1.0)),
+               b=AxisAlignedBox3((0.5, 2.0, 4.0), (3.0, 4.0, 5.0)))
+    for kind in pr.DIRECTIONAL:
+        assert _check_gaps(sc, kind, ["a", "b"], SHARP, kappa=0.5) == (0.0, 0.0)
+
+
+def test_kinds_without_a_proof_get_no_gap():
+    sc = scene(a=(square(0, 0), (1.0, 0.0)), b=(square(3, 0.2), (0.0, 1.0)),
+               c=(square(6, 0), (1.0, 0.0)))
+    for kind in (K.TOUCH, K.OVLP, K.PART_OVLP, K.ORIENTED, K.BEARING_TO):
+        assert pr.smooth_gaps(sc, kind, ["a", "b"], SHARP) == (math.inf, math.inf)
+    for kind in (K.BETWEEN_PX, K.BETWEEN_PY):
+        assert pr.smooth_gaps(sc, kind, ["a", "b", "c"], SHARP) == (math.inf, math.inf)
+    boxes = scene(a=AxisAlignedBox3((0, 0, 0), (1, 1, 1)), b=AxisAlignedBox3((0, 0, 0), (2, 2, 2)))
+    assert pr.smooth_gaps(boxes, K.ENCL_IN, ["a", "b"], SHARP) == (math.inf, math.inf)
+
+
+def test_enclosure_budget_fails_above_past_an_acute_corner():
+    # a needle with a 2 degree tip and a small square 0.3 beyond it: the hard
+    # inward margin there is only 0.3*sin(1 deg), so the sigmoid leaves much
+    # weight on the inside branch and the smooth margin overshoots the budget
+    half = 2.0 * math.tan(math.radians(1.0))
+    outer = geo.ConvexPolygon([(0.0, -half), (2.0, 0.0), (0.0, half)])
+    inner = square(2.31, 0.0, 0.01)
+    cfg = geo.SmoothingConfig(tau=1e-2)
+    sc = scene(i=inner, o=outer)
+    over = (rob(sc, K.ENCL_IN, ["i", "o"], True, cfg, delta_inside=0.05)
+            - rob(sc, K.ENCL_IN, ["i", "o"], False, cfg, delta_inside=0.05))
+    assert over > 2.0 * geo.enclosure_error_budget(inner, outer, cfg)
+    assert not pr._corners_blunt(outer)
+    assert pr.smooth_gaps(sc, K.ENCL_IN, ["i", "o"], cfg) == (math.inf, math.inf)
+
+
+def test_enclosure_budget_fails_below_along_near_collinear_edges():
+    # 60 nearly collinear bottom edges: a vertex just inside the middle one
+    # sees many equal margins but one near distance, and the blend puts its
+    # smooth signed distance above the exact one by more than the budget
+    radius = 1e5
+    chain = [(x, radius - math.sqrt(radius * radius - x * x)) for x in range(-60, 61, 2)]
+    outer = geo.ConvexPolygon(chain + [(60.0, 5.0), (-60.0, 5.0)])
+    cfg = geo.SmoothingConfig(tau=1e-1)
+    under = 0.0
+    for k in range(1, 80):
+        sc = scene(i=geo.ConvexPolygon([(0.0, k * 0.01), (0.5, 2.0), (-0.5, 2.0)]), o=outer)
+        under = max(under, rob(sc, K.ENCL_IN, ["i", "o"], False, cfg, delta_inside=0.05)
+                    - rob(sc, K.ENCL_IN, ["i", "o"], True, cfg, delta_inside=0.05))
+    assert under > geo.enclosure_error_budget(sc.get("i").shape, outer, cfg)
+    assert pr._corners_blunt(outer)
+    assert pr.smooth_gaps(sc, K.ENCL_IN, ["i", "o"], cfg)[0] == math.inf
