@@ -195,50 +195,6 @@ def value_of(x: Scalar) -> float:
 # -- unary primitives (Var or float in, same kind out) ------------------
 
 
-def exp(x: Scalar) -> Scalar:
-    if isinstance(x, Var):
-        v = math.exp(x.value)
-        return _unary(x, v, v)
-    return math.exp(x)
-
-
-def log(x: Scalar) -> Scalar:
-    if isinstance(x, Var):
-        v = x.value
-        if v <= 0.0:
-            raise EvaluationError(f"log: non-positive argument {v!r} at node {len(x.tape.val)}")
-        return _unary(x, math.log(v), 1.0 / v)
-    if x <= 0.0:
-        raise EvaluationError(f"log: non-positive argument {x!r}")
-    return math.log(x)
-
-
-def sqrt(x: Scalar) -> Scalar:
-    """Exact square root; argument must be >= 0. Derivative at 0 set to 0
-    (one-sided convention, same spirit as relu)."""
-    if isinstance(x, Var):
-        v = x.value
-        if v < 0.0:
-            raise EvaluationError(f"sqrt: negative argument {v!r} at node {len(x.tape.val)}")
-        r = math.sqrt(v)
-        return _unary(x, r, 0.0 if r == 0.0 else 0.5 / r)
-    if x < 0.0:
-        raise EvaluationError(f"sqrt: negative argument {x!r}")
-    return math.sqrt(x)
-
-
-def sqrt_guarded(x: Scalar) -> Scalar:
-    """sqrt(x + guard): keeps the derivative finite near zero.
-
-    Used by every distance computation so gradients stay defined when two
-    points coincide.
-    """
-    if isinstance(x, Var):
-        r = math.sqrt(x.value + SQRT_GUARD)
-        return _unary(x, r, 0.5 / r)
-    return math.sqrt(x + SQRT_GUARD)
-
-
 def square(x: Scalar) -> Scalar:
     if isinstance(x, Var):
         v = x.value
@@ -247,13 +203,14 @@ def square(x: Scalar) -> Scalar:
 
 
 def relu(x: Scalar) -> Scalar:
-    """max(0, x); subgradient 0 at the kink."""
+    """max(0, x); subgradient 0 at the kink. NaN passes through, so a
+    non-finite input stays visible downstream."""
     if isinstance(x, Var):
         v = x.value
-        if v > 0.0:
-            return _unary(x, v, 1.0)
-        return _unary(x, 0.0, 0.0)
-    return x if x > 0.0 else 0.0
+        if v <= 0.0:
+            return _unary(x, 0.0, 0.0)
+        return _unary(x, v, 1.0)
+    return 0.0 if x <= 0.0 else x
 
 
 def _sigmoid_float(v: float) -> float:

@@ -62,7 +62,7 @@ def cmd_eval(args) -> int:
     print(f"robustness (exact):  {sio.fmt(exact.value)}")
     print(f"robustness (smooth): {sio.fmt(smooth.value)}"
           f"  [tau={args.tau:g}, S={args.samples}]")
-    budget = smoothing_budget(scn.formula, traj, args.tau)
+    budget = smoothing_budget(scn.formula, traj, args.tau, smooth=evaluators["smooth"])
     if budget is not None:
         gap = abs(smooth.value - exact.value)
         print(f"smoothing budget (tau={args.tau:g}): {sio.fmt(budget)}"

@@ -211,10 +211,6 @@ def polygon_contains_polygon(outer: Sequence[Point], inner: Sequence[Point]) -> 
     return all(point_in_polygon(v, outer) for v in inner)
 
 
-def max_edge_length(vertices: Sequence[Point]) -> float:
-    return max(math.dist(a, b) for a, b in _edges(vertices))
-
-
 def diameter(vertices: Sequence[Point]) -> float:
     n = len(vertices)
     return max(math.dist(vertices[i], vertices[j])

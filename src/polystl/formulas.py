@@ -409,6 +409,11 @@ class Evaluator:
     rounding boundary. An infinite gap, no partner, a child that is not an
     atom or a bound that is not finite leaves every step in. A left-out
     step is not in the child's table; ``eval`` computes it on demand.
+
+    The atom leaf, negation and the extremes are the hooks ``_atom``,
+    ``_neg``, ``_min`` and ``_max``; ``_Budgets`` swaps them to bound the
+    smoothing error over the same traversal, reading the per-step atom
+    gaps (``_gaps``) that the screened windows memoized.
     """
 
     def __init__(self, trajectory: Trajectory, smooth: bool,
@@ -423,6 +428,23 @@ class Evaluator:
         self.exact = exact if smooth else None
         self._tables: dict[int, tuple[Formula, dict[int, Scalar]]] = {}
         self._atom_tables: dict[Atom, dict[int, Scalar]] = {}
+        self._gap_tables: dict[Atom, dict[int, tuple[float, float]]] = {}
+
+    def _gaps(self, atom: Atom, t: int) -> tuple[float, float]:
+        """The atom's proved (below, above) gaps at step ``t`` under this
+        evaluator's smoothing (``predicates.smooth_gaps``), memoized."""
+        table = self._gap_tables.setdefault(atom, {})
+        out = table.get(t)
+        if out is None:
+            out = table[t] = smooth_gaps(self.traj.scene(t), atom.kind, atom.objects, self.cfg)
+        return out
+
+    def _atom(self, f: Atom, t: int) -> Scalar:
+        return atom_robustness(self.traj.scene(t), f.kind, f.objects, f.params,
+                               self.smooth, self.cfg)
+
+    def _neg(self, x: Scalar) -> Scalar:
+        return -x
 
     def _min(self, xs: list[Scalar]) -> Scalar:
         if self.smooth:
@@ -449,10 +471,9 @@ class Evaluator:
 
     def _eval(self, f: Formula, t: int) -> Scalar:
         if isinstance(f, Atom):
-            return atom_robustness(self.traj.scene(t), f.kind, f.objects, f.params,
-                                   self.smooth, self.cfg)
+            return self._atom(f, t)
         if isinstance(f, Not):
-            return -self.eval(f.child, t)
+            return self._neg(self.eval(f.child, t))
         if isinstance(f, And):
             return self._min([self.eval(c, t) for c in f.children])
         if isinstance(f, Or):
@@ -483,7 +504,7 @@ class Evaluator:
         # keys[i] bounds -sign * (smooth value at ts[i]) from below
         keys = []
         for u in ts:
-            below, above = smooth_gaps(self.traj.scene(u), child.kind, child.objects, self.cfg)
+            below, above = self._gaps(child, u)
             gap = below if sign < 0.0 else above
             if gap == math.inf:
                 return [self.eval(child, u) for u in ts]
@@ -608,70 +629,47 @@ def atoms_of(formula: Formula) -> list[Atom]:
     return out
 
 
-_SAMPLED = {PredicateKind.CLOSE_TO, PredicateKind.FAR_FROM, PredicateKind.TOUCH,
-            PredicateKind.OVLP, PredicateKind.PART_OVLP, PredicateKind.ENCL_IN}
+class _Budgets(Evaluator):
+    """Per-step bounds on |smooth - exact| on ``Evaluator``'s recursion and
+    memo. An atom's bound is the larger of its proved gaps
+    (``predicates.smooth_gaps``); negation keeps its child's bound. A soft
+    extreme over n parts lies within tau*log n of the hard extreme of its
+    smooth parts, which lies within the largest part's bound of the exact
+    extreme, so it adds tau*log n to that bound. ``inf`` marks a value
+    that reaches an atom with no two-sided gap. The gaps are read from,
+    and added to, the table of the smooth evaluator the bounds are for."""
 
+    def __init__(self, smooth: Evaluator):
+        super().__init__(smooth.traj, smooth=False, cfg=smooth.cfg)
+        self._gap_tables = smooth._gap_tables
 
-def _extreme_gap(vertex_count: int) -> float:
-    """log-sum-exp gap factor for one soft extreme; exact for boxes (count 1)."""
-    return math.log(vertex_count) if vertex_count > 1 else 0.0
+    def _atom(self, f: Atom, t: int) -> float:
+        return max(self._gaps(f, t))
+
+    def _neg(self, x: float) -> float:
+        return x
+
+    def _min(self, xs: list[float]) -> float:
+        return max(xs) + self.cfg.tau * math.log(len(xs))
+
+    _max = _min
 
 
 def smoothing_budget(formula: Formula, trajectory: Trajectory, tau: float,
-                     t: int = 0) -> Optional[float]:
-    """Cumulative log-sum-exp gap bound |smooth - exact| for formulas whose
-    atoms avoid boundary sampling (directional, between, oriented, bearing);
-    returns None when a sampled atom makes the simple bound inapplicable.
+                     t: int = 0, smooth: Optional[Evaluator] = None) -> Optional[float]:
+    """Proved bound on |smooth - exact| for ``formula`` anchored at ``t``,
+    composed per soft extreme (see ``_Budgets``); an ``U`` window counts
+    the soft-min at each release step and the soft-max over them. None
+    when an atom the formula reaches has no two-sided gap, as the sampled
+    distance and the enclosure atoms have not.
 
-    Budgets are memoized per (subformula, step), so nested windows cost
-    time linear in the formula size times the horizon."""
-
-    def vertex_count(name: str) -> int:
-        shape = trajectory.scene(0).get(name).shape
-        return 1 if not hasattr(shape, "vertices") else len(shape.vertices)
-
-    memo: dict[tuple[int, int], Optional[float]] = {}   # the nodes live in ``formula``
-
-    def budget(f: Formula, u: int) -> Optional[float]:
-        key = (id(f), u)
-        if key not in memo:
-            memo[key] = fresh(f, u)
-        return memo[key]
-
-    def fresh(f: Formula, u: int) -> Optional[float]:
-        if isinstance(f, Atom):
-            if f.kind in _SAMPLED:
-                return None
-            if f.kind in (PredicateKind.ORIENTED, PredicateKind.BEARING_TO):
-                return 0.0
-            if f.kind in (PredicateKind.BETWEEN_PX, PredicateKind.BETWEEN_PY):
-                ni, nj, nk = (vertex_count(n) for n in f.objects)
-                clause = max(_extreme_gap(ni) + _extreme_gap(nj),
-                             _extreme_gap(ni) + _extreme_gap(nk))
-                return tau * (math.log(2.0) + clause)
-            counts = [vertex_count(n) for n in f.objects]
-            return tau * sum(_extreme_gap(c) for c in counts)
-        if isinstance(f, Not):
-            return budget(f.child, u)
-        if isinstance(f, (And, Or)):
-            parts = [budget(c, u) for c in f.children]
-            if any(p is None for p in parts):
-                return None
-            return tau * math.log(len(f.children)) + max(parts)
-        if isinstance(f, (Always, Eventually)):
-            ts = _window(u, f.lo, f.hi, trajectory.horizon, "G")
-            parts = [budget(f.child, v) for v in ts]
-            if any(p is None for p in parts):
-                return None
-            return tau * math.log(len(ts)) + max(parts)
-        if isinstance(f, Until):
-            ts = _window(u, f.lo, f.hi, trajectory.horizon, "U")
-            parts = [budget(f.right, v) for v in ts]
-            parts += [budget(f.left, v) for v in range(u, ts.stop)]
-            if any(p is None for p in parts):
-                return None
-            width = ts.stop - u
-            return tau * (math.log(len(ts)) + math.log(width + 1)) + max(parts)
-        raise FormulaError(f"not a formula: {f!r}")
-
-    return budget(formula, t)
+    ``smooth``, the smooth Evaluator over ``trajectory`` at ``tau`` whose
+    value the budget bounds, lends the gaps its screened windows already
+    computed."""
+    if smooth is None:
+        smooth = Evaluator(trajectory, smooth=True, cfg=SmoothingConfig(tau=tau))
+    elif not smooth.smooth or smooth.traj is not trajectory or smooth.cfg.tau != tau:
+        raise FormulaError("smoothing_budget: the evaluator must be smooth, "
+                           "over this trajectory and at this tau")
+    budget = _Budgets(smooth).eval(formula, t)
+    return None if budget == math.inf else budget

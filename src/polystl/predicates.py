@@ -395,6 +395,13 @@ def smooth_gaps(scene: Scene, kind: PredicateKind, names: Sequence[str],
       its hard extreme that lowers the margin, within tau*log n; box
       extremes are exact. So the smooth value is at most the exact one and
       at least the exact one minus tau*(log n + log m).
+    - betweenPx/betweenPy, below by tau*(log 2 + max(g_a + g_mid,
+      g_mid + g_c)), with g = log(#vertices) for a polygon and 0 for a
+      box: each clause moves down as a directional margin does, by at most
+      its two soft extremes, and the soft-min of the two clauses lies
+      within tau*log 2 below their minimum.
+    - oriented and bearingTo compute the same arithmetic in both modes, so
+      both gaps are 0.
 
     Every other kind gets ``inf`` on both sides."""
     shapes = [scene.get(n).shape for n in names]
@@ -408,4 +415,10 @@ def smooth_gaps(scene: Scene, kind: PredicateKind, names: Sequence[str],
     if kind in DIRECTIONAL:
         return cfg.tau * sum(math.log(len(s)) for s in shapes
                              if isinstance(s, ConvexPolygon)), 0.0
+    if kind in (PredicateKind.BETWEEN_PX, PredicateKind.BETWEEN_PY):
+        g_a, g_mid, g_c = (math.log(len(s)) if isinstance(s, ConvexPolygon) else 0.0
+                           for s in shapes)
+        return cfg.tau * (math.log(2.0) + max(g_a + g_mid, g_mid + g_c)), 0.0
+    if kind in (PredicateKind.ORIENTED, PredicateKind.BEARING_TO):
+        return 0.0, 0.0
     return math.inf, math.inf

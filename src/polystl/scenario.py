@@ -20,7 +20,7 @@ from . import __version__
 from .autodiff import wrap_angle
 from .formulas import Formula, FormulaError, Trajectory, parse
 from .geometry import ConvexPolygon, PolygonTemplate
-from .mining import DemonstrationSet, LearnedMargin, Phase, RetainedFormula
+from .mining import DemonstrationSet, LearnedMargin, MiningError, Phase, RetainedFormula
 from .optimize import (Movable, OptimizationError, OptimizerConfig, PoseTriple, Problem,
                        TraceRow)
 from .predicates import AxisAlignedBox3, Scene, SceneObject
@@ -405,26 +405,44 @@ def write_demo_dir(path: str, demos: DemonstrationSet) -> list[str]:
     return written
 
 
+def _objects(meta: dict, key: str, where: str) -> list[dict]:
+    raw = meta[key]
+    if not isinstance(raw, list) or not all(isinstance(x, dict) for x in raw):
+        raise ScenarioFileError(f"{where}: {key} must be a list of objects")
+    return raw
+
+
 def read_demo_dir(path: str) -> DemonstrationSet:
     meta_path = os.path.join(path, DEMO_META_NAME)
     if not os.path.exists(meta_path):
         raise ScenarioFileError(f"{path}: no {DEMO_META_NAME}")
     with open(meta_path) as fh:
-        meta = json.load(fh)
+        try:
+            meta = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ScenarioFileError(f"{meta_path}: not valid JSON ({exc})") from None
+    if not isinstance(meta, dict):
+        raise ScenarioFileError(f"{meta_path}: must be a JSON object")
     _require_keys(meta, ["subject", "subject_half", "obstacles", "phases"], [],
                   meta_path)
     half = _numbers(meta["subject_half"], 3, "[hx, hy, hz]", f"{meta_path}: subject_half")
     statics = []
-    for raw in meta["obstacles"]:
+    for raw in _objects(meta, "obstacles", meta_path):
         _require_keys(raw, ["name", "lo", "hi"], [], f"{meta_path} obstacle")
         where = f"{meta_path}: obstacle {raw['name']!r}"
         lo = _numbers(raw["lo"], 3, "[x, y, z]", f"{where}: lo")
         hi = _numbers(raw["hi"], 3, "[x, y, z]", f"{where}: hi")
         statics.append(SceneObject(raw["name"], AxisAlignedBox3(lo, hi)))
     phases = []
-    for raw in meta["phases"]:
+    for raw in _objects(meta, "phases", meta_path):
         _require_keys(raw, ["name", "lo", "hi"], [], f"{meta_path} phase")
-        phases.append(Phase(raw["name"], int(raw["lo"]), int(raw["hi"])))
+        if not (_is_integer(raw["lo"]) and _is_integer(raw["hi"])):
+            raise ScenarioFileError(
+                f"{meta_path}: phase {raw['name']!r}: lo and hi must be integers")
+        try:
+            phases.append(Phase(raw["name"], raw["lo"], raw["hi"]))
+        except MiningError as exc:
+            raise ScenarioFileError(f"{meta_path}: {exc}") from None
 
     demo_files = sorted(f for f in os.listdir(path)
                         if f.startswith("demo_") and f.endswith(".csv"))

@@ -7,14 +7,16 @@ operations. The bodies below are kept verbatim, together with the hard
 ``max2``/``min2`` they clamp with, so the fused kernels can be checked
 against them for equal values and matching adjoints.
 
+``sqrt_guarded`` is the guarded square root those bodies measure with.
 ``segment_distance`` is the exact distance of two closed segments, the
 edge-pair formulation ``exactgeo.exact_distance`` is checked against.
 """
+import math
 import types
 
 from polystl import autodiff as _autodiff
 from polystl import exactgeo as _exactgeo
-from polystl.autodiff import Scalar, _binary, value_of
+from polystl.autodiff import SQRT_GUARD, Scalar, Var, _binary, _unary, value_of
 from polystl.geometry import BoundarySamples, ConvexPolygon, ScalarPoint, SmoothingConfig
 
 
@@ -36,9 +38,15 @@ def min2(a: Scalar, b: Scalar) -> Scalar:
     return _binary(a, b, bv, 0.0, 1.0, "min2")
 
 
+def sqrt_guarded(x: Scalar) -> Scalar:
+    """sqrt(x + guard): keeps the derivative finite where two points meet."""
+    if isinstance(x, Var):
+        r = math.sqrt(x.value + SQRT_GUARD)
+        return _unary(x, r, 0.5 / r)
+    return math.sqrt(x + SQRT_GUARD)
 
 
-ad = types.SimpleNamespace(**vars(_autodiff), max2=max2, min2=min2)
+ad = types.SimpleNamespace(**vars(_autodiff), max2=max2, min2=min2, sqrt_guarded=sqrt_guarded)
 
 
 def sample_boundary(polygon: ConvexPolygon, samples_per_edge: int) -> BoundarySamples:

@@ -387,6 +387,33 @@ class TestLearn:
         assert out == ""
         assert err == f"error: {csv_path}:5: not a number in ['0.5', 'abc', '0.25']\n"
 
+    @pytest.mark.parametrize("edit,message", [
+        (lambda meta: {**meta, "obstacles": 5}, "obstacles must be a list of objects"),
+        (lambda meta: {**meta, "phases": ["approach"]}, "phases must be a list of objects"),
+        (lambda meta: {**meta, "phases": [{**meta["phases"][0], "lo": 0.7}]},
+         "phase 'approach': lo and hi must be integers"),
+        (lambda meta: {**meta, "phases": [{**meta["phases"][0], "lo": "x"}]},
+         "phase 'approach': lo and hi must be integers"),
+        (lambda meta: {**meta, "phases": [{**meta["phases"][0], "lo": 70}]},
+         "phase 'approach': bad window [70,59]"),
+        (lambda meta: [meta], "must be a JSON object"),
+        (None, "not valid JSON"),
+    ], ids=["obstacles-not-a-list", "phase-not-an-object", "float-bound", "string-bound",
+            "empty-window", "not-an-object", "bad-json"])
+    def test_malformed_meta_exits_2_naming_the_file(self, tmp_path, capsys, edit, message):
+        demos = tmp_path / "demos"
+        write_demo_dir(str(demos), make_demo_set(seed=0, n_demos=2))
+        meta_path = demos / "meta.json"
+        text = "{\"obstacles\": [" if edit is None else json.dumps(
+            edit(json.loads(meta_path.read_text())))
+        meta_path.write_text(text)
+        rc = main(["learn", str(demos), "--out-dir", str(tmp_path / "out")])
+        out, err = capsys.readouterr()
+        assert rc == 2
+        assert out == ""
+        assert err.startswith(f"error: {meta_path}: ") and err.count("\n") == 1, err
+        assert message in err
+
     @pytest.mark.parametrize("keep", ["0", "-1"])
     def test_keep_below_one_exits_2(self, tmp_path, capsys, keep):
         rc = main(["learn", "--synthetic", "1", "--keep", keep, "--out-dir", str(tmp_path)])

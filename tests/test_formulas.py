@@ -12,13 +12,19 @@ from polystl.formulas import (MAX_NESTING, Always, And, Atom, Evaluator, Eventua
                               eval_exact, eval_smooth, parse, satisfies,
                               smoothing_budget, to_text)
 from polystl.geometry import ConvexPolygon, SmoothingConfig
-from polystl.predicates import (AxisAlignedBox3, PredicateKind, PredicateParams,
-                                Scene, SceneObject)
+from polystl.predicates import (ARITY, DIRECTIONAL, AxisAlignedBox3, PredicateKind,
+                                PredicateParams, Scene, SceneObject)
 
 
 def square(cx, cy, half=0.5):
     return ConvexPolygon([(cx - half, cy - half), (cx + half, cy - half),
                           (cx + half, cy + half), (cx - half, cy + half)])
+
+
+def _ngon(cx, cy, n, r, rot=0.0):
+    """Regular n-gon of circumradius r about (cx, cy)."""
+    return ConvexPolygon([(cx + r * math.cos(rot + 2.0 * math.pi * k / n),
+                           cy + r * math.sin(rot + 2.0 * math.pi * k / n)) for k in range(n)])
 
 
 def pair_scene(d_ab, d_ac=None):
@@ -393,13 +399,15 @@ def test_memo_shares_subformula_work():
 def random_formula(rng, depth, pairs=(("a", "b"),),
                    kinds=(PredicateKind.CLOSE_TO, PredicateKind.FAR_FROM, PredicateKind.LEFT_OF)):
     """A random formula over atoms of the given kinds (closeTo/farFrom/leftOf
-    by default) on the object pairs."""
+    by default) on the object pairs; an atom takes the tuples of ``pairs``
+    that match its arity."""
     kinds = list(kinds)
 
     def gen(depth):
         if depth == 0 or rng.random() < 0.35:
             k = rng.choice(kinds)
-            objects = pairs[0] if len(pairs) == 1 else rng.choice(pairs)
+            fits = [p for p in pairs if len(p) == ARITY[k]]
+            objects = fits[0] if len(fits) == 1 else rng.choice(fits)
             return Atom(k, objects,
                         PredicateParams.for_kind(k, [round(rng.uniform(0.2, 3.0), 2)]))
         op = rng.randrange(6)
@@ -643,15 +651,18 @@ def _far_from(x, y, eps):
 
 
 def _three_squares(steps, tape=None):
-    """a at the origin, b and c at the given x per step (c lifted by 0.3);
-    with a tape, b's and c's x are tape variables, returned as well."""
+    """a at the origin, b and c at the given x per step (c lifted by 0.3),
+    headed at that x read as an angle (a along the x axis); with a tape,
+    b's and c's x are tape variables, returned as well."""
     scenes, xs = [], []
     for d_ab, d_ac in steps:
         if tape is not None:
             d_ab, d_ac = tape.var(d_ab), tape.var(d_ac)
             xs += [d_ab, d_ac]
-        scenes.append(Scene([SceneObject("a", square(0, 0)), SceneObject("b", square(d_ab, 0)),
-                             SceneObject("c", square(d_ac, 0.3))]))
+        scenes.append(Scene([
+            SceneObject("a", square(0, 0), (1.0, 0.0)),
+            SceneObject("b", square(d_ab, 0), (ad.cos(d_ab), ad.sin(d_ab))),
+            SceneObject("c", square(d_ac, 0.3), (ad.cos(d_ac), ad.sin(d_ac)))]))
     return Trajectory(scenes), xs
 
 
@@ -682,6 +693,8 @@ def test_screened_windows_match_unscreened(tau, monkeypatch):
     computed last, the per-step values of ``result``."""
     rng = random.Random(20261102)
     cfg = SmoothingConfig(tau=tau)
+    kinds = (PredicateKind.CLOSE_TO, PredicateKind.FAR_FROM, PredicateKind.LEFT_OF,
+             PredicateKind.BETWEEN_PX, PredicateKind.ORIENTED)
     calls = _counting_atoms(monkeypatch)
     counts = {"screened": 0, "full": 0}
     compared = 0
@@ -691,7 +704,8 @@ def test_screened_windows_match_unscreened(tau, monkeypatch):
                  for _ in range(6)]
         exact = Evaluator(_three_squares(steps)[0], smooth=False)
         for _ in range(6):
-            f = random_formula(rng, 3, pairs=(("a", "b"), ("a", "c")))
+            f = random_formula(rng, 3, pairs=(("a", "b"), ("a", "c"), ("a", "b", "c")),
+                               kinds=kinds)
             tape = ad.Tape()
             traj, xs = _three_squares(steps, tape)
             evs = {"screened": Evaluator(traj, True, cfg, exact=exact),
@@ -771,24 +785,22 @@ def test_exact_partner_must_be_exact_over_as_many_steps():
 
 
 def _plain_smoothing_budget(formula, trajectory, tau, t=0):
-    """smoothing_budget as first written: the same recursion with no memo."""
+    """smoothing_budget as first written: its own recursion with no memo,
+    its own gaps for directional and sampled atoms (the kinds the tests
+    below draw) and one closed form for ``U``."""
+    sampled = {PredicateKind.CLOSE_TO, PredicateKind.FAR_FROM, PredicateKind.TOUCH,
+               PredicateKind.OVLP, PredicateKind.PART_OVLP, PredicateKind.ENCL_IN}
 
-    def vertex_count(name):
+    def extreme_gap(name):
         shape = trajectory.scene(0).get(name).shape
-        return 1 if not hasattr(shape, "vertices") else len(shape.vertices)
+        return math.log(len(shape.vertices)) if hasattr(shape, "vertices") else 0.0
 
     def budget(f, u):
         if isinstance(f, Atom):
-            if f.kind in formulas._SAMPLED:
+            if f.kind in sampled:
                 return None
-            if f.kind in (PredicateKind.ORIENTED, PredicateKind.BEARING_TO):
-                return 0.0
-            if f.kind in (PredicateKind.BETWEEN_PX, PredicateKind.BETWEEN_PY):
-                ni, nj, nk = (vertex_count(n) for n in f.objects)
-                clause = max(formulas._extreme_gap(ni) + formulas._extreme_gap(nj),
-                             formulas._extreme_gap(ni) + formulas._extreme_gap(nk))
-                return tau * (math.log(2.0) + clause)
-            return tau * sum(formulas._extreme_gap(vertex_count(n)) for n in f.objects)
+            assert f.kind in DIRECTIONAL, f.kind
+            return tau * sum(extreme_gap(n) for n in f.objects)
         if isinstance(f, Not):
             return budget(f.child, u)
         if isinstance(f, (And, Or)):
@@ -818,23 +830,57 @@ def _plain_smoothing_budget(formula, trajectory, tau, t=0):
 def _budget_or_error(budget, f, traj, t):
     try:
         return budget(f, traj, 0.01, t)
-    except FormulaError as exc:   # a window fell off the horizon
-        return str(exc)
+    except FormulaError:   # a window fell off the horizon
+        return FormulaError
 
 
 def test_memoized_budget_matches_the_plain_recursion():
+    """The budget composed on ``Evaluator``'s recursion equals the old one
+    bit for bit on formulas with no ``U``; on ``U`` it composes one soft-min
+    per release step and the soft-max over them, which is never larger than
+    the old closed form. Both raise on the same anchors, if not always with
+    the same window's message."""
     rng = random.Random(20261103)
-    traj = Trajectory([pair_scene(d, d_ac) for d, d_ac in
-                       ((1.3, 2.2), (2.0, 1.6), (3.4, 3.0), (1.8, 2.5), (2.7, 1.4), (1.1, 3.3))])
+    squares = Trajectory([pair_scene(d, d_ac) for d, d_ac in
+                          ((1.3, 2.2), (2.0, 1.6), (3.4, 3.0), (1.8, 2.5), (2.7, 1.4), (1.1, 3.3))])
+    mixed = Trajectory([Scene([SceneObject("a", _ngon(0.0, 0.0, 3, 0.5)),
+                               SceneObject("b", _ngon(d, 0.0, 7, 0.5)),
+                               SceneObject("c", AxisAlignedBox3.from_center(
+                                   d_ac, 0.0, 0.0, (0.5, 0.5, 0.5)))])
+                        for d, d_ac in ((1.3, 2.2), (2.0, 1.6), (3.4, 3.0), (1.8, 2.5))])
     kinds = (PredicateKind.LEFT_OF, PredicateKind.BEHIND, PredicateKind.CLOSE_TO)
     seen = set()
-    for _ in range(200):
-        f = random_formula(rng, 4, pairs=(("a", "b"), ("a", "c")), kinds=kinds)
-        for t in range(traj.horizon + 1):
-            got = _budget_or_error(smoothing_budget, f, traj, t)
-            assert got == _budget_or_error(_plain_smoothing_budget, f, traj, t), to_text(f)
-            seen.add(type(got))
-    assert seen == {float, type(None), str}
+    for traj in (squares, mixed):
+        for _ in range(200):
+            f = random_formula(rng, 4, pairs=(("a", "b"), ("a", "c")), kinds=kinds)
+            until = "U[" in to_text(f)
+            for t in range(traj.horizon + 1):
+                got = _budget_or_error(smoothing_budget, f, traj, t)
+                old = _budget_or_error(_plain_smoothing_budget, f, traj, t)
+                seen.add(got if got in (None, FormulaError) else type(got))
+                if until and isinstance(old, float):
+                    assert got <= old * (1.0 + 1e-12), to_text(f)
+                else:
+                    assert got == old, to_text(f)
+    assert seen == {float, None, FormulaError}
+
+
+def test_until_budget_composes_each_release_step():
+    # leftOf(a, a) U[0,1] F[0,3] leftOf(a, b) over steps 0..3, anchored at 0:
+    # release at 0 takes a soft-min over 2 terms whose largest bound is
+    # F's at 0 (P + tau*log 4), release at 1 one over 3 terms whose largest
+    # is F's at 1 (P + tau*log 3); the soft-max over the two adds tau*log 2.
+    # The old closed form paired the largest bound with the widest soft-min.
+    traj = traj_with_values([1.0] * 4)
+    left_of = Atom(PredicateKind.LEFT_OF, ("a", "b"),
+                   PredicateParams.for_kind(PredicateKind.LEFT_OF, [0.1]))
+    held = Atom(PredicateKind.LEFT_OF, ("a", "a"),
+                PredicateParams.for_kind(PredicateKind.LEFT_OF, [0.1]))
+    f = Until(0, 1, held, Eventually(0, 3, left_of))
+    tau = 0.01
+    p = tau * 2.0 * math.log(4.0)
+    assert smoothing_budget(f, traj, tau) == pytest.approx(p + tau * math.log(18.0))
+    assert _plain_smoothing_budget(f, traj, tau) == pytest.approx(p + tau * math.log(24.0))
 
 
 def test_budget_takes_linear_time_under_nested_windows(monkeypatch):
@@ -858,3 +904,85 @@ def test_budget_takes_linear_time_under_nested_windows(monkeypatch):
     assert len(windows) <= depth * (depth + 1)
     # every level but the innermost sees two steps; the atom adds two soft extremes
     assert budget == pytest.approx(0.01 * (depth * math.log(2.0) + 2.0 * math.log(4.0)))
+
+
+def test_between_budget_covers_the_mid_to_c_clause():
+    # a 4-gon, then two small 40-gons: the second clause, c's soft-min less
+    # mid's soft-max, binds and falls tau*(log 40 + log 40) short at most;
+    # a bound that counted the 4-gon there instead would read 0.577
+    traj = Trajectory([Scene([SceneObject("a", _ngon(0.0, 0.0, 4, 0.05)),
+                              SceneObject("mid", _ngon(2.0, 0.0, 40, 0.05)),
+                              SceneObject("c", _ngon(3.0, 0.0, 40, 0.05))])])
+    f = Atom(PredicateKind.BETWEEN_PX, ("a", "mid", "c"),
+             PredicateParams.for_kind(PredicateKind.BETWEEN_PX, [0.1]))
+    gap = abs(eval_smooth(f, traj, cfg=SmoothingConfig(tau=0.1)).value - eval_exact(f, traj).value)
+    budget = smoothing_budget(f, traj, 0.1)
+    assert gap == pytest.approx(0.650, abs=1e-3)
+    assert budget == pytest.approx(0.1 * (math.log(2.0) + 2.0 * math.log(40.0)))
+    assert gap <= budget
+
+
+@pytest.mark.parametrize("tau", [0.1, 0.02])
+def test_smooth_stays_within_the_budget(tau):
+    """|smooth - exact| <= smoothing_budget at every anchor of random
+    formulas, ``U`` among them, over directional, between and oriented
+    atoms on polygons of 3 to 40 vertices that move and turn."""
+    rng = random.Random(20261104)
+    cfg = SmoothingConfig(tau=tau)
+    kinds = (PredicateKind.LEFT_OF, PredicateKind.BEHIND, PredicateKind.BETWEEN_PX,
+             PredicateKind.ORIENTED)
+    groups = (("a", "b"), ("b", "c"), ("a", "b", "c"))
+    checked = until = 0
+    for _ in range(8):
+        scenes = []
+        for _ in range(5):
+            objs = []
+            for name, x in (("a", -1.5), ("b", 0.0), ("c", 1.5)):
+                heading = rng.uniform(-math.pi, math.pi)
+                shape = _ngon(x + rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0),
+                              rng.choice([3, 4, 7, 40]), rng.uniform(0.05, 0.8),
+                              rng.uniform(0.0, math.pi))
+                objs.append(SceneObject(name, shape, (math.cos(heading), math.sin(heading))))
+            scenes.append(Scene(objs))
+        traj = Trajectory(scenes)
+        exact = Evaluator(traj, smooth=False)
+        smooth = Evaluator(traj, True, cfg, exact=exact)
+        for _ in range(8):
+            f = random_formula(rng, 3, pairs=groups, kinds=kinds)
+            for t in range(traj.horizon + 1):
+                try:
+                    budget = smoothing_budget(f, traj, tau, t)
+                except FormulaError:   # a window fell off the horizon
+                    continue
+                gap = abs(smooth.eval(f, t) - exact.eval(f, t))
+                assert gap <= budget + 1e-12, (to_text(f), t)
+                checked += 1
+                until += "U[" in to_text(f)
+    assert checked > 150 and until > 20
+
+
+def test_budget_reads_the_gaps_of_the_smooth_pass(monkeypatch):
+    # the screened G window computed leftOf's gaps at every step; the budget
+    # over the same smooth evaluator reads them and computes none itself
+    traj = traj_with_values([1.0, 3.0, -2.0, 0.5])
+    f = Always(0, 3, Atom(PredicateKind.LEFT_OF, ("a", "b"),
+                          PredicateParams.for_kind(PredicateKind.LEFT_OF, [0.1])))
+    exact = Evaluator(traj, smooth=False)
+    smooth = Evaluator(traj, True, SmoothingConfig(tau=0.01), exact=exact)
+    exact.eval(f, 0)
+    smooth.eval(f, 0)
+    calls = []
+    real = formulas.smooth_gaps
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(formulas, "smooth_gaps", counting)
+    assert smoothing_budget(f, traj, 0.01, smooth=smooth) == smoothing_budget(f, traj, 0.01)
+    assert len(calls) == 4   # all from the budget with no smooth pass behind it
+    for other in (Evaluator(traj, smooth=False), Evaluator(traj, True, SmoothingConfig(tau=0.02)),
+                  Evaluator(traj_with_values([1.0, 3.0, -2.0, 0.5]), True,
+                            SmoothingConfig(tau=0.01))):
+        with pytest.raises(FormulaError, match="smoothing_budget: the evaluator"):
+            smoothing_budget(f, traj, 0.01, smooth=other)

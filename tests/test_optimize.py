@@ -259,22 +259,24 @@ def test_directional_objective_moves_the_box_world():
     xs = [p[0] for p in res.poses["ee"]]
     assert min(xs[1:]) < -0.7  # crossed to the far side with the margin
 
-def test_non_finite_loss_is_reported_after_the_exact_pass(monkeypatch):
+@pytest.mark.parametrize("bad", [math.nan, -math.inf])
+def test_non_finite_loss_is_reported_after_the_exact_pass(monkeypatch, bad):
     # each iteration hands its exact evaluator to the smooth pass; a smooth
-    # value that is not finite still stops the run with OptimizationError
+    # value that is not finite still stops the run with OptimizationError,
+    # NaN included: the hinge must not clamp it to 0
     opt = importlib.import_module("polystl.optimize")   # the package exports optimize()
     partners = []
     real = opt.eval_smooth
 
-    def nan_at_third(formula, traj, t=0, cfg=SmoothingConfig(), exact=None):
+    def bad_at_third(formula, traj, t=0, cfg=SmoothingConfig(), exact=None):
         partners.append(exact)
         res = real(formula, traj, t, cfg=cfg, exact=exact)
         if len(partners) == 3:
-            res.value = -math.inf
+            res.value = bad
             res.node = None
         return res
 
-    monkeypatch.setattr(opt, "eval_smooth", nan_at_third)
+    monkeypatch.setattr(opt, "eval_smooth", bad_at_third)
     with pytest.raises(OptimizationError, match="non-finite loss at iteration 2"):
         optimize(reach_problem(), OptimizerConfig(iterations=10, samples_per_edge=4))
     assert len(partners) == 3

@@ -454,14 +454,21 @@ def test_enclosure_gap_holds(data, cfg):
                      if pr._corners_blunt(outer) else math.inf)
 
 
+def _boxed(shapes, boxes):
+    """``shapes`` with the named polygons swapped for their bounding boxes,
+    which have exact extremes and add no gap."""
+    out = dict(shapes)
+    for name in boxes:
+        xs, ys = zip(*out[name].float_vertices())
+        out[name] = AxisAlignedBox3((min(xs), min(ys), 0.0), (max(xs), max(ys), 1.0))
+    return out
+
+
 @settings(max_examples=300, deadline=None)
 @given(a=polygons(), b=polygons(), cfg=smoothing(), kind=st.sampled_from(pr.DIRECTIONAL[:4]),
        box=st.sampled_from([None, "a", "b"]))
 def test_directional_gaps_hold(a, b, cfg, kind, box):
-    shapes = {"a": a, "b": b}
-    if box is not None:   # a box has exact extremes and adds no gap
-        xs, ys = zip(*shapes[box].float_vertices())
-        shapes[box] = AxisAlignedBox3((min(xs), min(ys), 0.0), (max(xs), max(ys), 1.0))
+    shapes = _boxed({"a": a, "b": b}, [box] if box is not None else [])
     gap = cfg.tau * sum(math.log(len(s)) for s in shapes.values()
                         if isinstance(s, geo.ConvexPolygon))
     assert _check_gaps(scene(**shapes), kind, ["a", "b"], cfg, kappa=0.1) == (gap, 0.0)
@@ -474,13 +481,38 @@ def test_directional_gaps_on_boxes_are_zero():
         assert _check_gaps(sc, kind, ["a", "b"], SHARP, kappa=0.5) == (0.0, 0.0)
 
 
+@settings(max_examples=300, deadline=None)
+@given(a=polygons(), mid=polygons(), c=polygons(), cfg=smoothing(),
+       kind=st.sampled_from([K.BETWEEN_PX, K.BETWEEN_PY]),
+       boxes=st.sets(st.sampled_from(["a", "mid", "c"])))
+def test_between_gaps_hold(a, mid, c, cfg, kind, boxes):
+    shapes = _boxed({"a": a, "mid": mid, "c": c}, boxes)
+    g = {name: math.log(len(s)) if isinstance(s, geo.ConvexPolygon) else 0.0
+         for name, s in shapes.items()}
+    gap = cfg.tau * (math.log(2.0) + max(g["a"] + g["mid"], g["mid"] + g["c"]))
+    assert _check_gaps(scene(**shapes), kind, ["a", "mid", "c"], cfg, kappa=0.1) == (gap, 0.0)
+
+
+def test_heading_and_bearing_gaps_are_zero():
+    rng = random.Random(7)
+    for _ in range(20):
+        shapes = {}
+        for name in ("a", "b"):
+            theta = rng.uniform(-math.pi, math.pi)
+            shape = square(rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0), rng.uniform(0.1, 1.0))
+            shapes[name] = (shape, (math.cos(theta), math.sin(theta)))
+        sc = scene(**shapes)
+        assert _check_gaps(sc, K.ORIENTED, ["a", "b"], SHARP, kappa=0.3) == (0.0, 0.0)
+        assert _check_gaps(sc, K.BEARING_TO, ["a", "b"], SHARP,
+                           theta_ref=rng.uniform(-3.0, 3.0), kappa=0.3) == (0.0, 0.0)
+        assert (rob(sc, K.ORIENTED, ["a", "b"], True, kappa=0.3)
+                == rob(sc, K.ORIENTED, ["a", "b"], False, kappa=0.3))
+
+
 def test_kinds_without_a_proof_get_no_gap():
-    sc = scene(a=(square(0, 0), (1.0, 0.0)), b=(square(3, 0.2), (0.0, 1.0)),
-               c=(square(6, 0), (1.0, 0.0)))
-    for kind in (K.TOUCH, K.OVLP, K.PART_OVLP, K.ORIENTED, K.BEARING_TO):
+    sc = scene(a=(square(0, 0), (1.0, 0.0)), b=(square(3, 0.2), (0.0, 1.0)))
+    for kind in (K.TOUCH, K.OVLP, K.PART_OVLP):
         assert pr.smooth_gaps(sc, kind, ["a", "b"], SHARP) == (math.inf, math.inf)
-    for kind in (K.BETWEEN_PX, K.BETWEEN_PY):
-        assert pr.smooth_gaps(sc, kind, ["a", "b", "c"], SHARP) == (math.inf, math.inf)
     boxes = scene(a=AxisAlignedBox3((0, 0, 0), (1, 1, 1)), b=AxisAlignedBox3((0, 0, 0), (2, 2, 2)))
     assert pr.smooth_gaps(boxes, K.ENCL_IN, ["a", "b"], SHARP) == (math.inf, math.inf)
 
