@@ -14,7 +14,7 @@ from datetime import datetime, timezone
 from . import __version__
 from . import scenario as sio
 from .accuracy import run_sweep
-from .formulas import Evaluator, FormulaError, eval_exact, satisfies, smoothing_budget
+from .formulas import Evaluator, FormulaError, satisfies, smoothing_budget
 from .geometry import (DEFAULT_SAMPLES_PER_EDGE, DEFAULT_TAU, SmoothingConfig)
 from .mining import check_retention, make_demo_set, mine
 from .optimize import OptimizationError, OptimizerConfig, build_trajectory, optimize
@@ -176,17 +176,15 @@ def cmd_learn(args) -> int:
     for r, m in zip(result.retained, result.margins):
         print(f"{r.candidate.describe():<44} {r.worst:>10.4f} "
               f"{m.margin:>8.4f} {m.margin_estimate:>9.4f}")
-        widened = m.candidate.formula(demos.subject, result.base_kappa + m.margin)
-        over = m.candidate.formula(demos.subject,
-                                   result.base_kappa + m.margin + 1e-6)
+        # the widened and over-widened robustness come from the window
+        # extremes mining already read; the monitor stays independent
+        widened = result.base_kappa + m.margin
         base = m.candidate.formula(demos.subject, result.base_kappa)
-        for traj in demos.trajectories:
-            if not satisfies(base, traj):
-                sound = False
-            if eval_exact(widened, traj).value < -1e-9:
-                tight = False
-        if min(eval_exact(over, traj).value
-               for traj in demos.trajectories) >= 0.0:
+        if not all(satisfies(base, traj) for traj in demos.trajectories):
+            sound = False
+        if min(r.robustness(widened)) < -1e-9:
+            tight = False
+        if min(r.robustness(widened + 1e-6)) >= 0.0:
             tight = False
         if not m.estimate_agrees:
             tight = False

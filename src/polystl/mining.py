@@ -6,6 +6,16 @@ candidate survives when its worst-case exact robustness across the
 demonstration set is strictly positive; per (phase, obstacle) group only
 the most robust few are kept, so the mined description stays small.
 
+A directional atom is a threshold-free quantity q_t
+(``predicates.directional_gap``) less its threshold kappa, so a candidate's
+exact robustness on a demonstration is rho(kappa) = q - kappa, with q the
+max (F) or min (G) of q_t over the phase window. Mining reads each
+(relation, obstacle) series once per demonstration step, keeps only its
+window extremes, and applies any threshold on read: retention at the base
+kappa and the widened and over-widened checks of ``learn`` evaluate no
+formula. The values are bit for bit the exact evaluator's, since
+subtracting a constant is monotone under rounding.
+
 Margins are then widened per retained formula. Directional robustness is
 additive in the clearance threshold, rho(kappa + eps) = rho(kappa) - eps,
 so the largest admissible widening has the closed form
@@ -20,14 +30,17 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import Sequence
 
 from . import autodiff as ad
-from .formulas import Always, Atom, Eventually, Evaluator, Formula, Trajectory
+from .formulas import Always, Atom, Eventually, Formula, FormulaError, Trajectory
 from .predicates import (DIRECTIONAL, AxisAlignedBox3, PredicateKind, PredicateParams,
-                         Scene, SceneObject)
+                         Scene, SceneObject, directional_gap)
+
+# what the exact evaluator says of a non-finite value; candidates anchor at 0
+_NOT_FINITE = "exact robustness anchored at t=0 is not finite"
 
 
 class MiningError(ValueError):
@@ -105,30 +118,66 @@ def enumerate_candidates(demos: DemonstrationSet) -> list[Candidate]:
     return out
 
 
-def robustness_matrix(candidates: Sequence[Candidate], demos: DemonstrationSet,
-                      kappa: float) -> list[list[float]]:
-    """Exact robustness, rows per candidate, columns per demonstration.
+def window_extremes(candidates: Sequence[Candidate], demos: DemonstrationSet,
+                    kappa: float) -> tuple[list[list[float]], list[list[float]]]:
+    """(extremes, floors), rows per candidate, columns per demonstration:
+    over the candidate's phase window, the max (F) or min (G) of the
+    threshold-free quantity q_t = directional_gap(subject, obstacle), and
+    the min of q_t.
 
-    One evaluator per demonstration serves every candidate, so the F and G
-    candidates over one (relation, obstacle, phase) share their atom values.
-    Demonstrations are taken one at a time, so one memo is alive at once.
+    Each (kind, obstacle, phase) series is read once per demonstration and
+    serves both its F and G candidates; demonstrations go one at a time,
+    and a series lives only until its extremes are taken. As in
+    ``Evaluator.result``, a series that holds a non-finite value, or whose
+    atom at ``kappa`` would, raises FormulaError, and candidates are read
+    in the order the exact evaluator would read them.
     """
-    formulas = [c.formula(demos.subject, kappa) for c in candidates]
-    columns = []
+    extremes: list[list[float]] = [[] for _ in candidates]
+    floors: list[list[float]] = [[] for _ in candidates]
     for traj in demos.trajectories:
-        ev = Evaluator(traj, smooth=False)
-        columns.append([ev.result(f).value for f in formulas])
-    return [list(row) for row in zip(*columns)]
+        seen: dict[tuple, tuple[float, float]] = {}
+        for c, ext, flo in zip(candidates, extremes, floors):
+            key = (c.kind, c.obstacle, c.phase)
+            lo_hi = seen.get(key)
+            if lo_hi is None:
+                qs = [directional_gap(scene.get(demos.subject), scene.get(c.obstacle), c.kind)
+                      for scene in traj.scenes[c.phase.lo:c.phase.hi + 1]]
+                if not (all(map(math.isfinite, qs)) and math.isfinite(min(qs) - kappa)):
+                    raise FormulaError(_NOT_FINITE)
+                lo_hi = seen[key] = (min(qs), max(qs))
+            lo, hi = lo_hi
+            ext.append(hi if c.temporal == "F" else lo)
+            flo.append(lo)
+    return extremes, floors
 
 
 @dataclass
 class RetainedFormula:
+    """A candidate with its window extremes on each demonstration (see
+    ``window_extremes``); ``discover`` returns the ones it retains."""
     candidate: Candidate
-    per_demo: list[float]       # exact robustness at the base kappa
+    extremes: list[float]
+    floors: list[float]
+    base_kappa: float
+    per_demo: list[float] = field(init=False)   # exact robustness at the base kappa
+
+    def __post_init__(self):
+        self.per_demo = self.robustness(self.base_kappa)
 
     @property
     def worst(self) -> float:
         return min(self.per_demo)
+
+    def robustness(self, kappa: float) -> list[float]:
+        """Exact robustness on each demonstration with threshold ``kappa``,
+        bit for bit ``eval_exact(candidate.formula(subject, kappa), traj)``:
+        the atom is q_t - kappa at every step, and subtracting a constant
+        is monotone under rounding, so the window's extreme of
+        fl(q_t - kappa) is fl(extreme - kappa). Its smallest per-step value
+        is fl(floor - kappa); when that is not finite, FormulaError."""
+        if not all(math.isfinite(f - kappa) for f in self.floors):
+            raise FormulaError(_NOT_FINITE)
+        return [e - kappa for e in self.extremes]
 
 
 def check_retention(base_kappa: float, keep_per_group: int) -> None:
@@ -148,16 +197,15 @@ def discover(demos: DemonstrationSet, base_kappa: float = 0.05,
     enumeration order."""
     check_retention(base_kappa, keep_per_group)
     cands = enumerate_candidates(demos)
-    matrix = robustness_matrix(cands, demos, base_kappa)
+    scored = [RetainedFormula(c, ext, flo, base_kappa)
+              for c, ext, flo in zip(cands, *window_extremes(cands, demos, base_kappa))]
     retained: list[RetainedFormula] = []
     for phase in demos.phases:
         for obstacle in demos.obstacles:
-            group = [(i, c) for i, c in enumerate(cands)
-                     if c.phase == phase and c.obstacle == obstacle]
-            positive = [(i, c) for i, c in group if min(matrix[i]) > 0.0]
-            positive.sort(key=lambda ic: -min(matrix[ic[0]]))  # stable: order breaks ties
-            for i, c in positive[:keep_per_group]:
-                retained.append(RetainedFormula(c, list(matrix[i])))
+            positive = [r for r in scored if r.candidate.phase == phase
+                        and r.candidate.obstacle == obstacle and r.worst > 0.0]
+            positive.sort(key=lambda r: -r.worst)  # stable: order breaks ties
+            retained += positive[:keep_per_group]
     return retained
 
 
@@ -191,26 +239,33 @@ def learn_margins(retained: Sequence[RetainedFormula], tau: float = 1e-3,
         raise MiningError(f"tau must be positive, got {tau}")
     if not retained:
         return []
-    closed = [max(0.0, r.worst) for r in retained]
+    worst = [r.worst for r in retained]
+    closed = [max(0.0, w) for w in worst]
 
     # margin k's residuals are stacked[bounds[k]:bounds[k + 1]]
     bounds = list(accumulate((len(r.per_demo) for r in retained), initial=0))
+    # the soft-min lies at most tau*log(N) below the hard one, so while every
+    # residual exceeds that (padded for the rounding of log and product) it
+    # is positive, the hinge is off and the soft-min need not be formed
+    quiet = tau * math.log(bounds[-1]) * (1.0 + 1e-9)
     eps = [0.0] * len(retained)
     decay_from = int(0.7 * iterations)
     for it in range(iterations):
         step = step_size
         if it >= decay_from:
             step /= 1.0 + 9.0 * (it - decay_from) / max(1, iterations - decay_from)
-        stacked = [d - e for r, e in zip(retained, eps) for d in r.per_demo]
-        slack, ws, s = ad.lse_parts(stacked, tau, -1.0)
         grads = [1.0] * len(eps)
-        if -slack > 0.0:
-            # the hinge is active; the terms go last demonstration first, the
-            # order of a reverse sweep over the stacked residuals, so the
-            # estimate is bit for bit the one a tape would give
-            for k in range(len(eps)):
-                for w in reversed(ws[bounds[k]:bounds[k + 1]]):
-                    grads[k] -= penalty_weight * (w / s)
+        # min_d fl(d - e) is fl(min_d d - e): the smallest residual, unstacked
+        if not min(w - e for w, e in zip(worst, eps)) > quiet:
+            stacked = [d - e for r, e in zip(retained, eps) for d in r.per_demo]
+            slack, ws, s = ad.lse_parts(stacked, tau, -1.0)
+            if -slack > 0.0:
+                # the hinge is active; the terms go last demonstration first,
+                # the order of a reverse sweep over the stacked residuals, so
+                # the estimate is bit for bit the one a tape would give
+                for k in range(len(eps)):
+                    for w in reversed(ws[bounds[k]:bounds[k + 1]]):
+                        grads[k] -= penalty_weight * (w / s)
         eps = [max(0.0, e + step * g) for e, g in zip(eps, grads)]
 
     return [LearnedMargin(r.candidate, e_star, e_hat, abs(e_hat - e_star) <= check_tol)

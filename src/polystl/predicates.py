@@ -17,7 +17,7 @@ from . import autodiff as ad
 from . import exactgeo as xg
 from . import geometry as geo
 from .autodiff import Scalar, value_of
-from .geometry import ConvexPolygon, SmoothingConfig
+from .geometry import DEFAULT_TAU, ConvexPolygon, SmoothingConfig
 
 CENTROID_GUARD = 1e-9
 
@@ -253,15 +253,17 @@ def _enclosure(inner: SceneObject, outer: SceneObject, delta_inside: float,
     return -delta_inside - worst
 
 
-def _directional(a: SceneObject, b: SceneObject, kind: PredicateKind, kappa: float,
-                 smooth: bool, cfg: SmoothingConfig) -> Scalar:
-    # positive when a's extent is clear of b's along the axis by more than kappa
+def directional_gap(a: SceneObject, b: SceneObject, kind: PredicateKind,
+                    smooth: bool = False, tau: float = DEFAULT_TAU) -> Scalar:
+    """The threshold-free quantity of a directional relation: how far a's
+    extent is clear of b's along the kind's axis, min(hi_obj extent) -
+    max(lo_obj extent). The atom with threshold kappa is this minus kappa,
+    positive when the extents are clear by more than kappa."""
     axis, flipped = _DIRECTIONAL_AXES[kind]
     lo_obj, hi_obj = (b, a) if flipped else (a, b)
-    # margin = min(hi_obj extent) - max(lo_obj extent) - kappa
-    _, lo_max = _axis_extremes(lo_obj, axis, kind, smooth, cfg.tau)
-    hi_min, _ = _axis_extremes(hi_obj, axis, kind, smooth, cfg.tau)
-    return hi_min - lo_max - kappa
+    _, lo_max = _axis_extremes(lo_obj, axis, kind, smooth, tau)
+    hi_min, _ = _axis_extremes(hi_obj, axis, kind, smooth, tau)
+    return hi_min - lo_max
 
 
 def _between(a: SceneObject, mid: SceneObject, c: SceneObject, axis: int,
@@ -334,7 +336,8 @@ def atom_robustness(scene: Scene, kind: PredicateKind, names: Sequence[str],
     if kind is PredicateKind.ENCL_IN:
         return _enclosure(objs[0], objs[1], params.require("delta_inside", kind), smooth, cfg)
     if kind in DIRECTIONAL:
-        return _directional(objs[0], objs[1], kind, params.require("kappa", kind), smooth, cfg)
+        kappa = params.require("kappa", kind)
+        return directional_gap(objs[0], objs[1], kind, smooth, cfg.tau) - kappa
     if kind is PredicateKind.BETWEEN_PX:
         return _between(objs[0], objs[1], objs[2], 0, kind,
                         params.require("kappa", kind), smooth, cfg)

@@ -46,6 +46,13 @@ def _require_keys(mapping: dict, required: Sequence[str], optional: Sequence[str
             raise ScenarioFileError(f"{where}: unknown key {k!r}")
 
 
+def _objects(meta: dict, key: str, where: str) -> list[dict]:
+    raw = meta[key]
+    if not isinstance(raw, list) or not all(isinstance(x, dict) for x in raw):
+        raise ScenarioFileError(f"{where}: {key} must be a list of objects")
+    return raw
+
+
 def _finite_floats(cells, where: str) -> tuple[float, ...]:
     """Floats of ``cells``; a cell that is not a number, NaN or infinity is
     an input error at ``where`` (JSON and ``float()`` both accept the last
@@ -99,6 +106,8 @@ def _interpolated_poses(start: PoseTriple, end: PoseTriple, n: int) -> list[Pose
 
 
 def _parse_shape(raw: dict, where: str):
+    if not isinstance(raw, dict):
+        raise ScenarioFileError(f"{where}: shape must be an object")
     _require_keys(raw, ["kind"], ["vertices", "lo", "hi"], where)
     kind = raw["kind"]
     if kind == "polygon":
@@ -169,11 +178,15 @@ def load_scenario(path: str) -> Scenario:
 
 
 def scenario_from_dict(doc: dict, where: str = "scenario") -> Scenario:
+    if not isinstance(doc, dict):
+        raise ScenarioFileError(f"{where}: must be a JSON object")
     _require_keys(doc, ["name", "horizon", "formula", "objects"],
                   ["seed", "optimizer"], where)
     horizon = doc["horizon"]
     if not _is_integer(horizon) or horizon < 1:
         raise ScenarioFileError(f"{where}: horizon must be a positive integer")
+    if not isinstance(doc["formula"], str):
+        raise ScenarioFileError(f"{where}: formula must be a string")
     try:
         formula = parse(doc["formula"])
     except FormulaError as exc:
@@ -184,11 +197,13 @@ def scenario_from_dict(doc: dict, where: str = "scenario") -> Scenario:
 
     statics: list[SceneObject] = []
     movables: list[Movable] = []
-    for i, raw in enumerate(doc["objects"]):
+    for i, raw in enumerate(_objects(doc, "objects", where)):
         oid = f"{where}: objects[{i}]"
         _require_keys(raw, ["name", "role", "shape"],
                       ["heading", "start", "end", "poses"], oid)
         name = raw["name"]
+        if not isinstance(name, str):
+            raise ScenarioFileError(f"{oid}: name must be a string")
         kind, data = _parse_shape(raw["shape"], f"{oid} ({name})")
         if raw["role"] == "static":
             for k in ("start", "end", "poses"):
@@ -214,6 +229,8 @@ def scenario_from_dict(doc: dict, where: str = "scenario") -> Scenario:
             if "poses" in raw:
                 if "start" in raw or "end" in raw:
                     raise ScenarioFileError(f"{oid}: give poses or start/end, not both")
+                if not isinstance(raw["poses"], list):
+                    raise ScenarioFileError(f"{oid}: poses must be a list of [x, y, theta]")
                 poses = [_as_pose(p, f"{oid}: object {name!r}: poses[{k}]")
                          for k, p in enumerate(raw["poses"])]
                 if len(poses) != horizon + 1:
@@ -405,13 +422,6 @@ def write_demo_dir(path: str, demos: DemonstrationSet) -> list[str]:
     return written
 
 
-def _objects(meta: dict, key: str, where: str) -> list[dict]:
-    raw = meta[key]
-    if not isinstance(raw, list) or not all(isinstance(x, dict) for x in raw):
-        raise ScenarioFileError(f"{where}: {key} must be a list of objects")
-    return raw
-
-
 def read_demo_dir(path: str) -> DemonstrationSet:
     meta_path = os.path.join(path, DEMO_META_NAME)
     if not os.path.exists(meta_path):
@@ -429,6 +439,10 @@ def read_demo_dir(path: str) -> DemonstrationSet:
     statics = []
     for raw in _objects(meta, "obstacles", meta_path):
         _require_keys(raw, ["name", "lo", "hi"], [], f"{meta_path} obstacle")
+        if not isinstance(raw["name"], str):
+            raise ScenarioFileError(f"{meta_path}: obstacle name must be a string")
+        if any(s.name == raw["name"] for s in statics):
+            raise ScenarioFileError(f"{meta_path}: duplicate obstacle name {raw['name']!r}")
         where = f"{meta_path}: obstacle {raw['name']!r}"
         lo = _numbers(raw["lo"], 3, "[x, y, z]", f"{where}: lo")
         hi = _numbers(raw["hi"], 3, "[x, y, z]", f"{where}: hi")
@@ -436,6 +450,8 @@ def read_demo_dir(path: str) -> DemonstrationSet:
     phases = []
     for raw in _objects(meta, "phases", meta_path):
         _require_keys(raw, ["name", "lo", "hi"], [], f"{meta_path} phase")
+        if not isinstance(raw["name"], str):
+            raise ScenarioFileError(f"{meta_path}: phase name must be a string")
         if not (_is_integer(raw["lo"]) and _is_integer(raw["hi"])):
             raise ScenarioFileError(
                 f"{meta_path}: phase {raw['name']!r}: lo and hi must be integers")
@@ -449,6 +465,8 @@ def read_demo_dir(path: str) -> DemonstrationSet:
     if not demo_files:
         raise ScenarioFileError(f"{path}: no demo_*.csv files")
     subject = meta["subject"]
+    if any(s.name == subject for s in statics):
+        raise ScenarioFileError(f"{meta_path}: subject {subject!r} is also an obstacle name")
     trajectories = []
     for fname in demo_files:
         fpath = os.path.join(path, fname)

@@ -11,7 +11,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from polystl import formulas
+from polystl import cli, formulas
 from polystl.cli import main
 from polystl.formulas import FormulaError, atoms_of, eval_exact, eval_smooth
 from polystl.geometry import SmoothingConfig
@@ -283,6 +283,13 @@ MALFORMED = {
                            "non-finite number '1e999' at offset 26"),
     "nan_static_heading": (_set(["objects", 2, "heading"], [float("nan"), 0]),
                            "object 'obs': heading: non-finite number in [nan, 0]"),
+    # a value of the wrong JSON type names its field
+    "objects_a_number": (_set(["objects"], 5), "objects must be a list of objects"),
+    "object_a_number": (_set(["objects"], [5]), "objects must be a list of objects"),
+    "shape_a_number": (_set(["objects", 0, "shape"], 5),
+                       "objects[0] (ee): shape must be an object"),
+    "formula_a_number": (_set(["formula"], 5), "formula must be a string"),
+    "name_a_list": (_set(["objects", 0, "name"], ["ee"]), "objects[0]: name must be a string"),
 }
 
 
@@ -398,8 +405,17 @@ class TestLearn:
          "phase 'approach': bad window [70,59]"),
         (lambda meta: [meta], "must be a JSON object"),
         (None, "not valid JSON"),
+        (lambda meta: {**meta, "obstacles": meta["obstacles"][:1] * 2},
+         "duplicate obstacle name 'o1'"),
+        (lambda meta: {**meta, "subject": "o2"}, "subject 'o2' is also an obstacle name"),
+        (lambda meta: {**meta, "obstacles": [{**meta["obstacles"][0], "name": ["o1"]}]},
+         "obstacle name must be a string"),
+        (lambda meta: {**meta, "phases": [{**meta["phases"][0], "name": ["approach"]}]},
+         "phase name must be a string"),
     ], ids=["obstacles-not-a-list", "phase-not-an-object", "float-bound", "string-bound",
-            "empty-window", "not-an-object", "bad-json"])
+            "empty-window", "not-an-object", "bad-json", "duplicate-obstacle",
+            "subject-named-like-an-obstacle", "obstacle-name-not-a-string",
+            "phase-name-not-a-string"])
     def test_malformed_meta_exits_2_naming_the_file(self, tmp_path, capsys, edit, message):
         demos = tmp_path / "demos"
         write_demo_dir(str(demos), make_demo_set(seed=0, n_demos=2))
@@ -413,6 +429,47 @@ class TestLearn:
         assert out == ""
         assert err.startswith(f"error: {meta_path}: ") and err.count("\n") == 1, err
         assert message in err
+
+    def test_overflowing_demo_exits_2(self, tmp_path, capsys):
+        # a subject box at x=1e308 with half-size 1e308 has an infinite
+        # corner, so its directional robustness is not finite: the exact
+        # verdict must not be certified from it
+        demos = tmp_path / "demos"
+        write_demo_dir(str(demos), make_demo_set(seed=0, n_demos=2))
+        meta_path = demos / "meta.json"
+        meta = json.loads(meta_path.read_text())
+        meta["subject_half"][0] = 1e308
+        meta_path.write_text(json.dumps(meta))
+        csv_path = demos / "demo_000.csv"
+        lines = csv_path.read_text().splitlines()
+        t, subject, _, y, z = lines[1].split(",")
+        lines[1] = f"{t},{subject},1e308,{y},{z}"
+        csv_path.write_text("\n".join(lines) + "\n")
+        rc = main(["learn", str(demos), "--out-dir", str(tmp_path / "out")])
+        out, err = capsys.readouterr()
+        assert rc == 2
+        assert out == ""
+        assert err == "error: exact robustness anchored at t=0 is not finite\n"
+
+    def test_checks_evaluate_no_formula(self, tmp_path, capsys, monkeypatch):
+        # soundness runs the independent monitor; the tightness checks read
+        # the window extremes mining already took
+        calls = []
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(formulas, "eval_exact", counted("eval_exact", formulas.eval_exact))
+        monkeypatch.setattr(formulas.Evaluator, "result",
+                            counted("result", formulas.Evaluator.result))
+        monkeypatch.setattr(cli, "satisfies", counted("satisfies", cli.satisfies))
+        rc = main(["learn", "--synthetic", "3", "--out-dir", str(tmp_path)])
+        assert rc == 0
+        assert "soundness: ok   tightness: ok" in capsys.readouterr().out
+        assert calls == ["satisfies"] * (12 * 3)
 
     @pytest.mark.parametrize("keep", ["0", "-1"])
     def test_keep_below_one_exits_2(self, tmp_path, capsys, keep):

@@ -1,13 +1,18 @@
 """Specification mining: candidate pool, retention, margin widening."""
+import os
+import tempfile
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from polystl import autodiff as ad
 from polystl.formulas import Trajectory, eval_exact, satisfies
 from polystl.mining import (RETREAT, Candidate, DemonstrationSet,
                             MiningError, Phase, RetainedFormula, discover,
                             enumerate_candidates, learn_margins, make_demo_set, mine,
-                            planted_candidates, robustness_matrix)
-from polystl.predicates import PredicateKind
+                            planted_candidates, window_extremes)
+from polystl.predicates import AxisAlignedBox3, PredicateKind, Scene, SceneObject
+from polystl.scenario import read_demo_dir, write_demo_dir
 
 
 @pytest.fixture(scope="module")
@@ -129,6 +134,12 @@ def test_retention_orders_by_worst_case(demos):
         assert group[0].worst >= group[1].worst
 
 
+def robustness_matrix(candidates, demos, kappa):
+    """Exact robustness from the window extremes, rows per candidate."""
+    return [RetainedFormula(c, ext, flo, kappa).per_demo
+            for c, ext, flo in zip(candidates, *window_extremes(candidates, demos, kappa))]
+
+
 def test_shared_evaluators_give_the_per_candidate_matrix():
     demos = make_demo_set(seed=0)
     cands = enumerate_candidates(demos)
@@ -136,6 +147,51 @@ def test_shared_evaluators_give_the_per_candidate_matrix():
     fresh = [[eval_exact(c.formula(demos.subject, 0.05), traj).value
               for traj in demos.trajectories] for c in cands]
     assert robustness_matrix(cands, demos, 0.05) == fresh
+
+
+_coord = st.floats(-5.0, 5.0, allow_nan=False, allow_infinity=False)
+_half = st.floats(0.01, 2.0, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def box_demo_sets(draw):
+    """Random box worlds: a subject box moving among 1-2 static boxes, with
+    1-3 demonstrations and non-overlapping phases, one-step windows among
+    them."""
+    horizon = draw(st.integers(1, 8))
+    starts = sorted(draw(st.sets(st.integers(0, horizon), min_size=1, max_size=4)))
+    ends = [lo - 1 for lo in starts[1:]] + [horizon]
+    phases = [Phase(f"p{i}", lo, min(end, lo + draw(st.integers(0, 2))))
+              for i, (lo, end) in enumerate(zip(starts, ends))]
+    statics = []
+    for k in range(draw(st.integers(1, 2))):
+        lo = tuple(draw(_coord) for _ in range(3))
+        statics.append(SceneObject(f"o{k}", AxisAlignedBox3(
+            lo, tuple(c + draw(_half) for c in lo))))
+    half = tuple(draw(_half) for _ in range(3))
+    trajectories = []
+    for _ in range(draw(st.integers(1, 3))):
+        scenes = []
+        for _ in range(horizon + 1):
+            subject = AxisAlignedBox3.from_center(*(draw(_coord) for _ in range(3)), half)
+            scenes.append(Scene([SceneObject("s", subject)] + statics))
+        trajectories.append(Trajectory(scenes))
+    return DemonstrationSet("s", [o.name for o in statics], phases, trajectories)
+
+
+@settings(max_examples=40, deadline=None)
+@given(box_demo_sets(), st.floats(1e-3, 3.0), st.floats(0.0, 3.0))
+def test_window_extremes_are_the_exact_evaluator_bit_for_bit(demos, kappa, widen):
+    # the demos go through their files, as learn reads them
+    with tempfile.TemporaryDirectory() as tmp:
+        write_demo_dir(os.path.join(tmp, "demos"), demos)
+        demos = read_demo_dir(os.path.join(tmp, "demos"))
+    cands = enumerate_candidates(demos)
+    for c, ext, flo in zip(cands, *window_extremes(cands, demos, kappa)):
+        r = RetainedFormula(c, ext, flo, kappa)
+        for k, values in ((kappa, r.per_demo), (kappa + widen, r.robustness(kappa + widen))):
+            f = c.formula(demos.subject, k)
+            assert values == [eval_exact(f, traj).value for traj in demos.trajectories]
 
 
 def test_worst_case_filter_drops_negative_candidates(demos):
@@ -231,8 +287,9 @@ def tape_ascent(retained, tau=1e-3, step_size=5e-3, iterations=3000,
 
 
 def hand_built(rows):
+    """Retained formulas whose robustness per demonstration is ``rows``."""
     cands = enumerate_candidates(make_demo_set(seed=0, n_demos=1))
-    return [RetainedFormula(c, list(row)) for c, row in zip(cands, rows)]
+    return [RetainedFormula(c, list(row), list(row), 0.0) for c, row in zip(cands, rows)]
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -262,6 +319,21 @@ def test_single_demo_ascent_is_the_tape_ascent_bit_for_bit():
     margins = learn_margins(retained, iterations=1500)
     assert [m.margin_estimate for m in margins] == tape_ascent(retained, iterations=1500)
     assert all(m.estimate_agrees for m in margins)
+
+
+def test_learn_margins_skips_the_soft_min_while_the_hinge_is_off(monkeypatch):
+    # the estimates stay the tape's bit for bit (the tests above)
+    retained = discover(make_demo_set(seed=1))
+    calls = []
+    lse_parts = ad.lse_parts
+
+    def counted(*args):
+        calls.append(1)
+        return lse_parts(*args)
+
+    monkeypatch.setattr(ad, "lse_parts", counted)
+    learn_margins(retained, iterations=3000)
+    assert 0 < len(calls) < 3000
 
 
 def test_learn_margins_records_no_tape(demos, monkeypatch):
