@@ -3,11 +3,14 @@
 Every operation appends one node to the tape; node indices are therefore
 already in topological order and a single reverse sweep computes adjoints.
 A node may have any number of parents: :meth:`Tape.node` records one value
-with its local partials, which is how the smoothed extrema here and the
-fused geometry kernels in :mod:`polystl.geometry` enter the tape as one node
-each. All functions in this module accept either ``Var`` operands or plain
-floats, so the same client code can run in recorded (differentiable) mode or
-in plain float mode with identical arithmetic.
+with its local partials. ``Var``'s arithmetic operators append their nodes
+inline; every other derived node enters the tape through :func:`lift`,
+which takes a value computed on plain floats with its partials, and returns
+the float unchanged when no operand is a ``Var``. The primitives here, the
+smoothed extrema and the fused geometry kernels in
+:mod:`polystl.geometry` are built on it, so the same client code runs in
+recorded (differentiable) mode or in plain float mode with identical
+arithmetic.
 """
 from __future__ import annotations
 
@@ -54,9 +57,6 @@ class Tape:
         self.par.append(_EMPTY)
         self.dpar.append(_EMPTY)
         return Var(self, len(self.val) - 1)
-
-    def vars(self, values: Sequence[float]) -> list["Var"]:
-        return [self.var(v) for v in values]
 
     def node(self, value: float, parents: Sequence["Var"], partials: Sequence[float],
              op: str = "node") -> "Var":
@@ -183,70 +183,69 @@ class Var:
         return Var(t, len(t.val) - 1)
 
 
-def _unary(x: Var, value: float, partial: float) -> Var:
-    return x.tape.node(value, (x,), (partial,))
-
-
 def value_of(x: Scalar) -> float:
     """Plain float behind a scalar, whichever mode it is in."""
     return x.value if isinstance(x, Var) else float(x)
 
 
-# -- unary primitives (Var or float in, same kind out) ------------------
+def lift(value: float, operands: Sequence[Scalar], partials: Sequence[float],
+         op: str = "node") -> Scalar:
+    """``value``, computed on the floats behind ``operands``, as a scalar of
+    their mode: the float itself when no operand is a ``Var``, else one
+    tape node whose parents are the ``Var`` operands, each with its entry
+    of ``partials`` (the partial derivative of ``value`` with respect to
+    that operand). Float operands and their partials are dropped."""
+    parents = [x for x in operands if isinstance(x, Var)]
+    if not parents:
+        return value
+    if len(parents) < len(operands):
+        partials = [g for x, g in zip(operands, partials) if isinstance(x, Var)]
+    return parents[0].tape.node(value, parents, partials, op)
+
+
+# -- primitives (Var or float in, same kind out) -------------------------
 
 
 def square(x: Scalar) -> Scalar:
-    if isinstance(x, Var):
-        v = x.value
-        return _unary(x, v * v, 2.0 * v)
-    return x * x
+    v = value_of(x)
+    return lift(v * v, (x,), (2.0 * v,), "square")
 
 
 def relu(x: Scalar) -> Scalar:
     """max(0, x); subgradient 0 at the kink. NaN passes through, so a
     non-finite input stays visible downstream."""
-    if isinstance(x, Var):
-        v = x.value
-        if v <= 0.0:
-            return _unary(x, 0.0, 0.0)
-        return _unary(x, v, 1.0)
-    return 0.0 if x <= 0.0 else x
-
-
-def _sigmoid_float(v: float) -> float:
-    # split by sign for overflow safety
-    if v >= 0.0:
-        return 1.0 / (1.0 + math.exp(-v))
-    e = math.exp(v)
-    return e / (1.0 + e)
+    v = value_of(x)
+    if v <= 0.0:
+        return lift(0.0, (x,), (0.0,), "relu")
+    return lift(v, (x,), (1.0,), "relu")
 
 
 def sigmoid(x: Scalar) -> Scalar:
-    if isinstance(x, Var):
-        s = _sigmoid_float(x.value)
-        return _unary(x, s, s * (1.0 - s))
-    return _sigmoid_float(x)
+    v = value_of(x)
+    # split by sign for overflow safety
+    if v >= 0.0:
+        s = 1.0 / (1.0 + math.exp(-v))
+    else:
+        e = math.exp(v)
+        s = e / (1.0 + e)
+    return lift(s, (x,), (s * (1.0 - s),), "sigmoid")
 
 
 def abs_smooth(x: Scalar) -> Scalar:
     """sqrt(x^2 + guard): differentiable surrogate for |x|."""
-    if isinstance(x, Var):
-        v = x.value
-        r = math.sqrt(v * v + SQRT_GUARD)
-        return _unary(x, r, v / r)
-    return math.sqrt(x * x + SQRT_GUARD)
+    v = value_of(x)
+    r = math.sqrt(v * v + SQRT_GUARD)
+    return lift(r, (x,), (v / r,), "abs_smooth")
 
 
 def sin(x: Scalar) -> Scalar:
-    if isinstance(x, Var):
-        return _unary(x, math.sin(x.value), math.cos(x.value))
-    return math.sin(x)
+    v = value_of(x)
+    return lift(math.sin(v), (x,), (math.cos(v),), "sin")
 
 
 def cos(x: Scalar) -> Scalar:
-    if isinstance(x, Var):
-        return _unary(x, math.cos(x.value), -math.sin(x.value))
-    return math.cos(x)
+    v = value_of(x)
+    return lift(math.cos(v), (x,), (-math.sin(v),), "cos")
 
 
 _TWO_PI = 2.0 * math.pi
@@ -254,24 +253,8 @@ _TWO_PI = 2.0 * math.pi
 
 def wrap_angle(x: Scalar) -> Scalar:
     """Map an angle into (-pi, pi]; derivative 1 (the shift is locally constant)."""
-    if isinstance(x, Var):
-        v = x.value
-        w = v - _TWO_PI * math.ceil((v - math.pi) / _TWO_PI)
-        return _unary(x, w, 1.0)
-    return x - _TWO_PI * math.ceil((x - math.pi) / _TWO_PI)
-
-
-# -- binary primitives ---------------------------------------------------
-
-
-def _binary(a: Scalar, b: Scalar, value: float, da: float, db: float, op: str) -> Scalar:
-    if isinstance(a, Var):
-        if isinstance(b, Var):
-            return a.tape.node(value, (a, b), (da, db), op)
-        return a.tape.node(value, (a,), (da,), op)
-    if isinstance(b, Var):
-        return b.tape.node(value, (b,), (db,), op)
-    return value
+    v = value_of(x)
+    return lift(v - _TWO_PI * math.ceil((v - math.pi) / _TWO_PI), (x,), (1.0,), "wrap_angle")
 
 
 def atan2(y: Scalar, x: Scalar) -> Scalar:
@@ -280,7 +263,7 @@ def atan2(y: Scalar, x: Scalar) -> Scalar:
     r2 = xv * xv + yv * yv
     if r2 == 0.0:
         raise EvaluationError("atan2: both arguments zero")
-    return _binary(y, x, math.atan2(yv, xv), xv / r2, -yv / r2, "atan2")
+    return lift(math.atan2(yv, xv), (y, x), (xv / r2, -yv / r2), "atan2")
 
 
 # -- smoothed extrema ----------------------------------------------------
@@ -306,11 +289,7 @@ def _lse(xs: Sequence[Scalar], tau: float, sign: float, op: str) -> Scalar:
         raise EvaluationError(f"{op}: empty input")
     out, ws, s = lse_parts([x.tape.val[x.i] if isinstance(x, Var) else x for x in xs],
                            tau, sign)
-    parents = [x for x in xs if isinstance(x, Var)]
-    if not parents:
-        return out
-    partials = [w / s for x, w in zip(xs, ws) if isinstance(x, Var)]
-    return parents[0].tape.node(out, parents, partials, op)
+    return lift(out, xs, [w / s for w in ws], op)
 
 
 def lse_max(xs: Sequence[Scalar], tau: float) -> Scalar:

@@ -17,7 +17,7 @@ from .accuracy import run_sweep
 from .formulas import Evaluator, FormulaError, satisfies, smoothing_budget
 from .geometry import (DEFAULT_SAMPLES_PER_EDGE, DEFAULT_TAU, SmoothingConfig)
 from .mining import check_retention, make_demo_set, mine
-from .optimize import OptimizationError, OptimizerConfig, build_trajectory, optimize
+from .optimize import OptimizerConfig, build_trajectory, optimize
 from .render import write_frames
 
 
@@ -103,11 +103,8 @@ def cmd_optimize(args) -> int:
     if args.adam:
         overrides["use_adam"] = True
     base = scn.optimizer.__dict__ | overrides
-    try:
-        cfg = OptimizerConfig(**{**base, "snapshot_iterations": _checkpoints(
-            base["iterations"], args.svg_every)})
-    except OptimizationError as exc:   # a flag out of range
-        return _fail(str(exc))
+    cfg = OptimizerConfig(**{**base, "snapshot_iterations": _checkpoints(
+        base["iterations"], args.svg_every)})
 
     result = optimize(scn.problem, cfg)
 

@@ -353,19 +353,14 @@ class Trajectory:
 
 @dataclass
 class RobustnessResult:
-    """Robustness value plus the per-step breakdown used for reporting.
+    """Robustness value at the anchor time.
 
     value: robustness at the anchor time as a plain float.
     node: tape node carrying the value in smooth mode (None when the scene
         held no tape variables or in exact mode).
-    per_time: child robustness per window step for a temporal root, else
-        the single anchored value.
-    mode: "exact" or "smooth".
     """
     value: float
     node: Optional[ad.Var]
-    per_time: list[tuple[int, float]]
-    mode: str
 
     @property
     def satisfied(self) -> bool:
@@ -440,8 +435,14 @@ class Evaluator:
         return out
 
     def _atom(self, f: Atom, t: int) -> Scalar:
-        return atom_robustness(self.traj.scene(t), f.kind, f.objects, f.params,
-                               self.smooth, self.cfg)
+        """The atom's value at step ``t``. An exact value that is not
+        finite raises FormulaError: it can only come from bad input, and
+        must never decide a verdict, so every exact value is finite."""
+        out = atom_robustness(self.traj.scene(t), f.kind, f.objects, f.params,
+                              self.smooth, self.cfg)
+        if not (self.smooth or math.isfinite(out)):
+            raise FormulaError(f"exact robustness of {to_text(f)} at t={t} is not finite")
+        return out
 
     def _neg(self, x: Scalar) -> Scalar:
         return -x
@@ -515,25 +516,9 @@ class Evaluator:
         return [self.eval(child, u) for u, key in zip(ts, keys) if not cut < key < math.inf]
 
     def result(self, f: Formula, t: int = 0) -> RobustnessResult:
-        """Robustness of ``f`` anchored at ``t``. In exact mode a non-finite
-        value or per-step value raises FormulaError: it can only come from
-        bad input, and must never certify a verdict."""
+        """Robustness of ``f`` anchored at ``t``."""
         out = self.eval(f, t)
-        per_time: list[tuple[int, float]]
-        if isinstance(f, (Always, Eventually, Until)):
-            # eval(f, t) filled the child's table over this (non-empty)
-            # window, bar the steps a screened window left out
-            child = f.right if isinstance(f, Until) else f.child
-            table = self._tables[id(child)][1]
-            per_time = [(u, value_of(table[u] if u in table else self.eval(child, u)))
-                        for u in _window(t, f.lo, f.hi, self.traj.horizon, "")]
-        else:
-            per_time = [(t, value_of(out))]
-        value = value_of(out)
-        if not self.smooth and not all(math.isfinite(v) for _, v in per_time + [(t, value)]):
-            raise FormulaError(f"exact robustness anchored at t={t} is not finite")
-        node = out if isinstance(out, ad.Var) else None
-        return RobustnessResult(value, node, per_time, "smooth" if self.smooth else "exact")
+        return RobustnessResult(value_of(out), out if isinstance(out, ad.Var) else None)
 
 
 def eval_exact(formula: Formula, trajectory: Trajectory, t: int = 0,

@@ -1,13 +1,13 @@
-"""Smooth convex-polygon geometry: poses, boundary sampling, and the
-differentiable distance/penetration/enclosure surrogates.
+"""Smooth convex-polygon geometry: poses and the differentiable
+distance/penetration/enclosure surrogates.
 
 Coordinates are generic scalars (tape ``Var`` or plain float). The smooth
 distance, penetration and point signed distance are plain-float kernels over
 the float snapshot of the vertices, so both modes compute the same value bit
 for bit; when some input coordinate is a ``Var`` the kernel also derives its
 partials with respect to every vertex coordinate analytically and records the
-result as one tape node. Hard counterparts for every quantity live in
-:mod:`polystl.exactgeo`.
+result as one tape node through :func:`polystl.autodiff.lift`. Hard
+counterparts for every quantity live in :mod:`polystl.exactgeo`.
 
 The smooth distance of an n-gon and an m-gon at S samples per edge is one
 flat log-sum-exp, -tau log sum exp(-d / tau), over the 2 n S m distances
@@ -71,9 +71,6 @@ class Pose2D:
     def heading(self) -> ScalarPoint:
         return (ad.cos(self.theta), ad.sin(self.theta))
 
-    def values(self) -> tuple[float, float, float]:
-        return (value_of(self.x), value_of(self.y), value_of(self.theta))
-
 
 class ConvexPolygon:
     """Counter-clockwise convex polygon over generic scalar coordinates.
@@ -136,13 +133,6 @@ class PolygonTemplate:
         return ConvexPolygon(world)
 
 
-@dataclass
-class BoundarySamples:
-    """Evenly spaced boundary points with their worst-case spacing."""
-    points: list[tuple[float, float]]
-    spacing: float
-
-
 # -- float kernels ---------------------------------------------------------------
 #
 # The three smooth quantities below evaluate on the float snapshot of the
@@ -154,16 +144,14 @@ class BoundarySamples:
 # distance is stationary in it wherever it is not clamped.
 
 
-def _edge_row(ax: float, ay: float, bx: float, by: float) -> tuple:
-    ex = bx - ax
-    ey = by - ay
-    return (ax, ay, ex, ey, ex * ex + ey * ey)
-
-
-def _edge_table(fv: Sequence[tuple[float, float]]) -> list[tuple]:
+def _edge_table(fv: list[tuple[float, float]]) -> list[tuple]:
     """(ax, ay, ex, ey, ex^2 + ey^2) of each directed edge a -> a + e."""
-    n = len(fv)
-    return [_edge_row(*fv[i], *fv[(i + 1) % n]) for i in range(n)]
+    out = []
+    for (ax, ay), (bx, by) in zip(fv, fv[1:] + fv[:1]):
+        ex = bx - ax
+        ey = by - ay
+        out.append((ax, ay, ex, ey, ex * ex + ey * ey))
+    return out
 
 
 def _unit_normals(edges: Sequence[tuple]) -> list[tuple[float, float, float]]:
@@ -173,18 +161,6 @@ def _unit_normals(edges: Sequence[tuple]) -> list[tuple[float, float, float]]:
         length = math.sqrt(len2 + SQRT_GUARD)
         out.append((-ey / length, ex / length, length))
     return out
-
-
-def _samples(edges: Sequence[tuple], samples_per_edge: int):
-    """(edge index, t, x, y) of the boundary points at parameters k/S."""
-    inv = 1.0 / samples_per_edge
-    for i, (ax, ay, ex, ey, _) in enumerate(edges):
-        for k in range(samples_per_edge):
-            t = k * inv
-            if t == 0.0:
-                yield i, t, ax, ay
-            else:
-                yield i, t, ax + t * ex, ay + t * ey
 
 
 def _segment_offsets(px: float, py: float, edges: Sequence[tuple]) -> list[tuple]:
@@ -206,17 +182,6 @@ def _segment_offsets(px: float, py: float, edges: Sequence[tuple]) -> list[tuple
 
 def _flat(points) -> list[Scalar]:
     return [c for pt in points for c in pt]
-
-
-def _fused(value: float, coords: Sequence[Scalar], partials: Sequence[float]) -> ad.Var:
-    """One tape node for ``value`` with the Vars among ``coords`` as parents."""
-    parents = []
-    dpar = []
-    for c, g in zip(coords, partials):
-        if isinstance(c, ad.Var):
-            parents.append(c)
-            dpar.append(g)
-    return parents[0].tape.node(value, parents, dpar)
 
 
 def _segment_adjoint(g: list[float], k: int, t: float, gx: float, gy: float) -> None:
@@ -243,29 +208,6 @@ def _normal_adjoint(g: list[float], k: int, edge: tuple, length: float,
     g[2 * k + 1] -= gey
     g[j] += gex
     g[j + 1] += gey
-
-
-def sample_boundary(polygon: ConvexPolygon, samples_per_edge: int) -> BoundarySamples:
-    """S float points per edge at parameters k/S (each vertex appears once,
-    as the k=0 sample of its outgoing edge); spacing is max edge length / S."""
-    if samples_per_edge < 1:
-        raise ValueError(f"samples_per_edge must be >= 1, got {samples_per_edge}")
-    edges = _edge_table(polygon.float_vertices())
-    return BoundarySamples([(x, y) for _, _, x, y in _samples(edges, samples_per_edge)],
-                           polygon.max_edge_length() / samples_per_edge)
-
-
-def edge_normals(polygon: ConvexPolygon) -> list[tuple[float, float]]:
-    """Inward unit normals, one per directed edge (interior is to the left
-    of a counter-clockwise edge)."""
-    return [(nx, ny) for nx, ny, _ in _unit_normals(_edge_table(polygon.float_vertices()))]
-
-
-def point_segment_distance(p: tuple[float, float], a: tuple[float, float],
-                           b: tuple[float, float]) -> float:
-    """Float distance from p to segment ab with a hard-clamped projection,
-    through the same guarded sqrt as the smooth kernels."""
-    return _segment_offsets(p[0], p[1], [_edge_row(*a, *b)])[0][0]
 
 
 def point_polygon_signed_distance(p: ScalarPoint, polygon: ConvexPolygon,
@@ -309,7 +251,7 @@ def point_polygon_signed_distance(p: ScalarPoint, polygon: ConvexPolygon,
             gp[0] += c * dx
             gp[1] += c * dy
             _segment_adjoint(gv, k, t, c * dx, c * dy)
-    return _fused(value, coords, gp + gv)
+    return ad.lift(value, coords, gp + gv, "point_polygon_signed_distance")
 
 
 def smooth_sat_penetration(A: ConvexPolygon, B: ConvexPolygon,
@@ -361,7 +303,7 @@ def smooth_sat_penetration(A: ConvexPolygon, B: ConvexPolygon,
                 gnx += a * vx
                 gny += a * vy
         _normal_adjoint(grads[owner], k, edge, length, gnx, gny)
-    return _fused(value, coords, grads[0] + grads[1])
+    return ad.lift(value, coords, grads[0] + grads[1], "smooth_sat_penetration")
 
 
 # Interior samples of an edge pair are skipped when a lower bound on their
@@ -425,7 +367,7 @@ def smooth_polygon_distance(A: ConvexPolygon, B: ConvexPolygon,
            + tau * (CULL_GAP + math.log(n_terms)))
     keep_a, keep_b = _kept_pairs(fa, fb, va, vb, cut)
 
-    # the interior points of sample_boundary: a + t e at t = j * (1 / S), 0 < j < S
+    # the interior boundary samples: a + t e at t = j * (1 / S), 0 < j < S
     inv = 1.0 / cfg.samples_per_edge
     interior = [j * inv for j in range(1, cfg.samples_per_edge)]
     dists = []
@@ -463,7 +405,7 @@ def smooth_polygon_distance(A: ConvexPolygon, B: ConvexPolygon,
         # the sample is a + t e on the source's edge i; the offset's sign flips
         if live[side]:
             _segment_adjoint(grads[side], i, t, -gx, -gy)
-    return _fused(value, coords, grads[0] + grads[1])
+    return ad.lift(value, coords, grads[0] + grads[1], "smooth_polygon_distance")
 
 
 def signed_clearance(A: ConvexPolygon, B: ConvexPolygon,

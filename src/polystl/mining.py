@@ -39,7 +39,8 @@ from .formulas import Always, Atom, Eventually, Formula, FormulaError, Trajector
 from .predicates import (DIRECTIONAL, AxisAlignedBox3, PredicateKind, PredicateParams,
                          Scene, SceneObject, directional_gap)
 
-# what the exact evaluator says of a non-finite value; candidates anchor at 0
+# learn's message for a candidate whose robustness is not finite; candidates
+# anchor at 0
 _NOT_FINITE = "exact robustness anchored at t=0 is not finite"
 
 
@@ -127,10 +128,10 @@ def window_extremes(candidates: Sequence[Candidate], demos: DemonstrationSet,
 
     Each (kind, obstacle, phase) series is read once per demonstration and
     serves both its F and G candidates; demonstrations go one at a time,
-    and a series lives only until its extremes are taken. As in
-    ``Evaluator.result``, a series that holds a non-finite value, or whose
-    atom at ``kappa`` would, raises FormulaError, and candidates are read
-    in the order the exact evaluator would read them.
+    and a series lives only until its extremes are taken. As in the exact
+    ``Evaluator``, a series that holds a non-finite value, or whose atom at
+    ``kappa`` would, raises FormulaError, and candidates are read in the
+    order the exact evaluator would read them.
     """
     extremes: list[list[float]] = [[] for _ in candidates]
     floors: list[list[float]] = [[] for _ in candidates]
@@ -278,13 +279,6 @@ class MiningResult:
     margins: list[LearnedMargin]
     candidates_considered: int
     base_kappa: float
-
-    def formulas(self, subject: str) -> list[Formula]:
-        return [r.candidate.formula(subject, self.base_kappa) for r in self.retained]
-
-    def widened_formulas(self, subject: str) -> list[Formula]:
-        return [m.candidate.formula(subject, self.base_kappa + m.margin)
-                for m in self.margins]
 
 
 def mine(demos: DemonstrationSet, base_kappa: float = 0.05,

@@ -27,8 +27,8 @@ from .geometry import Pose2D, PolygonTemplate, SmoothingConfig
 from .predicates import Scene, SceneObject
 
 
-class OptimizationError(RuntimeError):
-    """Non-finite loss or an ill-posed problem."""
+class OptimizationError(ValueError):
+    """Non-finite loss or an ill-posed problem; both come from bad input."""
 
 
 PoseTriple = tuple[float, float, float]
@@ -245,7 +245,9 @@ def optimize(problem: Problem, cfg: OptimizerConfig = OptimizerConfig()) -> Opti
         traj = build_trajectory(problem, poses)
         scfg = SmoothingConfig(tau=tau, samples_per_edge=cfg.samples_per_edge,
                                sigmoid_scale=cfg.sigmoid_scale)
-        res = eval_smooth(problem.formula, traj, cfg=scfg, exact=exact)
+        # a failed exact pass leaves its table partial, and bounds nothing
+        res = eval_smooth(problem.formula, traj, cfg=scfg,
+                          exact=exact if exact_error is None else None)
         rho_node: Scalar = res.node if res.node is not None else res.value
         hinge = ad.relu(cfg.satisfaction_margin - rho_node)
         loss = hinge + cfg.smoothness_weight * _smoothness_penalty(problem, poses)

@@ -8,16 +8,19 @@ operations. The bodies below are kept verbatim, together with the hard
 against them for equal values and matching adjoints.
 
 ``sqrt_guarded`` is the guarded square root those bodies measure with.
+``sample_boundary``, ``edge_normals`` and ``point_segment_distance`` take
+floats as well as Vars, so they also serve the tests as float helpers.
 ``segment_distance`` is the exact distance of two closed segments, the
 edge-pair formulation ``exactgeo.exact_distance`` is checked against.
 """
 import math
 import types
+from dataclasses import dataclass
 
 from polystl import autodiff as _autodiff
 from polystl import exactgeo as _exactgeo
-from polystl.autodiff import SQRT_GUARD, Scalar, Var, _binary, _unary, value_of
-from polystl.geometry import BoundarySamples, ConvexPolygon, ScalarPoint, SmoothingConfig
+from polystl.autodiff import SQRT_GUARD, Scalar, lift, value_of
+from polystl.geometry import ConvexPolygon, ScalarPoint, SmoothingConfig
 
 
 def max2(a: Scalar, b: Scalar) -> Scalar:
@@ -25,8 +28,8 @@ def max2(a: Scalar, b: Scalar) -> Scalar:
     av = value_of(a)
     bv = value_of(b)
     if av >= bv:
-        return _binary(a, b, av, 1.0, 0.0, "max2")
-    return _binary(a, b, bv, 0.0, 1.0, "max2")
+        return lift(av, (a, b), (1.0, 0.0), "max2")
+    return lift(bv, (a, b), (0.0, 1.0), "max2")
 
 
 def min2(a: Scalar, b: Scalar) -> Scalar:
@@ -34,19 +37,24 @@ def min2(a: Scalar, b: Scalar) -> Scalar:
     av = value_of(a)
     bv = value_of(b)
     if av <= bv:
-        return _binary(a, b, av, 1.0, 0.0, "min2")
-    return _binary(a, b, bv, 0.0, 1.0, "min2")
+        return lift(av, (a, b), (1.0, 0.0), "min2")
+    return lift(bv, (a, b), (0.0, 1.0), "min2")
 
 
 def sqrt_guarded(x: Scalar) -> Scalar:
     """sqrt(x + guard): keeps the derivative finite where two points meet."""
-    if isinstance(x, Var):
-        r = math.sqrt(x.value + SQRT_GUARD)
-        return _unary(x, r, 0.5 / r)
-    return math.sqrt(x + SQRT_GUARD)
+    r = math.sqrt(value_of(x) + SQRT_GUARD)
+    return lift(r, (x,), (0.5 / r,), "sqrt_guarded")
 
 
 ad = types.SimpleNamespace(**vars(_autodiff), max2=max2, min2=min2, sqrt_guarded=sqrt_guarded)
+
+
+@dataclass
+class BoundarySamples:
+    """Evenly spaced boundary points with their worst-case spacing."""
+    points: list[ScalarPoint]
+    spacing: float
 
 
 def sample_boundary(polygon: ConvexPolygon, samples_per_edge: int) -> BoundarySamples:

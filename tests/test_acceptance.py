@@ -19,6 +19,7 @@ from time import perf_counter
 
 import pytest
 
+import geometry_reference as ref
 from gradcheck import central_difference, max_gradient_error
 import polystl.autodiff as ad
 import polystl.exactgeo as xg
@@ -142,9 +143,9 @@ def _sample_gap(a: geo.ConvexPolygon, b: geo.ConvexPolygon,
     gap = math.inf
     for src, dst in ((a, b), (b, a)):
         edges = list(dst.edges())
-        for p in geo.sample_boundary(src, samples_per_edge).points:
+        for p in ref.sample_boundary(src, samples_per_edge).points:
             for e0, e1 in edges:
-                gap = min(gap, geo.point_segment_distance(p, e0, e1))
+                gap = min(gap, ref.point_segment_distance(p, e0, e1))
     return gap
 
 
@@ -438,7 +439,7 @@ def test_5_error_monotone_in_tau_and_samples():
     # increase of the max error along either leg, for any quantity, fails.
     #
     # The S leg is not promised at a moderate temperature such as tau=1e-2.
-    # sample_boundary makes every vertex the k=0 sample of its outgoing edge,
+    # The sampling makes every vertex the k=0 sample of its outgoing edge,
     # so the sample sets for S=4, 16 and 64 are nested and the hard min over
     # the samples of a separated pair already equals the exact distance.
     # Only crossing pairs (exact distance 0) gain from a smaller spacing h;

@@ -15,7 +15,7 @@ positive = st.floats(min_value=1e-3, max_value=50.0)
 def grad_of(build, xs):
     """Analytic gradient of build(list_of_vars) at xs."""
     t = ad.Tape()
-    vs = t.vars(xs)
+    vs = [t.var(v) for v in xs]
     out = build(vs)
     g = ad.backward(out)
     return out.value, [g.wrt(v) for v in vs]
@@ -28,9 +28,8 @@ def value_fn(build):
 def unary(f, df):
     """A unary op on floats or tape variables from its value and derivative."""
     def op(x):
-        if isinstance(x, ad.Var):
-            return x.tape.node(f(x.value), (x,), (df(x.value),))
-        return f(x)
+        v = ad.value_of(x)
+        return ad.lift(f(v), (x,), (df(v),))
     return op
 
 
@@ -87,6 +86,63 @@ def test_node_rejects_parent_on_other_tape():
     assert len(t1) == 1   # nothing appended
 
 
+# -- lift ----------------------------------------------------------------
+
+
+def test_lift_of_floats_is_the_float_and_records_nothing():
+    t = ad.Tape()
+    t.var(1.0)
+    out = ad.lift(2.5, (1.0, -3.0), (7.0, 8.0))
+    assert out == 2.5 and not isinstance(out, ad.Var)
+    assert len(t) == 1
+
+
+def test_lift_parents_are_only_the_vars_with_their_partials():
+    t = ad.Tape()
+    a, b = t.var(1.0), t.var(2.0)
+    out = ad.lift(9.0, (0.5, a, 4.0, b, a), (10.0, 0.25, 20.0, -3.0, 1.5))
+    assert len(t) == 3 and (out.i, out.value) == (2, 9.0)
+    assert t.par[out.i] == (a.i, b.i, a.i)
+    assert t.dpar[out.i] == (0.25, -3.0, 1.5)
+    g = ad.backward(out)
+    assert (g.wrt(a), g.wrt(b)) == (0.25 + 1.5, -3.0)
+
+
+def test_lift_rejects_operands_on_two_tapes():
+    t1, t2 = ad.Tape(), ad.Tape()
+    a, b = t1.var(1.0), t2.var(2.0)
+    with pytest.raises(ad.EvaluationError, match="pair: operands live on different tapes"):
+        ad.lift(3.0, (a, 0.0, b), (1.0, 1.0, 1.0), "pair")
+    assert (len(t1), len(t2)) == (1, 1)
+
+
+PRIMITIVES = [
+    ("square", lambda v: ad.square(v[0]), [-1.7]),
+    ("relu", lambda v: ad.relu(v[0]), [0.6]),
+    ("relu_off", lambda v: ad.relu(v[0]), [-0.6]),
+    ("sigmoid", lambda v: ad.sigmoid(v[0]), [0.8]),
+    ("sigmoid_neg", lambda v: ad.sigmoid(v[0]), [-2.3]),
+    ("abs_smooth", lambda v: ad.abs_smooth(v[0]), [-0.4]),
+    ("sin", lambda v: ad.sin(v[0]), [1.1]),
+    ("cos", lambda v: ad.cos(v[0]), [1.1]),
+    ("wrap_angle", lambda v: ad.wrap_angle(v[0]), [7.5]),
+    ("atan2", lambda v: ad.atan2(v[0], v[1]), [-0.7, -1.9]),
+]
+
+
+@pytest.mark.parametrize("name,build,xs", PRIMITIVES, ids=[c[0] for c in PRIMITIVES])
+def test_primitive_is_one_path_in_both_modes(name, build, xs):
+    """Each primitive gives the float mode's value bit for bit on the tape,
+    as one node, and its partials match a central difference."""
+    t = ad.Tape()
+    vs = [t.var(v) for v in xs]
+    out = build(vs)
+    assert out.value == build(xs) and len(t) == len(xs) + 1
+    g = ad.backward(out)
+    numeric = central_difference(value_fn(build), xs, step=1e-6)
+    assert max_gradient_error([g.wrt(v) for v in vs], numeric) < 1e-6
+
+
 def test_domain_errors_name_the_op():
     t = ad.Tape()
     a = t.var(-1.0)
@@ -109,7 +165,7 @@ def test_gradients_wrt_node_after_output_is_zero():
 def test_backward_is_deterministic():
     def run():
         t = ad.Tape()
-        xs = t.vars([0.3, -1.2, 2.5])
+        xs = [t.var(v) for v in (0.3, -1.2, 2.5)]
         y = ad.lse_max([exp(xs[0]) * xs[1], ad.sin(xs[2]), xs[0] / xs[2]], 0.05)
         g = ad.backward(y)
         return y.value, tuple(g.wrt(x) for x in xs)
@@ -172,7 +228,7 @@ def test_float_mode_matches_var_mode():
 
     xs = [0.7, -0.4]
     t = ad.Tape()
-    assert build(t.vars(xs)).value == build(xs)
+    assert build([t.var(v) for v in xs]).value == build(xs)
 
 
 # -- smoothed extrema stay inside the gap bound ---------------------------
@@ -208,7 +264,7 @@ def test_lse_approaches_hard_extrema_as_tau_shrinks(xs):
 @settings(max_examples=100, deadline=None)
 def test_lse_max_softmax_partials_sum_to_one(xs, tau):
     t = ad.Tape()
-    vs = t.vars(xs)
+    vs = [t.var(v) for v in xs]
     g = ad.backward(ad.lse_max(vs, tau))
     total = sum(g.wrt(v) for v in vs)
     assert total == pytest.approx(1.0, abs=1e-9)

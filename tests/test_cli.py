@@ -324,6 +324,51 @@ class TestMalformedScenario:
         assert err == "error: iterations must be >= 1\n"
 
 
+def _far_obstacle(tmp_path, vertices, formula):
+    """single_obstacle.json with ``obs`` at ``vertices`` and ``formula``."""
+    with open(scenario_path("single_obstacle")) as fh:
+        doc = json.load(fh)
+    doc["objects"][2]["shape"]["vertices"] = vertices
+    doc["formula"] = formula
+    path = tmp_path / "far.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+# its exact distance to ee is NaN; the exact value of G farFrom over the box
+# that holds everything is a finite -0.3, but its smooth value is NaN
+FAR_SQUARE = [[1e200, 1e200], [3e200, 1e200], [3e200, 3e200], [1e200, 3e200]]
+HUGE_BOX = [[-1e200, -1e200], [1e200, -1e200], [1e200, 1e200], [-1e200, 1e200]]
+
+
+class TestOverflowingGeometry:
+    """Coordinates near 1e200 pass the scenario checks, but the geometry
+    built on them overflows: no verdict and no traceback comes of it."""
+
+    @pytest.mark.parametrize("formula", [
+        "G[0,16] farFrom(ee, obs; 0.3) & F[0,16] enclIn(ee, goal; 0.05)",
+        "F[0,16] enclIn(ee, goal; 0.05) & G[0,16] farFrom(ee, obs; 0.3)"])
+    def test_non_finite_exact_atom_exits_2_in_either_operand_order(self, tmp_path, capsys,
+                                                                   formula):
+        # a hard min that met the NaN after a finite operand would skip it
+        rc = main(["eval", _far_obstacle(tmp_path, FAR_SQUARE, formula)])
+        out, err = capsys.readouterr()
+        assert rc == 2
+        assert "verdict" not in out
+        assert err == "error: exact robustness of farFrom(ee, obs; 0.3) at t=0 is not finite\n"
+
+    @pytest.mark.parametrize("obstacle", [FAR_SQUARE, HUGE_BOX], ids=["nan_exact", "finite_exact"])
+    def test_non_finite_loss_exits_2(self, tmp_path, capsys, obstacle):
+        # the non-finite loss is reported first, whether or not the exact
+        # pass failed too
+        path = _far_obstacle(tmp_path, obstacle, "G[0,16] farFrom(ee, obs; 0.3)")
+        rc = main(["optimize", path, "--iterations", "1", "--out-dir", str(tmp_path / "out")])
+        out, err = capsys.readouterr()
+        assert rc == 2
+        assert out == ""
+        assert err == "error: non-finite loss at iteration 0\n"
+
+
 class TestSmoothingFlags:
     @pytest.mark.parametrize("tau", ["nan", "inf", "0", "-0.5"])
     @pytest.mark.parametrize("command", ["eval", "optimize", "accuracy"])

@@ -189,11 +189,11 @@ def test_window_validation_at_construction():
 def test_always_takes_worst_step():
     traj = traj_with_values([1.0, 3.0, -2.0])
     f = Always(0, 2, close_to("a", "b", 4.0))
-    res = eval_exact(f, traj)
+    ev = Evaluator(traj, smooth=False)
+    res = eval_exact(f, traj, evaluator=ev)
     assert res.value == pytest.approx(-2.0, abs=1e-9)
     assert not res.satisfied
-    assert [t for t, _ in res.per_time] == [0, 1, 2]
-    assert [v for _, v in res.per_time] == pytest.approx([1.0, 3.0, -2.0], abs=1e-9)
+    assert [ev.eval(f.child, u) for u in range(3)] == pytest.approx([1.0, 3.0, -2.0], abs=1e-9)
 
 
 def test_eventually_takes_best_step():
@@ -546,31 +546,6 @@ def test_reused_evaluator_matches_fresh_ones(smooth):
     assert compared > 500
 
 
-@pytest.mark.parametrize("smooth", [False, True])
-def test_window_per_time_is_the_child_value_at_each_step(smooth):
-    rng = random.Random(20261019)
-    traj = Trajectory([pair_scene(d, d_ac) for d, d_ac in
-                       ((1.3, 2.2), (2.0, 1.6), (3.4, 3.0), (1.8, 2.5), (2.7, 1.4))])
-    cfg = SmoothingConfig(tau=0.05)
-    checked = set()
-    for _ in range(200):
-        f = random_formula(rng, 3, pairs=(("a", "b"), ("a", "c")))
-        if not isinstance(f, (Always, Eventually, Until)):
-            continue
-        child = f.right if isinstance(f, Until) else f.child
-        ev = Evaluator(traj, smooth, cfg)
-        for t in range(traj.horizon + 1):
-            got = _result_or_error(ev, f, t)
-            if isinstance(got, str):
-                continue
-            lo, hi = t + f.lo, min(t + f.hi, traj.horizon)
-            fresh = Evaluator(traj, smooth, cfg)
-            assert got.per_time == [(u, ad.value_of(fresh.eval(child, u)))
-                                    for u in range(lo, hi + 1)], to_text(f)
-            checked.add(type(f))
-    assert checked == {Always, Eventually, Until}
-
-
 def test_structurally_equal_atoms_share_one_evaluation(monkeypatch):
     from polystl import formulas
     calls = []
@@ -685,12 +660,22 @@ def _value_or_error(ev, f, t):
         return str(exc)
 
 
+def _per_step(f, t, horizon):
+    """(child, step) of each per-step value under ``f`` anchored at ``t``:
+    a temporal root's child (the right operand of ``U``) over its window,
+    else ``f`` itself at ``t``."""
+    if not isinstance(f, (Always, Eventually, Until)):
+        return [(f, t)]
+    child = f.right if isinstance(f, Until) else f.child
+    return [(child, u) for u in range(t + f.lo, min(t + f.hi, horizon) + 1)]
+
+
 @pytest.mark.parametrize("tau", [0.05, 0.01])
 def test_screened_windows_match_unscreened(tau, monkeypatch):
     """Every anchor of random formulas over random trajectories whose steps
     overlap, touch (distance 0), nearly touch or lie far apart: the screened
     value equals the unscreened one, and so do the tape gradients and,
-    computed last, the per-step values of ``result``."""
+    computed last, the per-step values under each anchor (``_per_step``)."""
     rng = random.Random(20261102)
     cfg = SmoothingConfig(tau=tau)
     kinds = (PredicateKind.CLOSE_TO, PredicateKind.FAR_FROM, PredicateKind.LEFT_OF,
@@ -727,8 +712,11 @@ def test_screened_windows_match_unscreened(tau, monkeypatch):
                         assert abs(g_mine.wrt(x) - g_full.wrt(x)) <= 1e-12, to_text(f)
                 compared += 1
             for t in range(traj.horizon + 1):
-                mine, full = (_result_or_error(ev, f, t) for ev in evs.values())
-                assert isinstance(mine, str) or mine.per_time == full.per_time, to_text(f)
+                if isinstance(_value_or_error(evs["full"], f, t), str):
+                    continue
+                for child, u in _per_step(f, t, traj.horizon):
+                    mine, full = (ad.value_of(ev.eval(child, u)) for ev in evs.values())
+                    assert mine == full, to_text(f)
     assert compared > 150
     assert counts["screened"] < counts["full"]   # some steps were left out
 
@@ -751,7 +739,9 @@ def test_screen_skips_the_steps_far_from_the_obstacle(monkeypatch):
         assert screened.eval(f, 0) == full
         assert calls == [True, True], to_text(f)
         # a skipped step is computed on demand
-        assert screened.result(f).per_time == eval_smooth(f, traj, cfg=cfg).per_time
+        unscreened = Evaluator(traj, True, cfg)
+        assert ([screened.eval(f.child, u) for u in range(17)]
+                == [unscreened.eval(f.child, u) for u in range(17)])
 
 
 def test_screen_needs_a_proved_gap_and_an_atom_child(monkeypatch):

