@@ -33,7 +33,8 @@ def signed_area2(vertices: Sequence[Point]) -> float:
 def validate_convex_ccw(vertices: Sequence[Point]) -> list[int]:
     """Raise unless vertices form a finite counter-clockwise convex polygon.
 
-    Cross products of consecutive edges must be >= -1e-9; zero-length
+    The signed area and the cross products of consecutive edges must be
+    finite, and the cross products >= -1e-9; zero-length
     edges are rejected. Returns the indices of the near-collinear corners,
     whose cross product lies inside that tolerance.
     """
@@ -43,7 +44,10 @@ def validate_convex_ccw(vertices: Sequence[Point]) -> list[int]:
     for i, (x, y) in enumerate(vertices):
         if not (math.isfinite(x) and math.isfinite(y)):
             raise GeometryError(f"non-finite coordinate at vertex {i}: ({x!r}, {y!r})")
-    if signed_area2(vertices) <= 0.0:
+    area2 = signed_area2(vertices)
+    if not math.isfinite(area2):   # NaN would pass every test below
+        raise GeometryError(f"signed area overflows ({area2!r}); coordinates too large")
+    if area2 <= 0.0:
         raise GeometryError("vertices are clockwise; counter-clockwise order required")
     collinear = []
     for i in range(n):
@@ -55,6 +59,9 @@ def validate_convex_ccw(vertices: Sequence[Point]) -> list[int]:
         if e1x * e1x + e1y * e1y < 1e-24:
             raise GeometryError(f"zero-length edge at vertex {i}")
         cross = e1x * e2y - e1y * e2x
+        if not math.isfinite(cross):
+            raise GeometryError(f"cross product at vertex {(i + 1) % n} overflows ({cross!r}); "
+                                "coordinates too large")
         if cross < -COLLINEAR_EPS:
             raise GeometryError(
                 f"reflex corner at vertex {(i + 1) % n} (cross product {cross:.3g})")

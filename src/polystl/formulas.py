@@ -27,6 +27,13 @@ out every step whose bound exceeds v* + tau*(CULL_GAP + log N): such a term
 weighs less than e^-CULL_GAP / N of the largest, and all of them together
 add less than e^-CULL_GAP to a weight sum of at least 1, below half an ulp
 of it. ``F`` is the mirror case with upper bounds.
+
+An exact pass can in turn start from the one before it over a trajectory
+that moved a little (see ``Evaluator``'s ``prior``): each atom's last
+value, widened by how far its operands moved, is an interval around its
+value now. A window's min is decided by the steps that could hold it, so
+a ``G`` window over the atom evaluates only the steps whose lower bound
+does not exceed the minimum found, and gets the same float.
 """
 from __future__ import annotations
 
@@ -37,8 +44,9 @@ from typing import Optional, Union
 from . import autodiff as ad
 from .autodiff import Scalar, value_of
 from .geometry import CULL_GAP, SmoothingConfig
-from .predicates import (ARITY, PARAM_ORDER, PredicateKind, PredicateParams, Scene,
-                         atom_robustness, smooth_gaps)
+from .predicates import (ARITY, MOTION_BOUNDED, MOTION_ROUNDING, PARAM_ORDER, PredicateKind,
+                         PredicateParams, Scene, atom_robustness, displacement,
+                         smooth_gaps)
 
 
 class FormulaError(ValueError):
@@ -404,6 +412,19 @@ class Evaluator:
     rounding boundary. An infinite gap, no partner, a child that is not an
     atom or a bound that is not finite leaves every step in. A left-out
     step is not in the child's table; ``eval`` computes it on demand.
+    The partner may hold intervals instead of values (``bounds``); a step
+    whose interval straddles the cut, or could tie the first step, is
+    evaluated exactly, so the kept steps are those exact values give.
+
+    An exact evaluator may take a ``prior``: the exact evaluator of the
+    same formulas over an earlier trajectory of the same length, such as
+    the last ``optimize`` iterate. Its values and intervals are carried
+    over as intervals (``_carry``) and the prior is not kept. A ``G``
+    window over an atom with intervals evaluates its steps in ascending
+    order of lower bound and stops once the next bound lies strictly above
+    the minimum found, so every step that could equal the minimum is
+    evaluated and the hard min picks the same element; ``F`` mirrors this
+    with upper bounds.
 
     The atom leaf, negation and the extremes are the hooks ``_atom``,
     ``_neg``, ``_min`` and ``_max``; ``_Budgets`` swaps them to bound the
@@ -413,10 +434,14 @@ class Evaluator:
 
     def __init__(self, trajectory: Trajectory, smooth: bool,
                  cfg: SmoothingConfig = SmoothingConfig(),
-                 exact: Optional["Evaluator"] = None):
-        if exact is not None and (exact.smooth or exact.traj.horizon != trajectory.horizon):
-            raise FormulaError("the exact partner must be an exact evaluator "
-                               "over a trajectory of the same length")
+                 exact: Optional["Evaluator"] = None,
+                 prior: Optional["Evaluator"] = None):
+        for other, role in ((exact, "the exact partner"), (prior, "the prior")):
+            if other is not None and (other.smooth or other.traj.horizon != trajectory.horizon):
+                raise FormulaError(f"{role} must be an exact evaluator "
+                                   "over a trajectory of the same length")
+        if prior is not None and smooth:
+            raise FormulaError("only an exact evaluator takes a prior")
         self.traj = trajectory
         self.smooth = smooth
         self.cfg = cfg
@@ -424,6 +449,72 @@ class Evaluator:
         self._tables: dict[int, tuple[Formula, dict[int, Scalar]]] = {}
         self._atom_tables: dict[Atom, dict[int, Scalar]] = {}
         self._gap_tables: dict[Atom, dict[int, tuple[float, float]]] = {}
+        # (value, slack) per atom and step not evaluated here: the exact
+        # value lies within slack of value
+        self._intervals: dict[Atom, dict[int, tuple[float, float]]] = {}
+        if prior is not None:
+            self._carry(prior)
+
+    def _carry(self, prior: "Evaluator") -> None:
+        """Widen the prior's exact values and intervals into intervals
+        here. An atom of a kind in ``predicates.MOTION_BOUNDED`` moved by
+        at most the sum of its operands' displacements between the two
+        trajectories, plus ``MOTION_ROUNDING`` of the scale involved; any
+        other kind, and a bound that is not finite, carries nothing."""
+        known: dict[Atom, dict[int, tuple[float, float]]] = {}
+        for atom, table in prior._intervals.items():
+            if atom.kind in MOTION_BOUNDED:
+                known[atom] = dict(table)
+        for atom, table in prior._atom_tables.items():
+            if atom.kind in MOTION_BOUNDED:
+                known.setdefault(atom, {}).update((t, (v, 0.0)) for t, v in table.items())
+        # (delta, scale) per step and object; an object shared by every
+        # scene, as a static one is, is measured once
+        moved: dict[tuple[int, str], tuple[float, float]] = {}
+        measured: dict[tuple[int, int], tuple[float, float]] = {}
+        names = {name for atom in known for name in atom.objects}
+        for t in {t for table in known.values() for t in table}:
+            before, after = prior.traj.scene(t).objects, self.traj.scene(t).objects
+            for name in names:
+                old, new = before.get(name), after.get(name)
+                key = (id(old), id(new))
+                out = measured.get(key)
+                if out is None:
+                    out = measured[key] = (math.inf, math.inf) if old is None or new is None \
+                        else displacement(old, new)
+                moved[t, name] = out
+        for atom, table in known.items():
+            carried = {}
+            for t, (v, slack) in table.items():
+                delta = scale = 0.0
+                for name in atom.objects:
+                    d, s = moved[t, name]
+                    delta += d
+                    scale += s
+                slack += delta + MOTION_ROUNDING * (1.0 + abs(v) + slack + scale)
+                if math.isfinite(slack):
+                    carried[t] = (v, slack)
+            if carried:
+                self._intervals[atom] = carried
+
+    def bounds(self, atom: Atom, ts: range) -> list[tuple[float, float]]:
+        """(lo, hi) around the exact value of ``atom`` at each step of
+        ``ts``, for an exact evaluator: the value itself once evaluated,
+        else its carried interval; a step with neither is evaluated."""
+        values = self._atom_tables.get(atom, {})
+        carried = self._intervals.get(atom, {})
+        out = []
+        for t in ts:
+            value = values.get(t)
+            if value is None:
+                interval = carried.get(t)
+                if interval is not None:
+                    v, slack = interval
+                    out.append((v - slack, v + slack))
+                    continue
+                value = self.eval(atom, t)
+            out.append((value, value))
+        return out
 
     def _gaps(self, atom: Atom, t: int) -> tuple[float, float]:
         """The atom's proved (below, above) gaps at step ``t`` under this
@@ -497,23 +588,57 @@ class Evaluator:
         raise FormulaError(f"not a formula: {f!r}")
 
     def _window_values(self, child: Formula, ts: range, sign: float) -> list[Scalar]:
-        """The child's values over the steps of a soft-min (``sign`` -1) or
-        soft-max (``sign`` 1) window that can carry weight, in step order."""
+        """The child's values over the steps of a min (``sign`` -1) or max
+        (``sign`` 1) window that can decide it, in step order."""
+        if not self.smooth:
+            return self._exact_window_values(child, ts, sign)
         exact = self.exact
         if exact is None or not isinstance(child, Atom) or len(ts) == 1:
             return [self.eval(child, u) for u in ts]
-        # keys[i] bounds -sign * (smooth value at ts[i]) from below
-        keys = []
+        gaps = []
         for u in ts:
             below, above = self._gaps(child, u)
             gap = below if sign < 0.0 else above
             if gap == math.inf:
                 return [self.eval(child, u) for u in ts]
-            keys.append(-sign * exact.eval(child, u) - gap)
-        first = min(range(len(ts)), key=keys.__getitem__)
+            gaps.append(gap)
+
+        def key(i: int) -> float:
+            """A lower bound on -sign * (smooth value at ts[i])."""
+            return -sign * exact.eval(child, ts[i]) - gaps[i]
+
+        # (lo, hi) around each key, from the partner's intervals; a key is
+        # computed only where the interval cannot decide
+        spans = [(lo - gap, hi - gap) if sign < 0.0 else (-hi - gap, -lo - gap)
+                 for (lo, hi), gap in zip(exact.bounds(child, ts), gaps)]
+        top = min(hi for _, hi in spans)
+        first = min((i for i, (lo, _) in enumerate(spans) if lo <= top), key=key)
         cut = (-sign * value_of(self.eval(child, ts[first]))
                + self.cfg.tau * (CULL_GAP + math.log(len(ts))))
-        return [self.eval(child, u) for u, key in zip(ts, keys) if not cut < key < math.inf]
+        out = []
+        for i, (lo, hi) in enumerate(spans):
+            if cut < lo and hi < math.inf:
+                continue
+            if hi <= cut or not cut < key(i) < math.inf:
+                out.append(self.eval(child, ts[i]))
+        return out
+
+    def _exact_window_values(self, child: Formula, ts: range, sign: float) -> list[Scalar]:
+        """The exact values of the window's steps whose interval could hold
+        its extreme: steps in ascending order of their bound on -sign *
+        value, until a bound is strictly past the extreme found. Equal
+        values are all kept, so the extreme is the same element."""
+        if not (isinstance(child, Atom) and self._intervals.get(child)):
+            return [self.eval(child, u) for u in ts]
+        keys = [lo if sign < 0.0 else -hi for lo, hi in self.bounds(child, ts)]
+        best = math.inf
+        kept = []
+        for i in sorted(range(len(ts)), key=keys.__getitem__):
+            if keys[i] > best:
+                break
+            kept.append(i)
+            best = min(best, -sign * self.eval(child, ts[i]))
+        return [self.eval(child, ts[i]) for i in sorted(kept)]
 
     def result(self, f: Formula, t: int = 0) -> RobustnessResult:
         """Robustness of ``f`` anchored at ``t``."""

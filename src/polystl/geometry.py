@@ -256,7 +256,10 @@ def point_polygon_signed_distance(p: ScalarPoint, polygon: ConvexPolygon,
 
 def smooth_sat_penetration(A: ConvexPolygon, B: ConvexPolygon,
                            cfg: SmoothingConfig = SmoothingConfig()) -> Scalar:
-    """Smooth penetration depth from soft separating-axis margins.
+    """Smooth face-normal penetration from soft separating-axis margins:
+    the smallest projection overlap over the face normals, which is not
+    the depth needed to push the polygons apart once one projection holds
+    the other.
 
     For each combined inward edge normal, project both polygons with
     soft extrema and take the soft interval overlap; the soft minimum over
@@ -411,7 +414,11 @@ def smooth_polygon_distance(A: ConvexPolygon, B: ConvexPolygon,
 def signed_clearance(A: ConvexPolygon, B: ConvexPolygon,
                      cfg: SmoothingConfig = SmoothingConfig()) -> Scalar:
     """Smooth distance minus smooth penetration: positive when separated,
-    negative when overlapping; in each regime the other term is ~0."""
+    negative when the boundaries cross. Separated, the penetration term is
+    ~0; crossing, the distance term is ~0. Under containment neither is:
+    the sampled distance measures boundary to boundary, so it keeps the
+    gap between the two boundaries although the exact distance is 0, and
+    the difference can take either sign."""
     return smooth_polygon_distance(A, B, cfg) - smooth_sat_penetration(A, B, cfg)
 
 

@@ -223,6 +223,7 @@ def optimize(problem: Problem, cfg: OptimizerConfig = OptimizerConfig()) -> Opti
     adam_t = 0
 
     iterations_run = 0
+    exact = None
     for it in range(cfg.iterations):
         iterations_run = it + 1
         tau = cfg.tau_at(it)
@@ -230,9 +231,11 @@ def optimize(problem: Problem, cfg: OptimizerConfig = OptimizerConfig()) -> Opti
             snapshots[it] = float_pose_dict(flat)
 
         # the exact pass runs first: its memoized atom values bound the smooth
-        # ones, so the smooth pass skips window steps that carry no weight
+        # ones, so the smooth pass skips window steps that carry no weight;
+        # it starts from the last pass's values, widened by how far the
+        # objects moved, and evaluates only the window steps they cannot decide
         exact = Evaluator(build_trajectory(problem, _poses_from_flat(problem, flat)),
-                          smooth=False)
+                          smooth=False, prior=exact)
         exact_error = None
         try:
             rho_exact = eval_exact(problem.formula, exact.traj, evaluator=exact).value

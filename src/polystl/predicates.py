@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain
 from typing import Optional, Sequence, Union
 
 from . import autodiff as ad
@@ -425,3 +426,47 @@ def smooth_gaps(scene: Scene, kind: PredicateKind, names: Sequence[str],
     if kind in (PredicateKind.ORIENTED, PredicateKind.BEARING_TO):
         return 0.0, 0.0
     return math.inf, math.inf
+
+
+# Kinds whose exact value moves by at most the sum, over its operands, of
+# each operand's largest reference-point displacement (``displacement``).
+# Matching reference points carry every point of a polygon (a convex
+# combination of its vertices) to the same combination of the moved ones,
+# so no point of either placement lies further than that from the other.
+# - closeTo/farFrom: the distance of two convex sets is 1-Lipschitz in
+#   each set under that (Hausdorff) distance.
+# - enclIn: on polygons, a vertex's signed distance to a convex outer
+#   polygon K is sup over unit n of p.n - h_K(n); p moves by at most the
+#   inner displacement and the support function h_K by at most the outer
+#   one. On boxes each face margin is a difference of two coordinates.
+# - Directional kinds and betweenPx/betweenPy: axis extremes are extreme
+#   vertex or corner coordinates, each moved by at most the displacement.
+# touch, ovlp and partOvlp read the penetration over the polygons' own
+# face normals, which turn with them, and oriented and bearingTo read
+# headings and centroid bearings; they get no bound.
+MOTION_BOUNDED = frozenset({
+    PredicateKind.CLOSE_TO, PredicateKind.FAR_FROM, PredicateKind.ENCL_IN,
+    *DIRECTIONAL, PredicateKind.BETWEEN_PX, PredicateKind.BETWEEN_PY})
+
+# Widening, relative to the scale of the values and coordinates involved,
+# that covers the rounding of both exact evaluations an interval relates
+# and of the bound's own sums: millions of ulps, far below any motion.
+MOTION_ROUNDING = 1e-9
+
+
+def _reference_points(shape: Shape) -> list[tuple[float, ...]]:
+    if isinstance(shape, AxisAlignedBox3):
+        return [tuple(value_of(c) for c in shape.lo), tuple(value_of(c) for c in shape.hi)]
+    return shape.float_vertices()
+
+
+def displacement(before: SceneObject, after: SceneObject) -> tuple[float, float]:
+    """(delta, scale) of one object across two placements: delta is the
+    largest distance between matching reference points (a polygon's
+    vertices in order, a box's two corners), ``inf`` when the shapes do
+    not match point for point; scale is the largest coordinate magnitude
+    of either placement."""
+    old, new = _reference_points(before.shape), _reference_points(after.shape)
+    if len(old) != len(new) or len(old[0]) != len(new[0]):
+        return math.inf, math.inf
+    return max(map(math.dist, old, new)), max(map(abs, chain.from_iterable(old + new)))

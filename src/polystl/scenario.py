@@ -18,12 +18,13 @@ from typing import Optional, Sequence
 
 from . import __version__
 from .autodiff import wrap_angle
+from .exactgeo import GeometryError
 from .formulas import Formula, FormulaError, Trajectory, parse
 from .geometry import ConvexPolygon, PolygonTemplate
 from .mining import DemonstrationSet, LearnedMargin, MiningError, Phase, RetainedFormula
 from .optimize import (Movable, OptimizationError, OptimizerConfig, PoseTriple, Problem,
                        TraceRow)
-from .predicates import AxisAlignedBox3, Scene, SceneObject
+from .predicates import AxisAlignedBox3, Scene, SceneError, SceneObject
 
 
 class ScenarioFileError(ValueError):
@@ -182,6 +183,8 @@ def scenario_from_dict(doc: dict, where: str = "scenario") -> Scenario:
         raise ScenarioFileError(f"{where}: must be a JSON object")
     _require_keys(doc, ["name", "horizon", "formula", "objects"],
                   ["seed", "optimizer"], where)
+    if not isinstance(doc["name"], str):
+        raise ScenarioFileError(f"{where}: name must be a string")
     horizon = doc["horizon"]
     if not _is_integer(horizon) or horizon < 1:
         raise ScenarioFileError(f"{where}: horizon must be a positive integer")
@@ -209,10 +212,10 @@ def scenario_from_dict(doc: dict, where: str = "scenario") -> Scenario:
             for k in ("start", "end", "poses"):
                 if k in raw:
                     raise ScenarioFileError(f"{oid}: static object does not take {k!r}")
-            if kind == "polygon":
-                shape = ConvexPolygon(data)
-            else:
-                shape = AxisAlignedBox3(*data)
+            try:
+                shape = ConvexPolygon(data) if kind == "polygon" else AxisAlignedBox3(*data)
+            except (GeometryError, SceneError) as exc:
+                raise ScenarioFileError(f"{oid} ({name}): {exc}") from None
             heading = None
             if "heading" in raw:
                 heading = _numbers(raw["heading"], 2, "[ux, uy]",
@@ -225,7 +228,10 @@ def scenario_from_dict(doc: dict, where: str = "scenario") -> Scenario:
             if "heading" in raw:
                 raise ScenarioFileError(
                     f"{oid}: movable heading comes from its pose, drop the key")
-            template = PolygonTemplate(data)
+            try:
+                template = PolygonTemplate(data)
+            except GeometryError as exc:
+                raise ScenarioFileError(f"{oid} ({name}): {exc}") from None
             if "poses" in raw:
                 if "start" in raw or "end" in raw:
                     raise ScenarioFileError(f"{oid}: give poses or start/end, not both")

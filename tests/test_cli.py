@@ -4,12 +4,17 @@ The seeded repo scenarios get their full-budget runs in the acceptance
 suite; here optimize runs with clipped iteration counts so the whole file
 stays fast.
 """
+import contextlib
 import csv
+import io
 import json
+import math
 import os
+import tempfile
 import xml.etree.ElementTree as ET
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from polystl import cli, formulas
 from polystl.cli import main
@@ -18,7 +23,7 @@ from polystl.geometry import SmoothingConfig
 from polystl.mining import make_demo_set
 from polystl.optimize import build_trajectory
 from polystl.render import render_frame
-from polystl.scenario import fmt, load_scenario, write_demo_dir
+from polystl.scenario import fmt, load_scenario, write_demo_dir, write_trajectory_csv
 
 HERE = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SCENARIOS = os.path.join(HERE, "scenarios")
@@ -290,6 +295,7 @@ MALFORMED = {
                        "objects[0] (ee): shape must be an object"),
     "formula_a_number": (_set(["formula"], 5), "formula must be a string"),
     "name_a_list": (_set(["objects", 0, "name"], ["ee"]), "objects[0]: name must be a string"),
+    "scenario_name_nan": (_set(["name"], float("nan")), "name must be a string"),
 }
 
 
@@ -335,38 +341,135 @@ def _far_obstacle(tmp_path, vertices, formula):
     return str(path)
 
 
-# its exact distance to ee is NaN; the exact value of G farFrom over the box
-# that holds everything is a finite -0.3, but its smooth value is NaN
+# their signed areas overflow to NaN and to inf; the smooth and exact values
+# built on either would not be finite, or would decide a verdict from bad input
 FAR_SQUARE = [[1e200, 1e200], [3e200, 1e200], [3e200, 3e200], [1e200, 3e200]]
 HUGE_BOX = [[-1e200, -1e200], [1e200, -1e200], [1e200, 1e200], [-1e200, 1e200]]
+CLOCKWISE = [[3.0, 3.15], [3.5, 2.65], [3.0, 2.15], [2.5, 2.65]]
 
 
-class TestOverflowingGeometry:
-    """Coordinates near 1e200 pass the scenario checks, but the geometry
-    built on them overflows: no verdict and no traceback comes of it."""
+class TestRejectedObstacle:
+    """An obstacle whose coordinates overflow the polygon checks, or whose
+    vertices run clockwise, is rejected as it loads: exit 2 and one error
+    line that names the object, whichever command reads it."""
 
-    @pytest.mark.parametrize("formula", [
-        "G[0,16] farFrom(ee, obs; 0.3) & F[0,16] enclIn(ee, goal; 0.05)",
-        "F[0,16] enclIn(ee, goal; 0.05) & G[0,16] farFrom(ee, obs; 0.3)"])
-    def test_non_finite_exact_atom_exits_2_in_either_operand_order(self, tmp_path, capsys,
-                                                                   formula):
-        # a hard min that met the NaN after a finite operand would skip it
-        rc = main(["eval", _far_obstacle(tmp_path, FAR_SQUARE, formula)])
-        out, err = capsys.readouterr()
-        assert rc == 2
-        assert "verdict" not in out
-        assert err == "error: exact robustness of farFrom(ee, obs; 0.3) at t=0 is not finite\n"
-
-    @pytest.mark.parametrize("obstacle", [FAR_SQUARE, HUGE_BOX], ids=["nan_exact", "finite_exact"])
-    def test_non_finite_loss_exits_2(self, tmp_path, capsys, obstacle):
-        # the non-finite loss is reported first, whether or not the exact
-        # pass failed too
+    @pytest.mark.parametrize("command", ["eval", "optimize"])
+    @pytest.mark.parametrize("obstacle, message", [
+        (FAR_SQUARE, "signed area overflows (nan)"),
+        (HUGE_BOX, "signed area overflows (inf)"),
+        (CLOCKWISE, "vertices are clockwise")], ids=["far_square", "huge_box", "clockwise"])
+    def test_exits_2_naming_the_object(self, tmp_path, capsys, command, obstacle, message):
         path = _far_obstacle(tmp_path, obstacle, "G[0,16] farFrom(ee, obs; 0.3)")
-        rc = main(["optimize", path, "--iterations", "1", "--out-dir", str(tmp_path / "out")])
+        argv = [command, path]
+        if command == "optimize":
+            argv += ["--iterations", "1", "--out-dir", str(tmp_path / "out")]
+        rc = main(argv)
         out, err = capsys.readouterr()
         assert rc == 2
         assert out == ""
-        assert err == "error: non-finite loss at iteration 0\n"
+        assert err.startswith(f"error: far.json: objects[2] (obs): {message}")
+        assert err.count("\n") == 1
+
+
+def _json_paths(node, prefix=()):
+    """The path to every value in a JSON document, the root included."""
+    yield prefix
+    items = node.items() if isinstance(node, dict) else enumerate(node) \
+        if isinstance(node, list) else ()
+    for key, child in items:
+        yield from _json_paths(child, prefix + (key,))
+
+
+def _run_cli(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    return rc, out.getvalue(), err.getvalue()
+
+
+def _check_outcome(rc, out, err):
+    """A verdict (exit 0 or 1, nothing on stderr) or exit 2 with one
+    ``error:`` line and nothing on stdout; never a traceback."""
+    if rc == 2:
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1, err
+    else:
+        assert rc in (0, 1) and err == "" and "exact verdict: " in out, (rc, err)
+
+
+NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+ODD_VALUES = st.one_of(st.none(), st.booleans(), st.integers(-3, 20), st.floats(-5.0, 5.0),
+                       st.sampled_from([1e200, -1e200, 1e308, 0.5]), st.text(max_size=3),
+                       st.lists(st.integers(0, 3), max_size=3), st.just({}))
+# deleting one of these keys always leaves the document invalid
+REQUIRED_KEYS = {"name", "horizon", "formula", "objects", "role", "shape", "kind",
+                 "vertices", "start", "end"}
+NON_FINITE_CELLS = ["nan", "NaN", "inf", "-Infinity"]
+ODD_CELLS = st.sampled_from(NON_FINITE_CELLS + ["1e200", "-1e200", "", "x", "1.5", "-1", "99",
+                                                "ee", "0x10"])
+
+
+class TestFuzzedInput:
+    """Mutated scenario documents and trajectory CSVs: wrong types,
+    NaN, infinities and 1e200, missing keys, cells and rows. Each either
+    gets a verdict or exits 2 with one error line; a non-finite number,
+    or a required key taken away, always exits 2."""
+
+    @settings(max_examples=250, deadline=None, derandomize=True)
+    @given(data=st.data(), name=st.sampled_from(["single_obstacle", "corridor"]),
+           how=st.sampled_from(["non_finite", "replace", "delete"]))
+    def test_mutated_scenario(self, data, name, how):
+        with open(scenario_path(name)) as fh:
+            doc = json.load(fh)
+        paths = [p for p in _json_paths(doc) if p or how != "delete"]
+        path = data.draw(st.sampled_from(paths))
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if how == "delete":
+            del parent[path[-1]]
+        else:
+            value = data.draw(NON_FINITE if how == "non_finite" else ODD_VALUES)
+            if path:
+                parent[path[-1]] = value
+            else:
+                doc = value
+        with tempfile.TemporaryDirectory() as tmp:
+            path_file = os.path.join(tmp, "fuzzed.json")
+            with open(path_file, "w") as fh:
+                json.dump(doc, fh)
+            rc, out, err = _run_cli(["eval", path_file])
+        _check_outcome(rc, out, err)
+        if how == "non_finite" or (how == "delete" and path[-1] in REQUIRED_KEYS):
+            assert rc == 2, (path, out)
+
+    @settings(max_examples=250, deadline=None, derandomize=True)
+    @given(data=st.data(), how=st.sampled_from(["cell", "drop_cell", "drop_row", "repeat_row"]))
+    def test_mutated_trajectory_csv(self, data, how):
+        scn = load_scenario(scenario_path("single_obstacle"))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "trajectory.csv")
+            write_trajectory_csv(path, {m.name: m.initial_poses for m in scn.problem.movables})
+            with open(path, newline="") as fh:
+                rows = list(csv.reader(fh))
+            i = data.draw(st.integers(0, len(rows) - 1))
+            j = data.draw(st.integers(0, len(rows[i]) - 1))
+            cell = None
+            if how == "cell":
+                cell = data.draw(ODD_CELLS)
+                rows[i][j] = cell
+            elif how == "drop_cell":
+                del rows[i][j]
+            elif how == "drop_row":
+                del rows[i]
+            else:
+                rows.insert(i, list(rows[i]))
+            with open(path, "w", newline="") as fh:
+                csv.writer(fh).writerows(rows)
+            rc, out, err = _run_cli(["eval", scenario_path("single_obstacle"),
+                                     "--trajectory", path])
+        _check_outcome(rc, out, err)
+        if how != "cell" or cell in NON_FINITE_CELLS:
+            assert rc == 2, (how, i, j, cell, out)
 
 
 class TestSmoothingFlags:

@@ -771,6 +771,120 @@ def test_exact_partner_must_be_exact_over_as_many_steps():
                    evaluator=Evaluator(traj_with_values([1.0, 3.0, -2.0]), smooth=False))
 
 
+# -- carried intervals -------------------------------------------------------------------
+
+CARRIED_KINDS = (PredicateKind.CLOSE_TO, PredicateKind.FAR_FROM, PredicateKind.ENCL_IN,
+                 PredicateKind.LEFT_OF, PredicateKind.BETWEEN_PX, PredicateKind.ORIENTED)
+THREE = (("a", "b"), ("a", "c"), ("a", "b", "c"))
+
+
+def _walks(rng, runs, steps=7):
+    """``runs`` walks of 5 step lists for ``_three_squares``, each moving
+    the one before by nothing, a little or a lot, as an optimizer's
+    iterates do; with formulas over them, two with windows as long as the
+    trajectory."""
+    for _ in range(runs):
+        cur = [(rng.uniform(0.5, 4.0), rng.uniform(0.5, 4.0)) for _ in range(steps)]
+        walk = [cur]
+        for _ in range(4):
+            size = rng.choice([0.0, 1e-3, 0.02, 0.2, 2.0])
+            cur = [(x + rng.uniform(-size, size), y + rng.uniform(-size, size)) for x, y in cur]
+            walk.append(cur)
+        fs = [random_formula(rng, 3, pairs=THREE, kinds=CARRIED_KINDS) for _ in range(4)]
+        fs += [Always(0, steps - 1, random_formula(rng, 0, pairs=THREE, kinds=CARRIED_KINDS)),
+               Eventually(0, steps - 1, random_formula(rng, 0, pairs=THREE, kinds=CARRIED_KINDS))]
+        yield walk, fs
+
+
+def _bits(x):
+    return x if isinstance(x, str) else ad.value_of(x).hex()
+
+
+def test_carried_intervals_give_the_same_values_bit_for_bit(monkeypatch):
+    """Every anchor of random formulas along walks of trajectories: an
+    exact evaluator that carries the last one's values gives the values of
+    a fresh one, bit for bit, with fewer atom evaluations."""
+    rng = random.Random(20261018)
+    calls = _counting_atoms(monkeypatch)
+    counts = {"carried": 0, "fresh": 0}
+    compared = 0
+    for walk, fs in _walks(rng, 12):
+        prior = None
+        for steps in walk:
+            traj = _three_squares(steps)[0]
+            evs = {"carried": Evaluator(traj, False, prior=prior), "fresh": Evaluator(traj, False)}
+            for f in fs:
+                for t in range(traj.horizon + 1):
+                    got = {}
+                    for name, ev in evs.items():
+                        before = len(calls)
+                        got[name] = _bits(_value_or_error(ev, f, t))
+                        counts[name] += len(calls) - before
+                    assert got["carried"] == got["fresh"], to_text(f)
+                    compared += not got["fresh"].startswith(("G", "F", "U"))
+            prior = evs["carried"]
+    assert compared > 1000
+    assert counts["carried"] < counts["fresh"]
+
+
+@pytest.mark.parametrize("tau", [0.05, 0.01])
+def test_carried_partner_leaves_the_smooth_pass_unchanged(tau):
+    """Run first, as in ``optimize``, an exact partner that carries
+    intervals leaves its smooth evaluator the same kept steps and values
+    as a fresh partner does."""
+    rng = random.Random(20261019)
+    cfg = SmoothingConfig(tau=tau)
+    for walk, fs in _walks(rng, 6):
+        prior = None
+        for steps in walk:
+            traj = _three_squares(steps)[0]
+            exacts = {"carried": Evaluator(traj, False, prior=prior),
+                      "fresh": Evaluator(traj, False)}
+            for ev in exacts.values():
+                for f in fs:
+                    _value_or_error(ev, f, 0)
+            smooths = {name: Evaluator(traj, True, cfg, exact=ev) for name, ev in exacts.items()}
+            for f in fs:
+                got = {name: _bits(_value_or_error(ev, f, 0)) for name, ev in smooths.items()}
+                assert got["carried"] == got["fresh"], to_text(f)
+            kept = [{atom: sorted(table) for atom, table in ev._atom_tables.items()}
+                    for ev in smooths.values()]
+            assert kept[0] == kept[1]
+            prior = exacts["carried"]
+
+
+def test_prior_must_be_exact_over_as_many_steps():
+    traj = traj_with_values([1.0, 3.0, -2.0])
+    with pytest.raises(FormulaError, match="the prior must be"):
+        Evaluator(traj, False, prior=Evaluator(traj, smooth=True))
+    with pytest.raises(FormulaError, match="the prior must be"):
+        Evaluator(traj, False, prior=Evaluator(traj_with_values([1.0]), smooth=False))
+    with pytest.raises(FormulaError, match="only an exact evaluator"):
+        Evaluator(traj, True, prior=Evaluator(traj, smooth=False))
+
+
+def test_carried_window_evaluates_only_the_steps_that_can_hold_its_extreme(monkeypatch):
+    # b stays 6.5 clear of a except at steps 5 and 11, and moves by 0.01 a
+    # pass: with the prior, G farFrom and F closeTo each need step 5 alone,
+    # since step 11 is 0.1 worse
+    steps = [8.0] * 17
+    steps[5], steps[11] = 1.5, 1.6
+    prior = None
+    calls = _counting_atoms(monkeypatch)
+    for shift in (0.0, 0.01):
+        traj = Trajectory([pair_scene(d + shift) for d in steps])
+        ev = Evaluator(traj, smooth=False, prior=prior)
+        used = 0
+        for f in (Always(0, 16, _far_from("a", "b", 0.3)),
+                  Eventually(0, 16, close_to("a", "b", 0.3))):
+            want = eval_exact(f, traj).value
+            before = len(calls)
+            assert ev.eval(f, 0) == want
+            used += len(calls) - before
+        assert used == (34 if prior is None else 2)
+        prior = ev
+
+
 # -- smoothing budget -------------------------------------------------------------------
 
 

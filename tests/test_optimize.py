@@ -1,5 +1,6 @@
 """Optimizer loop: loss shape, schedules, convergence on small problems."""
 import importlib
+import os
 import math
 
 import pytest
@@ -281,3 +282,24 @@ def test_non_finite_loss_is_reported_after_the_exact_pass(monkeypatch, bad):
         optimize(reach_problem(), OptimizerConfig(iterations=10, samples_per_edge=4))
     assert len(partners) == 3
     assert all(isinstance(e, Evaluator) and not e.smooth for e in partners)
+
+
+def test_exact_pass_evaluates_only_what_the_carried_intervals_leave_open(monkeypatch):
+    # single_obstacle's 71 iterations would evaluate every atom at every
+    # step, 2,414 exact atom calls; the carried intervals leave 400
+    from polystl import formulas
+    from polystl.scenario import load_scenario
+    scn = load_scenario(os.path.join(os.path.dirname(os.path.dirname(__file__)),
+                                     "scenarios", "single_obstacle.json"))
+    calls = []
+    real = formulas.atom_robustness
+
+    def counting(*args):
+        calls.append(args[4])   # the smooth flag
+        return real(*args)
+
+    monkeypatch.setattr(formulas, "atom_robustness", counting)
+    res = optimize(scn.problem, scn.optimizer)
+    assert res.success and res.iterations_run == 71
+    assert calls.count(False) < 600
+    assert calls.count(True) == 556

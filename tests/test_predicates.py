@@ -549,3 +549,83 @@ def test_enclosure_budget_fails_below_along_near_collinear_edges():
     assert under > geo.enclosure_error_budget(sc.get("i").shape, outer, cfg)
     assert pr._corners_blunt(outer)
     assert pr.smooth_gaps(sc, K.ENCL_IN, ["i", "o"], cfg)[0] == math.inf
+
+
+# -- motion bound ------------------------------------------------------------------
+
+
+@st.composite
+def motions(draw):
+    """(dx, dy, angle, ox, oy): a turn by ``angle`` about (ox, oy), then a
+    shift; half the draws are pure turns about an origin up to 300 away,
+    which move every vertex a long way for a small angle."""
+    angle = draw(st.floats(-0.3, 0.3))
+    if draw(st.booleans()):
+        r, phi = draw(st.floats(20.0, 300.0)), draw(st.floats(0.0, 2.0 * math.pi))
+        return 0.0, 0.0, angle / r * draw(st.floats(0.1, 10.0)), r * math.cos(phi), r * math.sin(phi)
+    return (draw(st.floats(-0.5, 0.5)), draw(st.floats(-0.5, 0.5)), angle,
+            draw(st.floats(-3.0, 3.0)), draw(st.floats(-3.0, 3.0)))
+
+
+def _move(shape, motion):
+    dx, dy, angle, ox, oy = motion
+    if isinstance(shape, AxisAlignedBox3):   # boxes only shift
+        return AxisAlignedBox3(tuple(c + d for c, d in zip(shape.lo, (dx, dy, angle))),
+                               tuple(c + d for c, d in zip(shape.hi, (dx, dy, angle))))
+    c, s = math.cos(angle), math.sin(angle)
+    return geo.ConvexPolygon([(ox + c * (x - ox) - s * (y - oy) + dx,
+                               oy + s * (x - ox) + c * (y - oy) + dy)
+                              for x, y in shape.float_vertices()])
+
+
+MOTION_PARAMS = {K.CLOSE_TO: {"eps_close": 0.3}, K.FAR_FROM: {"eps_far": 0.3},
+                 K.ENCL_IN: {"delta_inside": 0.05}, K.BETWEEN_PX: {"kappa": 0.1},
+                 K.BETWEEN_PY: {"kappa": 0.1},
+                 **{k: {"kappa": 0.1} for k in pr.DIRECTIONAL}}
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(index=st.integers(0, 10 ** 6), kind=st.sampled_from(sorted(pr.MOTION_BOUNDED,
+                                                                   key=lambda k: k.value)),
+       layout=st.sampled_from(["pair", "nested", "boxes"]),
+       moves=st.lists(motions(), min_size=3, max_size=3))
+def test_motion_bound_holds(index, kind, layout, moves):
+    """Every kind in the table moves by at most the summed displacement of
+    its operands under rigid motions (boxes: shifts), plus the rounding
+    allowance; on randgeom pairs, a polygon nested in the other (enclIn's
+    inside branch), or bounding boxes (which the z-axis kinds need and the
+    distance kinds reject)."""
+    a, b = (geo.ConvexPolygon(v) for v in pair_for_index(11, index))
+    c = geo.ConvexPolygon(pair_for_index(12, index)[0])
+    if layout == "nested":
+        cx, cy = b.centroid()
+        a = geo.ConvexPolygon([(cx + 0.3 * (x - cx), cy + 0.3 * (y - cy))
+                               for x, y in b.float_vertices()])
+    shapes = {"a": a, "b": b, "c": c}
+    if (layout == "boxes" and kind not in (K.CLOSE_TO, K.FAR_FROM)) or kind in (K.BELOW, K.ABOVE):
+        shapes = _boxed(shapes, shapes)
+    names = ["a", "b", "c"][:pr.ARITY[kind]]
+    before = scene(**shapes)
+    after = scene(**{n: _move(s, m) for (n, s), m in zip(shapes.items(), moves)})
+    v0 = rob(before, kind, names, False, **MOTION_PARAMS[kind])
+    v1 = rob(after, kind, names, False, **MOTION_PARAMS[kind])
+    delta = scale = 0.0
+    for n in names:
+        d, s = pr.displacement(before.get(n), after.get(n))
+        delta += d
+        scale += s
+    assert abs(v1 - v0) <= delta + pr.MOTION_ROUNDING * (1.0 + abs(v0) + scale), (v0, v1, delta)
+
+
+def test_kinds_read_through_turning_normals_or_headings_have_no_motion_bound():
+    for kind in (K.TOUCH, K.OVLP, K.PART_OVLP, K.ORIENTED, K.BEARING_TO):
+        assert kind not in pr.MOTION_BOUNDED
+
+
+def test_displacement_is_infinite_between_unmatched_shapes():
+    tri = geo.ConvexPolygon([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)])
+    box = AxisAlignedBox3((0.0, 0.0, 0.0), (1.0, 1.0, 1.0))
+    for old, new in ((square(0, 0), tri), (square(0, 0), box)):
+        assert pr.displacement(SceneObject("a", old), SceneObject("a", new))[0] == math.inf
+    assert pr.displacement(SceneObject("a", square(0, 0)),
+                           SceneObject("a", square(0.3, -0.4))) == (0.5, 0.9)
