@@ -371,6 +371,44 @@ class TestRejectedObstacle:
         assert err.count("\n") == 1
 
 
+# both pass the polygon checks. The sliver's long edge has a squared length
+# of inf, so the exact distance to it is inf/inf = NaN; the square's squared
+# distances overflow in the smooth geometry, while the exact one, built on
+# hypot, stays finite
+LONG_SLIVER = [[-1e300, 1.0], [1e300, 1.0], [1e300, 1.5]]
+FAR_DIAGONAL = [[1.2e154, -1.2e154], [1.3e154, -1.2e154], [1.3e154, -1.1e154],
+                [1.2e154, -1.1e154]]
+
+
+class TestOverflowingGeometry:
+    """An obstacle that loads, but whose geometry overflows further on:
+    exit 2 with one error line, no verdict and no traceback."""
+
+    @pytest.mark.parametrize("formula", [
+        "G[0,16] farFrom(ee, obs; 0.3) & F[0,16] enclIn(ee, goal; 0.05)",
+        "F[0,16] enclIn(ee, goal; 0.05) & G[0,16] farFrom(ee, obs; 0.3)"])
+    def test_non_finite_exact_atom_exits_2_in_either_operand_order(self, tmp_path, capsys,
+                                                                   formula):
+        # a hard min that met the NaN after a finite operand would skip it
+        rc = main(["eval", _far_obstacle(tmp_path, LONG_SLIVER, formula)])
+        out, err = capsys.readouterr()
+        assert rc == 2
+        assert "verdict" not in out
+        assert err == "error: exact robustness of farFrom(ee, obs; 0.3) at t=0 is not finite\n"
+
+    @pytest.mark.parametrize("obstacle", [LONG_SLIVER, FAR_DIAGONAL],
+                             ids=["nan_exact", "finite_exact"])
+    def test_non_finite_loss_exits_2(self, tmp_path, capsys, obstacle):
+        # the non-finite loss is reported first, whether or not the exact
+        # pass failed too
+        path = _far_obstacle(tmp_path, obstacle, "G[0,16] farFrom(ee, obs; 0.3)")
+        rc = main(["optimize", path, "--iterations", "1", "--out-dir", str(tmp_path / "out")])
+        out, err = capsys.readouterr()
+        assert rc == 2
+        assert out == ""
+        assert err == "error: non-finite loss at iteration 0\n"
+
+
 def _json_paths(node, prefix=()):
     """The path to every value in a JSON document, the root included."""
     yield prefix
