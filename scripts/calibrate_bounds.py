@@ -42,13 +42,12 @@ def main():
     observed = {}   # (quantity, tau, samples) -> max abs error
     for index in range(n_pairs):
         va, vb = pair_for_index(seed=0, index=index)
-        for tau, samples in GRID:
-            for quantity, exact, smooth in pair_quantities(va, vb, tau, samples):
-                err = abs(smooth - exact)
-                key = (quantity, tau, samples)
-                observed[key] = max(observed.get(key, 0.0), err)
-                if quantity == "distance":
-                    worst_c = max(worst_c, c_required(va, vb, tau, samples, err))
+        for tau, samples, quantity, exact, smooth in pair_quantities(va, vb, GRID):
+            err = abs(smooth - exact)
+            key = (quantity, tau, samples)
+            observed[key] = max(observed.get(key, 0.0), err)
+            if quantity == "distance":
+                worst_c = max(worst_c, c_required(va, vb, tau, samples, err))
 
     print(f"suite: {n_pairs} pairs x {GRID}")
     print(f"required sampling coefficient C: {worst_c:.4f}")

@@ -13,7 +13,7 @@ from . import exactgeo as xg
 from .geometry import (ConvexPolygon, SmoothingConfig, signed_clearance,
                        smooth_polygon_distance, smooth_sat_penetration)
 from .predicates import (PredicateKind, PredicateParams, Scene, SceneObject,
-                         atom_robustness, exact_atom_robustness)
+                         atom_robustness)
 from .randgeom import pair_for_index
 
 QUANTITIES = ("distance", "clearance", "penetration", "enclosure")
@@ -36,41 +36,31 @@ FROZEN_BOUNDS = {
 SIGN_AGREEMENT_GATE = 0.05  # |exact| above this must match smooth in sign
 
 
-def _enclosure_params() -> PredicateParams:
-    return PredicateParams.for_kind(PredicateKind.ENCL_IN, [ENCLOSURE_DELTA])
-
-
-def pair_quantities(va: list, vb: list, tau: float,
-                    samples: int) -> list[tuple[str, float, float]]:
-    """(quantity, exact, smooth) for one polygon pair given as float vertices."""
-    cfg = SmoothingConfig(tau=tau, samples_per_edge=samples)
+def pair_quantities(va: list, vb: list, settings: Sequence[tuple[float, int]]) -> list[tuple]:
+    """(tau, samples, quantity, exact, smooth) for one polygon pair given as
+    float vertices, at each (tau, samples) of ``settings`` in turn. The
+    polygons and the exact values are computed once for all of them."""
     pa, pb = ConvexPolygon(va), ConvexPolygon(vb)
     scene = Scene([SceneObject("a", pa), SceneObject("b", pb)])
-    params = _enclosure_params()
-    rows = [
-        ("distance", xg.exact_distance(va, vb),
-         smooth_polygon_distance(pa, pb, cfg)),
-        ("clearance", xg.exact_clearance(va, vb),
-         signed_clearance(pa, pb, cfg)),
-        ("penetration", xg.exact_penetration(va, vb),
-         smooth_sat_penetration(pa, pb, cfg)),
-        ("enclosure",
-         exact_atom_robustness(scene, PredicateKind.ENCL_IN, ("a", "b"), params),
-         atom_robustness(scene, PredicateKind.ENCL_IN, ("a", "b"), params,
-                         smooth=True, cfg=cfg)),
-    ]
-    return [(q, float(e), float(s)) for q, e, s in rows]
+    params = PredicateParams.for_kind(PredicateKind.ENCL_IN, [ENCLOSURE_DELTA])
+    exact = (xg.exact_distance(va, vb), xg.exact_clearance(va, vb), xg.exact_penetration(va, vb),
+             atom_robustness(scene, PredicateKind.ENCL_IN, ("a", "b"), params, smooth=False))
+    out = []
+    for tau, samples in settings:
+        cfg = SmoothingConfig(tau=tau, samples_per_edge=samples)
+        smooth = (smooth_polygon_distance(pa, pb, cfg), signed_clearance(pa, pb, cfg),
+                  smooth_sat_penetration(pa, pb, cfg),
+                  atom_robustness(scene, PredicateKind.ENCL_IN, ("a", "b"), params,
+                                  smooth=True, cfg=cfg))
+        out.extend((tau, samples, q, float(e), float(v))
+                   for q, e, v in zip(QUANTITIES, exact, smooth))
+    return out
 
 
 def _rows_for_pair(index: int, seed: int, taus: Sequence[float],
                    samples_list: Sequence[int]) -> list[tuple]:
-    va, vb = pair_for_index(seed, index)
-    out = []
-    for tau in taus:
-        for samples in samples_list:
-            for quantity, exact, smooth in pair_quantities(va, vb, tau, samples):
-                out.append((index, tau, samples, quantity, exact, smooth))
-    return out
+    settings = [(tau, samples) for tau in taus for samples in samples_list]
+    return [(index, *row) for row in pair_quantities(*pair_for_index(seed, index), settings)]
 
 
 def run_sweep(n_pairs: int, taus: Sequence[float], samples_list: Sequence[int],

@@ -18,7 +18,7 @@ instant of the min between the releasing operand there and the held
 operand up to it. Smooth mode swaps every hard min/max for its
 log-sum-exp relaxation at one shared temperature.
 
-A smooth pass can lean on an exact pass over the same geometry (see
+A smooth pass can lean on an exact pass over the same trajectory (see
 ``Evaluator``): each atom's exact value at a step, moved by the atom's
 proved gap (``predicates.smooth_gaps``), bounds its smooth value there. A
 ``G`` window over an atom then evaluates first the step with the lowest
@@ -398,13 +398,13 @@ class Evaluator:
     reference to every such node, so its id cannot be reused by a formula
     built later. Equal atoms share one table.
 
-    A smooth evaluator may take an exact partner over the same geometry
-    (the same scenes, or float copies of them). For a ``G`` window over an
-    atom, the partner's value at step u less the atom's ``below`` gap is a
-    lower bound L_u on the smooth value there. The step with the smallest
-    L_u is evaluated first; with v* its smooth value, the steps with
-    L_u > v* + tau*(CULL_GAP + log N), N the window length, are left out of
-    the soft-min, because v* bounds its minimum term from above and each
+    A smooth evaluator may take an exact partner over the same
+    ``Trajectory`` object, so the partner's values are those of the very
+    scenes it screens. For a ``G`` window over an atom, the partner's value
+    at step u less the atom's ``below`` gap is a lower bound L_u on the
+    smooth value there. The step with the smallest L_u is evaluated first;
+    with v* its smooth value, the steps with L_u > v* + tau*(CULL_GAP +
+    log N), N the window length, are left out of the soft-min, because v* bounds its minimum term from above and each
     such term weighs less than e^-CULL_GAP / N of it. ``F`` mirrors this
     with upper bounds (the ``above`` gap). The soft extrema add their
     weights with ``math.fsum``, which rounds once, so the value is the
@@ -436,10 +436,11 @@ class Evaluator:
                  cfg: SmoothingConfig = SmoothingConfig(),
                  exact: Optional["Evaluator"] = None,
                  prior: Optional["Evaluator"] = None):
-        for other, role in ((exact, "the exact partner"), (prior, "the prior")):
-            if other is not None and (other.smooth or other.traj.horizon != trajectory.horizon):
-                raise FormulaError(f"{role} must be an exact evaluator "
-                                   "over a trajectory of the same length")
+        if exact is not None and (exact.smooth or exact.traj is not trajectory):
+            raise FormulaError("the exact partner must be an exact evaluator over this trajectory")
+        if prior is not None and (prior.smooth or prior.traj.horizon != trajectory.horizon):
+            raise FormulaError("the prior must be an exact evaluator "
+                               "over a trajectory of the same length")
         if prior is not None and smooth:
             raise FormulaError("only an exact evaluator takes a prior")
         self.traj = trajectory
@@ -541,12 +542,12 @@ class Evaluator:
     def _min(self, xs: list[Scalar]) -> Scalar:
         if self.smooth:
             return ad.lse_min(xs, self.cfg.tau)
-        return min(xs, key=value_of)
+        return min(xs)
 
     def _max(self, xs: list[Scalar]) -> Scalar:
         if self.smooth:
             return ad.lse_max(xs, self.cfg.tau)
-        return max(xs, key=value_of)
+        return max(xs)
 
     def eval(self, f: Formula, t: int) -> Scalar:
         if t < 0 or t > self.traj.horizon:
@@ -652,7 +653,7 @@ def eval_exact(formula: Formula, trajectory: Trajectory, t: int = 0,
 
     ``evaluator``, an exact Evaluator over ``trajectory``, keeps the
     per-step values, so it can then serve as the exact partner of a smooth
-    pass over the same geometry."""
+    pass over the same trajectory."""
     if evaluator is None:
         evaluator = Evaluator(trajectory, smooth=False)
     elif evaluator.smooth or evaluator.traj is not trajectory:
@@ -666,7 +667,7 @@ def eval_smooth(formula: Formula, trajectory: Trajectory, t: int = 0,
     """Smooth robustness; differentiable when the trajectory carries tape
     variables (the result's ``node`` is then a Var on the caller's tape).
 
-    ``exact``, an exact Evaluator over the same geometry, lets ``G`` and
+    ``exact``, an exact Evaluator over ``trajectory``, lets ``G`` and
     ``F`` windows over atoms skip the steps that carry no weight (see
     ``Evaluator``)."""
     return Evaluator(trajectory, smooth=True, cfg=cfg, exact=exact).result(formula, t)
@@ -693,8 +694,8 @@ def satisfies(formula: Formula, trajectory: Trajectory, t: int = 0) -> bool:
 
     def holds(f: Formula, u: int) -> bool:
         if isinstance(f, Atom):
-            return value_of(atom_robustness(trajectory.scene(u), f.kind, f.objects,
-                                            f.params, smooth=False)) > 0.0
+            return atom_robustness(trajectory.scene(u), f.kind, f.objects,
+                                   f.params, smooth=False) > 0.0
         if isinstance(f, Not):
             return not check(f.child, u)
         if isinstance(f, And):

@@ -99,11 +99,12 @@ class ConvexPolygon:
         n = len(vs)
         return [(vs[i], vs[(i + 1) % n]) for i in range(n)]
 
-    def centroid(self) -> ScalarPoint:
-        n = len(self.vertices)
-        sx = self.vertices[0][0]
-        sy = self.vertices[0][1]
-        for vx, vy in self.vertices[1:]:
+    def centroid(self, floats: bool = False) -> ScalarPoint:
+        """Vertex mean; of the float snapshot, recording no node, if ``floats``."""
+        vs = self.float_vertices() if floats else self.vertices
+        n = len(vs)
+        sx, sy = vs[0]
+        for vx, vy in vs[1:]:
             sx = sx + vx
             sy = sy + vy
         return (sx / n, sy / n)
@@ -120,7 +121,9 @@ class PolygonTemplate:
     local_vertices: list[tuple[float, float]]
 
     def __post_init__(self):
-        # validate once in the local frame; rigid motion preserves the checks
+        # reject a malformed template before any placement; ``at`` validates
+        # each placement again, which rejects a pose whose offsets vanish
+        # beyond float resolution (the vertices round to a degenerate order)
         ConvexPolygon(self.local_vertices)
 
     def at(self, pose: Pose2D) -> ConvexPolygon:
@@ -463,13 +466,17 @@ _BLEND_SUP = 0.2785
 
 def enclosure_error_budget(inner: ConvexPolygon, outer: ConvexPolygon,
                            cfg: SmoothingConfig = SmoothingConfig()) -> float:
-    """|smooth - exact| bound for the containment margin of two polygons.
+    """How far the smooth containment margin of two polygons can rise
+    above the exact one, when every corner of the outer polygon is at least
+    38.94 degrees. Nothing bounds the fall below, nor the rise past a
+    sharper corner: ``predicates.smooth_gaps`` gives the argument and
+    ``test_enclosure_budget_fails_*`` in the predicate tests both failures.
 
     Each inner vertex contributes a blended signed distance whose two
-    branches are soft-mins over the outer edges (gap tau*log E each); the
-    wrong branch carries sigmoid weight and misses by at most
-    (2/k)*sup u*sigmoid(-u). The soft-max over inner vertices stacks one
-    more tau*log V on top.
+    branches are soft-mins over the outer edges (gap tau*log E each); near
+    blunt corners the wrong branch carries sigmoid weight and misses by at
+    most (2/k)*sup u*sigmoid(-u). The soft-max over inner vertices stacks
+    one more tau*log V on top.
     """
     return (cfg.tau * (math.log(len(inner)) + math.log(len(outer)))
             + 2.0 / cfg.sigmoid_scale * _BLEND_SUP)

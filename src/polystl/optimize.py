@@ -21,6 +21,7 @@ from typing import Sequence
 
 from . import autodiff as ad
 from .autodiff import Scalar, value_of
+from .exactgeo import GeometryError
 from .formulas import (Evaluator, Formula, FormulaError, Trajectory, atoms_of, eval_exact,
                        eval_smooth)
 from .geometry import Pose2D, PolygonTemplate, SmoothingConfig
@@ -167,14 +168,19 @@ def _poses_from_flat(problem: Problem, flat: Sequence[Scalar]) -> dict[str, list
 
 
 def build_trajectory(problem: Problem, poses: dict[str, list[tuple]]) -> Trajectory:
-    """Scenes for steps 0..T with statics shared and movables placed."""
+    """Scenes for steps 0..T with statics shared and movables placed; a
+    placement that fails the polygon checks raises naming object and step."""
     scenes = []
     for t in range(problem.horizon + 1):
         objs = list(problem.statics)
         for m in problem.movables:
             x, y, theta = poses[m.name][t]
             pose = Pose2D(x, y, theta)
-            objs.append(SceneObject(m.name, m.template.at(pose), pose.heading()))
+            try:
+                polygon = m.template.at(pose)
+            except GeometryError as exc:
+                raise GeometryError(f"object {m.name!r} at t={t}: {exc}") from None
+            objs.append(SceneObject(m.name, polygon, pose.heading()))
         scenes.append(Scene(objs))
     return Trajectory(scenes)
 
@@ -230,22 +236,22 @@ def optimize(problem: Problem, cfg: OptimizerConfig = OptimizerConfig()) -> Opti
         if it in snap_at:
             snapshots[it] = float_pose_dict(flat)
 
-        # the exact pass runs first: its memoized atom values bound the smooth
-        # ones, so the smooth pass skips window steps that carry no weight;
-        # it starts from the last pass's values, widened by how far the
-        # objects moved, and evaluates only the window steps they cannot decide
-        exact = Evaluator(build_trajectory(problem, _poses_from_flat(problem, flat)),
-                          smooth=False, prior=exact)
-        exact_error = None
-        try:
-            rho_exact = eval_exact(problem.formula, exact.traj, evaluator=exact).value
-        except FormulaError as exc:   # not finite: a non-finite loss is reported first
-            exact_error = exc
-
         tape = ad.Tape()
         vars_ = [tape.var(v) for v in flat]
         poses = _poses_from_flat(problem, vars_)
         traj = build_trajectory(problem, poses)
+        # the exact pass runs first, on the floats behind these scenes: its
+        # memoized atom values bound the smooth ones, so the smooth pass skips
+        # window steps that carry no weight; it starts from the last pass's
+        # values, widened by how far the objects moved, and evaluates only
+        # the window steps they cannot decide
+        exact = Evaluator(traj, smooth=False, prior=exact)
+        exact_error = None
+        try:
+            rho_exact = eval_exact(problem.formula, traj, evaluator=exact).value
+        except FormulaError as exc:   # not finite: a non-finite loss is reported first
+            exact_error = exc
+
         scfg = SmoothingConfig(tau=tau, samples_per_edge=cfg.samples_per_edge,
                                sigmoid_scale=cfg.sigmoid_scale)
         # a failed exact pass leaves its table partial, and bounds nothing

@@ -199,17 +199,17 @@ def _axis_extremes(obj: SceneObject, axis: int, kind: PredicateKind,
     return min(floats), max(floats)
 
 
-def _centroid_xy(obj: SceneObject) -> tuple[Scalar, Scalar]:
+def _centroid_xy(obj: SceneObject, smooth: bool) -> tuple[Scalar, Scalar]:
     shape = obj.shape
     if isinstance(shape, AxisAlignedBox3):
         return ((shape.lo[0] + shape.hi[0]) / 2.0, (shape.lo[1] + shape.hi[1]) / 2.0)
-    return shape.centroid()
+    return shape.centroid(floats=not smooth)
 
 
-def _heading(obj: SceneObject, kind: PredicateKind) -> tuple[Scalar, Scalar]:
+def _heading(obj: SceneObject, kind: PredicateKind, smooth: bool) -> tuple[Scalar, Scalar]:
     if obj.heading is None:
         raise SceneError(f"{kind.value}: object {obj.name!r} has no heading")
-    return obj.heading
+    return obj.heading if smooth else tuple(map(value_of, obj.heading))
 
 
 def _pair_clearance(a: SceneObject, b: SceneObject, kind: PredicateKind,
@@ -249,8 +249,7 @@ def _enclosure(inner: SceneObject, outer: SceneObject, delta_inside: float,
         sds = [geo.point_polygon_signed_distance(v, po, cfg) for v in pi.vertices]
         return -delta_inside - ad.lse_max(sds, cfg.tau)
     outer_f = po.float_vertices()
-    worst = max(xg.exact_point_signed_distance((value_of(x), value_of(y)), outer_f)
-                for x, y in pi.vertices)
+    worst = max(xg.exact_point_signed_distance(p, outer_f) for p in pi.float_vertices())
     return -delta_inside - worst
 
 
@@ -280,17 +279,18 @@ def _between(a: SceneObject, mid: SceneObject, c: SceneObject, axis: int,
     return min(first, second)
 
 
-def _oriented(a: SceneObject, b: SceneObject, kappa: float) -> Scalar:
-    ux, uy = _heading(a, PredicateKind.ORIENTED)
-    vx, vy = _heading(b, PredicateKind.ORIENTED)
+def _oriented(a: SceneObject, b: SceneObject, kappa: float, smooth: bool) -> Scalar:
+    ux, uy = _heading(a, PredicateKind.ORIENTED, smooth)
+    vx, vy = _heading(b, PredicateKind.ORIENTED, smooth)
     dx = ux - vx
     dy = uy - vy
     return kappa - 0.5 * (dx * dx + dy * dy)
 
 
-def _bearing(a: SceneObject, b: SceneObject, theta_ref: float, kappa: float) -> Scalar:
-    ax, ay = _centroid_xy(a)
-    bx, by = _centroid_xy(b)
+def _bearing(a: SceneObject, b: SceneObject, theta_ref: float, kappa: float,
+             smooth: bool) -> Scalar:
+    ax, ay = _centroid_xy(a, smooth)
+    bx, by = _centroid_xy(b, smooth)
     dx = bx - ax
     dy = by - ay
     if math.hypot(value_of(dx), value_of(dy)) < CENTROID_GUARD:
@@ -307,9 +307,12 @@ def atom_robustness(scene: Scene, kind: PredicateKind, names: Sequence[str],
                     cfg: SmoothingConfig = SmoothingConfig()) -> Scalar:
     """Quantitative semantics of one spatial predicate on one scene.
 
-    smooth=False gives the exact reference semantics (plain floats);
-    smooth=True gives the differentiable surrogate, which returns a Var
-    whenever the scene geometry carries tape variables.
+    smooth=False gives the exact reference semantics as a plain float. It
+    reads the floats behind polygon vertices and headings, so a scene whose
+    polygons are placed on tape variables records no node; box corners are
+    read as given, floats in every scene the program builds. smooth=True
+    gives the differentiable surrogate, which returns a Var whenever the
+    scene geometry carries tape variables.
     """
     if len(names) != ARITY[kind]:
         raise SceneError(f"{kind.value}: expected {ARITY[kind]} objects, got {len(names)}")
@@ -346,19 +349,11 @@ def atom_robustness(scene: Scene, kind: PredicateKind, names: Sequence[str],
         return _between(objs[0], objs[1], objs[2], 1, kind,
                         params.require("kappa", kind), smooth, cfg)
     if kind is PredicateKind.ORIENTED:
-        for o in objs:
-            _heading(o, kind)
-        return _oriented(objs[0], objs[1], params.require("kappa", kind))
+        return _oriented(objs[0], objs[1], params.require("kappa", kind), smooth)
     if kind is PredicateKind.BEARING_TO:
         return _bearing(objs[0], objs[1], params.require("theta_ref", kind),
-                        params.require("kappa", kind))
+                        params.require("kappa", kind), smooth)
     raise SceneError(f"unhandled predicate {kind}")  # pragma: no cover
-
-
-def exact_atom_robustness(scene: Scene, kind: PredicateKind, names: Sequence[str],
-                          params: PredicateParams) -> float:
-    """Exact-mode robustness as a plain float (reference semantics)."""
-    return value_of(atom_robustness(scene, kind, names, params, smooth=False))
 
 
 def _corners_blunt(polygon: ConvexPolygon) -> bool:

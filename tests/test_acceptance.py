@@ -378,12 +378,12 @@ def test_4_conservative_and_budgeted_smoothing():
         # (i) one-sided: the smooth side may only under-report
         for kind in (K.LEFT_OF, K.RIGHT_OF, K.BEHIND, K.IN_FRONT_OF):
             smooth = pr.atom_robustness(sc, kind, ("a", "b"), kappa, True, cfg)
-            exact = pr.exact_atom_robustness(sc, kind, ("a", "b"), kappa)
+            exact = pr.atom_robustness(sc, kind, ("a", "b"), kappa, False)
             if smooth > exact + 1e-12:
                 dir_violations += 1
         for kind in (K.BETWEEN_PX, K.BETWEEN_PY):
             smooth = pr.atom_robustness(sc, kind, ("a", "b", "c"), kappa, True, cfg)
-            exact = pr.exact_atom_robustness(sc, kind, ("a", "b", "c"), kappa)
+            exact = pr.atom_robustness(sc, kind, ("a", "b", "c"), kappa, False)
             if smooth > exact + 1e-12:
                 dir_violations += 1
         lo = [rng.uniform(-1.0, 0.0) for _ in range(3)]
@@ -393,7 +393,7 @@ def test_4_conservative_and_budgeted_smoothing():
         sb = Scene([SceneObject("a", box_a), SceneObject("b", box_b)])
         for kind in (K.BELOW, K.ABOVE):
             smooth = pr.atom_robustness(sb, kind, ("a", "b"), kappa, True, cfg)
-            exact = pr.exact_atom_robustness(sb, kind, ("a", "b"), kappa)
+            exact = pr.atom_robustness(sb, kind, ("a", "b"), kappa, False)
             if smooth > exact + 1e-12:
                 dir_violations += 1
 
@@ -404,7 +404,7 @@ def test_4_conservative_and_budgeted_smoothing():
         c_err = abs(geo.signed_clearance(pa, pb, cfg) - xg.exact_clearance(va, vb))
         p_err = abs(geo.smooth_sat_penetration(pa, pb, cfg) - xg.exact_penetration(va, vb))
         e_err = abs(pr.atom_robustness(sc, K.ENCL_IN, ("a", "b"), encl, True, cfg)
-                    - pr.exact_atom_robustness(sc, K.ENCL_IN, ("a", "b"), encl))
+                    - pr.atom_robustness(sc, K.ENCL_IN, ("a", "b"), encl, False))
         if (d_err > d_budget or c_err > d_budget + p_budget or p_err > p_budget
                 or e_err > geo.enclosure_error_budget(pa, pb, cfg)):
             budget_violations += 1
@@ -416,8 +416,8 @@ def test_4_conservative_and_budgeted_smoothing():
                     SceneObject("b", pb, (math.cos(hb), math.sin(hb)))])
         smooth = pr.atom_robustness(so, K.ORIENTED, ("a", "b"),
                                     PredicateParams(kappa=0.3), True, cfg)
-        exact = pr.exact_atom_robustness(so, K.ORIENTED, ("a", "b"),
-                                         PredicateParams(kappa=0.3))
+        exact = pr.atom_robustness(so, K.ORIENTED, ("a", "b"),
+                                   PredicateParams(kappa=0.3), False)
         if ad.value_of(smooth) != exact:
             oriented_mismatches += 1
 

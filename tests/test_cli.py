@@ -409,6 +409,42 @@ class TestOverflowingGeometry:
         assert err == "error: non-finite loss at iteration 0\n"
 
 
+class TestMisplacedPose:
+    """A movable pose so far out that the template's offsets vanish against
+    it places a degenerate polygon: exit 2, one error line that names the
+    object and the step."""
+
+    MESSAGE = "vertices are clockwise; counter-clockwise order required"
+
+    @pytest.mark.parametrize("command", ["eval", "optimize"])
+    def test_start_pose_names_the_object_and_step(self, tmp_path, capsys, command):
+        with open(scenario_path("single_obstacle")) as fh:
+            doc = json.load(fh)
+        doc["objects"][0]["start"] = [1e200, 2.0, 0.0]
+        path = tmp_path / "misplaced.json"
+        path.write_text(json.dumps(doc))
+        argv = [command, str(path)]
+        if command == "optimize":
+            argv += ["--iterations", "1", "--out-dir", str(tmp_path / "out")]
+        rc = main(argv)
+        out, err = capsys.readouterr()
+        assert rc == 2
+        assert out == ""
+        assert err == f"error: object 'ee' at t=0: {self.MESSAGE}\n"
+
+    def test_trajectory_row_names_the_object_and_step(self, tmp_path, capsys):
+        scn = load_scenario(scenario_path("single_obstacle"))
+        poses = {m.name: list(m.initial_poses) for m in scn.problem.movables}
+        poses["ee"][5] = (1e200, 2.0, 0.0)
+        path = str(tmp_path / "trajectory.csv")
+        write_trajectory_csv(path, poses)
+        rc = main(["eval", scenario_path("single_obstacle"), "--trajectory", path])
+        out, err = capsys.readouterr()
+        assert rc == 2
+        assert out == ""
+        assert err == f"error: object 'ee' at t=5: {self.MESSAGE}\n"
+
+
 def _json_paths(node, prefix=()):
     """The path to every value in a JSON document, the root included."""
     yield prefix

@@ -687,12 +687,12 @@ def test_screened_windows_match_unscreened(tau, monkeypatch):
         steps = [tuple(rng.choice([1.0, 0.6, rng.uniform(1.0, 1.05), rng.uniform(1.0, 2.0),
                                    rng.uniform(2.0, 8.0)]) for _ in range(2))
                  for _ in range(6)]
-        exact = Evaluator(_three_squares(steps)[0], smooth=False)
         for _ in range(6):
             f = random_formula(rng, 3, pairs=(("a", "b"), ("a", "c"), ("a", "b", "c")),
                                kinds=kinds)
             tape = ad.Tape()
             traj, xs = _three_squares(steps, tape)
+            exact = Evaluator(traj, smooth=False)
             evs = {"screened": Evaluator(traj, True, cfg, exact=exact),
                    "full": Evaluator(traj, True, cfg)}
             for t in range(traj.horizon + 1):
@@ -766,6 +766,8 @@ def test_exact_partner_must_be_exact_over_as_many_steps():
         Evaluator(traj, True, exact=Evaluator(traj, smooth=True))
     with pytest.raises(FormulaError, match="exact partner"):
         Evaluator(traj, True, exact=Evaluator(traj_with_values([1.0]), smooth=False))
+    with pytest.raises(FormulaError, match="exact partner"):   # a copy of the scenes
+        Evaluator(traj, True, exact=Evaluator(traj_with_values([1.0, 3.0, -2.0]), smooth=False))
     with pytest.raises(FormulaError, match="exact and over this trajectory"):
         eval_exact(close_to("a", "b", 4.0), traj,
                    evaluator=Evaluator(traj_with_values([1.0, 3.0, -2.0]), smooth=False))

@@ -5,12 +5,14 @@ import math
 
 import pytest
 
-from polystl.formulas import Evaluator, eval_exact, eval_smooth, parse
+from polystl import autodiff as ad
+from polystl.formulas import Evaluator, atoms_of, eval_exact, eval_smooth, parse, to_text
 from polystl.geometry import ConvexPolygon, PolygonTemplate, SmoothingConfig
 from polystl.optimize import (Movable, OptimizationError, OptimizerConfig, Problem,
                               build_trajectory, optimize,
                               _poses_from_flat, _smoothness_penalty)
-from polystl.predicates import AxisAlignedBox3, SceneObject
+from polystl.predicates import AxisAlignedBox3, PredicateKind, SceneObject
+from polystl.scenario import load_scenario
 
 
 def square_template(half):
@@ -260,6 +262,61 @@ def test_directional_objective_moves_the_box_world():
     xs = [p[0] for p in res.poses["ee"]]
     assert min(xs[1:]) < -0.7  # crossed to the far side with the margin
 
+SINGLE_OBSTACLE = os.path.join(os.path.dirname(os.path.dirname(__file__)),
+                               "scenarios", "single_obstacle.json")
+
+EVERY_KIND = ("closeTo(ee, obs; 1.0) & farFrom(ee, obs; 0.3) & touch(ee, obs; 0.1)"
+              " & ovlp(ee, obs; 0.05) & partOvlp(ee, obs; 0.05, 0.05) & enclIn(ee, goal; 0.05)"
+              " & leftOf(ee, wall; 0.1) & rightOf(ee, obs; 0.1) & behind(ee, goal; 0.1)"
+              " & inFrontOf(ee, obs; 0.1) & below(wall, shelf; 0.1) & above(shelf, wall; 0.1)"
+              " & betweenPx(obs, ee, goal; 0.1) & betweenPy(obs, ee, goal; 0.1)"
+              " & oriented(ee, goal; 0.3) & bearingTo(ee, goal; 0.5, 0.3)")
+
+
+def test_exact_pass_over_tape_scenes_reads_floats_and_records_no_node():
+    # the scenes optimize builds from tape poses: a polygon movable with Var
+    # vertices and heading, float polygon and box statics. Every atom kind
+    # gives the bits of a float copy of the scenes, and the tape gains no node
+    formula = parse(EVERY_KIND)
+    assert {atom.kind for atom in atoms_of(formula)} == set(PredicateKind)
+    statics = [SceneObject("goal", static_square("goal", 3.0, 1.0, 0.6).shape, (0.6, 0.8)),
+               static_square("obs", 2.0, 0.5, 0.3),
+               SceneObject("wall", AxisAlignedBox3.from_center(-2.0, 0.0, 0.0, (0.5, 0.5, 0.5))),
+               SceneObject("shelf", AxisAlignedBox3((-3.0, -1.0, 2.0), (-1.0, 1.0, 3.0)))]
+    poses = [(0.8 * t, 0.5 + 0.1 * t, 0.4 * t - 1.0) for t in range(6)]
+    problem = Problem(formula, statics, [Movable("ee", square_template(0.2), poses)])
+    tape = ad.Tape()
+    on_tape = build_trajectory(problem, {"ee": [tuple(map(tape.var, p)) for p in poses]})
+    nodes = len(tape)
+    exacts = [Evaluator(traj, smooth=False)
+              for traj in (on_tape, build_trajectory(problem, {"ee": poses}))]
+    for atom in atoms_of(formula):
+        for t in range(len(poses)):
+            got, want = (ev.eval(atom, t) for ev in exacts)
+            assert type(got) is float and got.hex() == want.hex(), (to_text(atom), t)
+    assert eval_exact(formula, on_tape, evaluator=exacts[0]).value == eval_exact(
+        formula, exacts[1].traj).value
+    assert len(tape) == nodes
+
+
+def test_one_trajectory_per_iteration(monkeypatch):
+    # the exact and the smooth pass read the same scenes, so single_obstacle's
+    # 71 iterations build 71 trajectories, not a float copy besides each
+    opt = importlib.import_module("polystl.optimize")   # the package exports optimize()
+    built = []
+    real = opt.build_trajectory
+
+    def counting(problem, poses):
+        built.append(poses)
+        return real(problem, poses)
+
+    monkeypatch.setattr(opt, "build_trajectory", counting)
+    scn = load_scenario(SINGLE_OBSTACLE)
+    res = optimize(scn.problem, scn.optimizer)
+    assert res.iterations_run == 71
+    assert len(built) == 71
+
+
 @pytest.mark.parametrize("bad", [math.nan, -math.inf])
 def test_non_finite_loss_is_reported_after_the_exact_pass(monkeypatch, bad):
     # each iteration hands its exact evaluator to the smooth pass; a smooth
@@ -288,9 +345,7 @@ def test_exact_pass_evaluates_only_what_the_carried_intervals_leave_open(monkeyp
     # single_obstacle's 71 iterations would evaluate every atom at every
     # step, 2,414 exact atom calls; the carried intervals leave 400
     from polystl import formulas
-    from polystl.scenario import load_scenario
-    scn = load_scenario(os.path.join(os.path.dirname(os.path.dirname(__file__)),
-                                     "scenarios", "single_obstacle.json"))
+    scn = load_scenario(SINGLE_OBSTACLE)
     calls = []
     real = formulas.atom_robustness
 
