@@ -3,14 +3,14 @@
 Every operation appends one node to the tape; node indices are therefore
 already in topological order and a single reverse sweep computes adjoints.
 A node may have any number of parents: :meth:`Tape.node` records one value
-with its local partials. ``Var``'s arithmetic operators append their nodes
-inline; every other derived node enters the tape through :func:`lift`,
-which takes a value computed on plain floats with its partials, and returns
-the float unchanged when no operand is a ``Var``. The primitives here, the
-smoothed extrema and the fused geometry kernels in
-:mod:`polystl.geometry` are built on it, so the same client code runs in
-recorded (differentiable) mode or in plain float mode with identical
-arithmetic.
+with its local partials. Every derived node, ``Var``'s arithmetic
+operators included, enters the tape through :func:`lift`, which takes a
+value computed on plain floats with its partials, and returns the float
+unchanged when no operand is a ``Var``; only :meth:`Tape.var` and
+:meth:`Tape.node` append to a tape. The primitives here, the smoothed
+extrema and the fused geometry kernels in :mod:`polystl.geometry` are
+built on it, so the same client code runs in recorded (differentiable)
+mode or in plain float mode with identical arithmetic.
 """
 from __future__ import annotations
 
@@ -19,7 +19,6 @@ from typing import Sequence, Union
 
 SQRT_GUARD = 1e-12
 
-_ONE1 = (1.0,)
 _ONE2 = (1.0, 1.0)
 _NEG1 = (-1.0,)
 _EMPTY = ()
@@ -89,98 +88,41 @@ class Var:
     def __repr__(self) -> str:
         return f"Var(node={self.i}, value={self.tape.val[self.i]!r})"
 
-    # -- arithmetic ----------------------------------------------------
+    # -- arithmetic: each operator is one lift ---------------------------
 
     def __add__(self, other):
-        t = self.tape
-        if isinstance(other, Var):
-            if other.tape is not t:
-                raise EvaluationError("add: operands live on different tapes")
-            t.val.append(t.val[self.i] + t.val[other.i])
-            t.par.append((self.i, other.i))
-            t.dpar.append(_ONE2)
-        else:
-            t.val.append(t.val[self.i] + other)
-            t.par.append((self.i,))
-            t.dpar.append(_ONE1)
-        return Var(t, len(t.val) - 1)
+        return lift(self.value + value_of(other), (self, other), _ONE2, "add")
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        t = self.tape
-        if isinstance(other, Var):
-            if other.tape is not t:
-                raise EvaluationError("sub: operands live on different tapes")
-            t.val.append(t.val[self.i] - t.val[other.i])
-            t.par.append((self.i, other.i))
-            t.dpar.append((1.0, -1.0))
-        else:
-            t.val.append(t.val[self.i] - other)
-            t.par.append((self.i,))
-            t.dpar.append(_ONE1)
-        return Var(t, len(t.val) - 1)
+        return lift(self.value - value_of(other), (self, other), (1.0, -1.0), "sub")
 
     def __rsub__(self, other):
-        # other - self with other a plain float
-        t = self.tape
-        t.val.append(other - t.val[self.i])
-        t.par.append((self.i,))
-        t.dpar.append(_NEG1)
-        return Var(t, len(t.val) - 1)
+        return lift(other - self.value, (self,), _NEG1, "sub")
 
     def __mul__(self, other):
-        t = self.tape
-        if isinstance(other, Var):
-            if other.tape is not t:
-                raise EvaluationError("mul: operands live on different tapes")
-            a, b = t.val[self.i], t.val[other.i]
-            t.val.append(a * b)
-            t.par.append((self.i, other.i))
-            t.dpar.append((b, a))
-        else:
-            t.val.append(t.val[self.i] * other)
-            t.par.append((self.i,))
-            t.dpar.append((other,))
-        return Var(t, len(t.val) - 1)
+        a, b = self.value, value_of(other)
+        return lift(a * b, (self, other), (b, a), "mul")
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        t = self.tape
-        if isinstance(other, Var):
-            if other.tape is not t:
-                raise EvaluationError("div: operands live on different tapes")
-            a, b = t.val[self.i], t.val[other.i]
-            if b == 0.0:
-                raise EvaluationError(f"div: zero denominator at node {len(t.val)}")
-            t.val.append(a / b)
-            t.par.append((self.i, other.i))
-            t.dpar.append((1.0 / b, -a / (b * b)))
-        else:
-            if other == 0.0:
-                raise EvaluationError(f"div: zero denominator at node {len(t.val)}")
-            t.val.append(t.val[self.i] / other)
-            t.par.append((self.i,))
-            t.dpar.append((1.0 / other,))
-        return Var(t, len(t.val) - 1)
+        a, b = self.value, value_of(other)
+        if b == 0.0:
+            raise EvaluationError(f"div: zero denominator at node {len(self.tape)}")
+        if not isinstance(other, Var):   # no partial in b, whose b * b may underflow
+            return lift(a / b, (self,), (1.0 / b,), "div")
+        return lift(a / b, (self, other), (1.0 / b, -a / (b * b)), "div")
 
     def __rtruediv__(self, other):
-        t = self.tape
-        b = t.val[self.i]
+        b = self.value
         if b == 0.0:
-            raise EvaluationError(f"div: zero denominator at node {len(t.val)}")
-        t.val.append(other / b)
-        t.par.append((self.i,))
-        t.dpar.append((-other / (b * b),))
-        return Var(t, len(t.val) - 1)
+            raise EvaluationError(f"div: zero denominator at node {len(self.tape)}")
+        return lift(other / b, (self,), (-other / (b * b),), "div")
 
     def __neg__(self):
-        t = self.tape
-        t.val.append(-t.val[self.i])
-        t.par.append((self.i,))
-        t.dpar.append(_NEG1)
-        return Var(t, len(t.val) - 1)
+        return lift(-self.value, (self,), _NEG1, "neg")
 
 
 def value_of(x: Scalar) -> float:

@@ -33,10 +33,11 @@ def signed_area2(vertices: Sequence[Point]) -> float:
 def validate_convex_ccw(vertices: Sequence[Point]) -> list[int]:
     """Raise unless vertices form a finite counter-clockwise convex polygon.
 
-    The signed area and the cross products of consecutive edges must be
-    finite, and the cross products >= -1e-9; zero-length
-    edges are rejected. Returns the indices of the near-collinear corners,
-    whose cross product lies inside that tolerance.
+    The signed area, each edge's squared length, each vertex's squared
+    norm and the cross products of consecutive edges must be finite, and
+    the cross products >= -1e-9; zero-length edges are rejected. Returns
+    the indices of the near-collinear corners, whose cross product lies
+    inside that tolerance.
     """
     n = len(vertices)
     if n < 3:
@@ -56,7 +57,15 @@ def validate_convex_ccw(vertices: Sequence[Point]) -> list[int]:
         cx, cy = vertices[(i + 2) % n]
         e1x, e1y = bx - ax, by - ay
         e2x, e2y = cx - bx, cy - by
-        if e1x * e1x + e1y * e1y < 1e-24:
+        len2 = e1x * e1x + e1y * e1y
+        norm2 = ax * ax + ay * ay
+        if not math.isfinite(len2):
+            raise GeometryError(f"squared edge length at vertex {i} overflows ({len2!r}); "
+                                "coordinates too large")
+        if not math.isfinite(norm2):
+            raise GeometryError(f"squared norm of vertex {i} overflows ({norm2!r}); "
+                                "coordinates too large")
+        if len2 < 1e-24:
             raise GeometryError(f"zero-length edge at vertex {i}")
         cross = e1x * e2y - e1y * e2x
         if not math.isfinite(cross):

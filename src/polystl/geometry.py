@@ -127,12 +127,16 @@ class PolygonTemplate:
         ConvexPolygon(self.local_vertices)
 
     def at(self, pose: Pose2D) -> ConvexPolygon:
+        """Each world coordinate is one node over the pose and the heading's
+        cos and sin, computed as x + c lx - s ly and y + s lx + c ly."""
+        x, y = pose.x, pose.y
         c = ad.cos(pose.theta)
         s = ad.sin(pose.theta)
+        xv, yv, cv, sv = value_of(x), value_of(y), value_of(c), value_of(s)
         world = []
         for lx, ly in self.local_vertices:
-            world.append((pose.x + c * lx - s * ly,
-                          pose.y + s * lx + c * ly))
+            world.append((ad.lift(xv + cv * lx - sv * ly, (x, c, s), (1.0, lx, -ly), "place"),
+                          ad.lift(yv + sv * lx + cv * ly, (y, s, c), (1.0, lx, ly), "place")))
         return ConvexPolygon(world)
 
 

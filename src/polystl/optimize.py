@@ -186,19 +186,32 @@ def build_trajectory(problem: Problem, poses: dict[str, list[tuple]]) -> Traject
 
 
 def _smoothness_penalty(problem: Problem, poses: dict[str, list[tuple]]) -> Scalar:
-    total: Scalar = 0.0
+    """The sum of squared second differences, one node over every pose
+    scalar. Its operands run last step first, heading[t] twice, in the order
+    a reverse sweep through the sum as generic arithmetic reaches them, so
+    each adjoint adds the same products in the same order."""
+    total = 0.0
+    terms = []
     for m in problem.movables:
         ps = poses[m.name]
+        fs = [tuple(value_of(c) for c in p) for p in ps]
         for t in range(1, len(ps) - 1):
-            ddx = ps[t + 1][0] - 2.0 * ps[t][0] + ps[t - 1][0]
-            ddy = ps[t + 1][1] - 2.0 * ps[t][1] + ps[t - 1][1]
+            (x0, y0, h0), (x1, y1, h1), (x2, y2, h2) = fs[t - 1], fs[t], fs[t + 1]
+            ddx = x2 - 2.0 * x1 + x0
+            ddy = y2 - 2.0 * y1 + y0
             # second difference of heading built from wrapped increments so
             # a crossing of +-pi does not register as a jump
-            d1 = ad.wrap_angle(ps[t + 1][2] - ps[t][2])
-            d0 = ad.wrap_angle(ps[t][2] - ps[t - 1][2])
-            ddt = d1 - d0
-            total = total + ad.square(ddx) + ad.square(ddy) + ad.square(ddt)
-    return total
+            ddt = ad.wrap_angle(h2 - h1) - ad.wrap_angle(h1 - h0)
+            total = total + ddx * ddx + ddy * ddy + ddt * ddt
+            xs, ys, hs = zip(*ps[t - 1:t + 2])
+            terms.append(((*xs, *ys, hs[0], hs[1], hs[1], hs[2]),
+                          (2.0 * ddx, -4.0 * ddx, 2.0 * ddx, 2.0 * ddy, -4.0 * ddy, 2.0 * ddy,
+                           2.0 * ddt, -2.0 * ddt, -2.0 * ddt, 2.0 * ddt)))
+    if not terms:
+        return 0.0
+    terms.reverse()
+    return ad.lift(total, [x for ops, _ in terms for x in ops],
+                   [g for _, gs in terms for g in gs], "smoothness")
 
 
 def optimize(problem: Problem, cfg: OptimizerConfig = OptimizerConfig()) -> OptimizationResult:

@@ -442,6 +442,8 @@ def read_demo_dir(path: str) -> DemonstrationSet:
     _require_keys(meta, ["subject", "subject_half", "obstacles", "phases"], [],
                   meta_path)
     half = _numbers(meta["subject_half"], 3, "[hx, hy, hz]", f"{meta_path}: subject_half")
+    if min(half) < 0.0:
+        raise ScenarioFileError(f"{meta_path}: subject_half: half-sizes must not be negative")
     statics = []
     for raw in _objects(meta, "obstacles", meta_path):
         _require_keys(raw, ["name", "lo", "hi"], [], f"{meta_path} obstacle")
@@ -452,7 +454,10 @@ def read_demo_dir(path: str) -> DemonstrationSet:
         where = f"{meta_path}: obstacle {raw['name']!r}"
         lo = _numbers(raw["lo"], 3, "[x, y, z]", f"{where}: lo")
         hi = _numbers(raw["hi"], 3, "[x, y, z]", f"{where}: hi")
-        statics.append(SceneObject(raw["name"], AxisAlignedBox3(lo, hi)))
+        try:
+            statics.append(SceneObject(raw["name"], AxisAlignedBox3(lo, hi)))
+        except SceneError as exc:
+            raise ScenarioFileError(f"{where}: {exc}") from None
     phases = []
     for raw in _objects(meta, "phases", meta_path):
         _require_keys(raw, ["name", "lo", "hi"], [], f"{meta_path} phase")

@@ -54,10 +54,14 @@ def test_cross_tape_operands_rejected():
     t1, t2 = ad.Tape(), ad.Tape()
     a = t1.var(1.0)
     b = t2.var(2.0)
-    with pytest.raises(ad.EvaluationError):
-        _ = a + b
-    with pytest.raises(ad.EvaluationError):
-        ad.lse_max([a, b], 0.1)
+    for op, apply in (("add", lambda x, y: x + y), ("sub", lambda x, y: x - y),
+                      ("mul", lambda x, y: x * y), ("div", lambda x, y: x / y),
+                      ("lse_max", lambda x, y: ad.lse_max([x, y], 0.1))):
+        for x, y in ((a, b), (b, a)):
+            with pytest.raises(ad.EvaluationError,
+                               match=f"{op}: operands live on different tapes"):
+                apply(x, y)
+    assert (len(t1), len(t2)) == (1, 1)
 
 
 def test_node_records_value_and_partials():

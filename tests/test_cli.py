@@ -345,6 +345,13 @@ def _far_obstacle(tmp_path, vertices, formula):
 # built on either would not be finite, or would decide a verdict from bad input
 FAR_SQUARE = [[1e200, 1e200], [3e200, 1e200], [3e200, 3e200], [1e200, 3e200]]
 HUGE_BOX = [[-1e200, -1e200], [1e200, -1e200], [1e200, 1e200], [-1e200, 1e200]]
+# their areas and cross products are finite. The sliver's long edge has a
+# squared length of inf, so the exact distance to it would be inf/inf = NaN;
+# the square's squared vertex norms overflow, and so would the squared
+# distances of the smooth geometry
+LONG_SLIVER = [[-1e300, 1.0], [1e300, 1.0], [1e300, 1.5]]
+FAR_DIAGONAL = [[1.2e154, -1.2e154], [1.3e154, -1.2e154], [1.3e154, -1.1e154],
+                [1.2e154, -1.1e154]]
 CLOCKWISE = [[3.0, 3.15], [3.5, 2.65], [3.0, 2.15], [2.5, 2.65]]
 
 
@@ -357,7 +364,10 @@ class TestRejectedObstacle:
     @pytest.mark.parametrize("obstacle, message", [
         (FAR_SQUARE, "signed area overflows (nan)"),
         (HUGE_BOX, "signed area overflows (inf)"),
-        (CLOCKWISE, "vertices are clockwise")], ids=["far_square", "huge_box", "clockwise"])
+        (LONG_SLIVER, "squared edge length at vertex 0 overflows (inf)"),
+        (FAR_DIAGONAL, "squared norm of vertex 0 overflows (inf)"),
+        (CLOCKWISE, "vertices are clockwise")],
+        ids=["far_square", "huge_box", "long_sliver", "far_diagonal", "clockwise"])
     def test_exits_2_naming_the_object(self, tmp_path, capsys, command, obstacle, message):
         path = _far_obstacle(tmp_path, obstacle, "G[0,16] farFrom(ee, obs; 0.3)")
         argv = [command, path]
@@ -369,44 +379,6 @@ class TestRejectedObstacle:
         assert out == ""
         assert err.startswith(f"error: far.json: objects[2] (obs): {message}")
         assert err.count("\n") == 1
-
-
-# both pass the polygon checks. The sliver's long edge has a squared length
-# of inf, so the exact distance to it is inf/inf = NaN; the square's squared
-# distances overflow in the smooth geometry, while the exact one, built on
-# hypot, stays finite
-LONG_SLIVER = [[-1e300, 1.0], [1e300, 1.0], [1e300, 1.5]]
-FAR_DIAGONAL = [[1.2e154, -1.2e154], [1.3e154, -1.2e154], [1.3e154, -1.1e154],
-                [1.2e154, -1.1e154]]
-
-
-class TestOverflowingGeometry:
-    """An obstacle that loads, but whose geometry overflows further on:
-    exit 2 with one error line, no verdict and no traceback."""
-
-    @pytest.mark.parametrize("formula", [
-        "G[0,16] farFrom(ee, obs; 0.3) & F[0,16] enclIn(ee, goal; 0.05)",
-        "F[0,16] enclIn(ee, goal; 0.05) & G[0,16] farFrom(ee, obs; 0.3)"])
-    def test_non_finite_exact_atom_exits_2_in_either_operand_order(self, tmp_path, capsys,
-                                                                   formula):
-        # a hard min that met the NaN after a finite operand would skip it
-        rc = main(["eval", _far_obstacle(tmp_path, LONG_SLIVER, formula)])
-        out, err = capsys.readouterr()
-        assert rc == 2
-        assert "verdict" not in out
-        assert err == "error: exact robustness of farFrom(ee, obs; 0.3) at t=0 is not finite\n"
-
-    @pytest.mark.parametrize("obstacle", [LONG_SLIVER, FAR_DIAGONAL],
-                             ids=["nan_exact", "finite_exact"])
-    def test_non_finite_loss_exits_2(self, tmp_path, capsys, obstacle):
-        # the non-finite loss is reported first, whether or not the exact
-        # pass failed too
-        path = _far_obstacle(tmp_path, obstacle, "G[0,16] farFrom(ee, obs; 0.3)")
-        rc = main(["optimize", path, "--iterations", "1", "--out-dir", str(tmp_path / "out")])
-        out, err = capsys.readouterr()
-        assert rc == 2
-        assert out == ""
-        assert err == "error: non-finite loss at iteration 0\n"
 
 
 class TestMisplacedPose:
@@ -483,16 +455,17 @@ ODD_CELLS = st.sampled_from(NON_FINITE_CELLS + ["1e200", "-1e200", "", "x", "1.5
 
 
 class TestFuzzedInput:
-    """Mutated scenario documents and trajectory CSVs: wrong types,
-    NaN, infinities and 1e200, missing keys, cells and rows. Each either
-    gets a verdict or exits 2 with one error line; a non-finite number,
+    """Mutated scenario documents and trajectory CSVs, and the ``meta.json``
+    and demo CSVs that ``learn DIR`` reads: wrong types, NaN, infinities and
+    1e200, missing keys, cells and rows. Each either gets a verdict (for
+    ``learn``, exit 0) or exits 2 with one error line; a non-finite number,
     or a required key taken away, always exits 2."""
 
-    @settings(max_examples=250, deadline=None, derandomize=True)
-    @given(data=st.data(), name=st.sampled_from(["single_obstacle", "corridor"]),
-           how=st.sampled_from(["non_finite", "replace", "delete"]))
-    def test_mutated_scenario(self, data, name, how):
-        with open(scenario_path(name)) as fh:
+    @staticmethod
+    def _mutate_json(data, path_file, how):
+        """Rewrite the JSON file with one value replaced (by a non-finite
+        number or an odd value) or deleted; returns the path to that value."""
+        with open(path_file) as fh:
             doc = json.load(fh)
         paths = [p for p in _json_paths(doc) if p or how != "delete"]
         path = data.draw(st.sampled_from(paths))
@@ -507,10 +480,41 @@ class TestFuzzedInput:
                 parent[path[-1]] = value
             else:
                 doc = value
+        with open(path_file, "w") as fh:
+            json.dump(doc, fh)
+        return path
+
+    @staticmethod
+    def _mutate_csv(data, path, how):
+        """Rewrite the CSV file with one cell replaced or dropped, or one row
+        dropped or repeated; returns the new cell, if any."""
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+        i = data.draw(st.integers(0, len(rows) - 1))
+        j = data.draw(st.integers(0, len(rows[i]) - 1))
+        cell = None
+        if how == "cell":
+            cell = data.draw(ODD_CELLS)
+            rows[i][j] = cell
+        elif how == "drop_cell":
+            del rows[i][j]
+        elif how == "drop_row":
+            del rows[i]
+        else:
+            rows.insert(i, list(rows[i]))
+        with open(path, "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        return cell
+
+    @settings(max_examples=250, deadline=None, derandomize=True)
+    @given(data=st.data(), name=st.sampled_from(["single_obstacle", "corridor"]),
+           how=st.sampled_from(["non_finite", "replace", "delete"]))
+    def test_mutated_scenario(self, data, name, how):
         with tempfile.TemporaryDirectory() as tmp:
             path_file = os.path.join(tmp, "fuzzed.json")
-            with open(path_file, "w") as fh:
-                json.dump(doc, fh)
+            with open(scenario_path(name)) as src, open(path_file, "w") as dst:
+                dst.write(src.read())
+            path = self._mutate_json(data, path_file, how)
             rc, out, err = _run_cli(["eval", path_file])
         _check_outcome(rc, out, err)
         if how == "non_finite" or (how == "delete" and path[-1] in REQUIRED_KEYS):
@@ -523,27 +527,50 @@ class TestFuzzedInput:
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "trajectory.csv")
             write_trajectory_csv(path, {m.name: m.initial_poses for m in scn.problem.movables})
-            with open(path, newline="") as fh:
-                rows = list(csv.reader(fh))
-            i = data.draw(st.integers(0, len(rows) - 1))
-            j = data.draw(st.integers(0, len(rows[i]) - 1))
-            cell = None
-            if how == "cell":
-                cell = data.draw(ODD_CELLS)
-                rows[i][j] = cell
-            elif how == "drop_cell":
-                del rows[i][j]
-            elif how == "drop_row":
-                del rows[i]
-            else:
-                rows.insert(i, list(rows[i]))
-            with open(path, "w", newline="") as fh:
-                csv.writer(fh).writerows(rows)
+            cell = self._mutate_csv(data, path, how)
             rc, out, err = _run_cli(["eval", scenario_path("single_obstacle"),
                                      "--trajectory", path])
         _check_outcome(rc, out, err)
         if how != "cell" or cell in NON_FINITE_CELLS:
-            assert rc == 2, (how, i, j, cell, out)
+            assert rc == 2, (how, cell, out)
+
+    @staticmethod
+    def _learn(edit):
+        """Exit code of ``learn DIR`` over two synthetic demos, once
+        ``edit(DIR)`` has mutated them: exit 0 with both checks ok, or exit 2
+        with one error line."""
+        with tempfile.TemporaryDirectory() as tmp:
+            demos = os.path.join(tmp, "demos")
+            write_demo_dir(demos, make_demo_set(seed=0, n_demos=2))
+            edit(demos)
+            rc, out, err = _run_cli(["learn", demos, "--out-dir", os.path.join(tmp, "out")])
+        if rc == 2:
+            assert out == "" and err.startswith("error: ") and err.count("\n") == 1, err
+        else:
+            assert rc == 0 and err == "" and "soundness: ok   tightness: ok" in out, (rc, err)
+        return rc
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(data=st.data(), how=st.sampled_from(["non_finite", "replace", "delete"]))
+    def test_mutated_demo_meta(self, data, how):
+        paths = []
+        rc = self._learn(lambda demos: paths.append(
+            self._mutate_json(data, os.path.join(demos, "meta.json"), how)))
+        # every key of meta.json is required
+        if how == "non_finite" or (how == "delete" and isinstance(paths[0][-1], str)):
+            assert rc == 2, paths
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(data=st.data(), name=st.sampled_from(["demo_000.csv", "demo_001.csv"]),
+           how=st.sampled_from(["cell", "drop_cell", "drop_row", "repeat_row"]))
+    def test_mutated_demo_csv(self, data, name, how):
+        cells = []
+        rc = self._learn(lambda demos: cells.append(
+            self._mutate_csv(data, os.path.join(demos, name), how)))
+        # a dropped row may leave a shorter demo; a dropped cell or a repeated
+        # row never leaves a valid one
+        if how in ("drop_cell", "repeat_row") or cells[0] in NON_FINITE_CELLS:
+            assert rc == 2, (how, cells)
 
 
 class TestSmoothingFlags:
@@ -634,10 +661,14 @@ class TestLearn:
          "obstacle name must be a string"),
         (lambda meta: {**meta, "phases": [{**meta["phases"][0], "name": ["approach"]}]},
          "phase name must be a string"),
+        (lambda meta: {**meta, "obstacles": [{**meta["obstacles"][0], "lo": [5.0, 2.5, 3.0]}]},
+         "obstacle 'o1': box corner order violated on axis 0: 5.0 > 4.0"),
+        (lambda meta: {**meta, "subject_half": [0.1, -0.1, 0.1]},
+         "subject_half: half-sizes must not be negative"),
     ], ids=["obstacles-not-a-list", "phase-not-an-object", "float-bound", "string-bound",
             "empty-window", "not-an-object", "bad-json", "duplicate-obstacle",
             "subject-named-like-an-obstacle", "obstacle-name-not-a-string",
-            "phase-name-not-a-string"])
+            "phase-name-not-a-string", "obstacle-corners-swapped", "negative-half-size"])
     def test_malformed_meta_exits_2_naming_the_file(self, tmp_path, capsys, edit, message):
         demos = tmp_path / "demos"
         write_demo_dir(str(demos), make_demo_set(seed=0, n_demos=2))

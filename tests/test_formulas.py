@@ -576,6 +576,27 @@ def test_exact_evaluator_rejects_non_finite_robustness(eps):
         eval_smooth(f, traj)   # the smooth value is evidence, never a verdict
 
 
+@pytest.mark.parametrize("nan_first", [True, False], ids=["nan_first", "nan_second"])
+def test_non_finite_exact_atom_raises_in_either_operand_order(monkeypatch, nan_first):
+    """A hard min that met the NaN after a finite operand would skip it, so
+    the guard sits on each atom value, not on the result."""
+    real = formulas.atom_robustness
+
+    def nan_far_from(scene, kind, objects, params, smooth, cfg):
+        if kind is PredicateKind.FAR_FROM and not smooth:
+            return math.nan
+        return real(scene, kind, objects, params, smooth, cfg)
+
+    monkeypatch.setattr(formulas, "atom_robustness", nan_far_from)
+    far = Atom(PredicateKind.FAR_FROM, ("a", "b"),
+               PredicateParams.for_kind(PredicateKind.FAR_FROM, [0.3]))
+    operands = (Always(0, 2, far), Eventually(0, 2, close_to("a", "b", 4.0)))
+    f = And(operands if nan_first else operands[::-1])
+    with pytest.raises(FormulaError) as info:
+        eval_exact(f, traj_with_values([1.0, 2.0, 3.0]))
+    assert str(info.value) == "exact robustness of farFrom(a, b; 0.3) at t=0 is not finite"
+
+
 # -- negation duals ----------------------------------------------------------------
 
 

@@ -1,13 +1,16 @@
 """Optimizer loop: loss shape, schedules, convergence on small problems."""
+import dataclasses
 import importlib
 import os
 import math
+import random
 
 import pytest
 
+import tape_reference as ref
 from polystl import autodiff as ad
 from polystl.formulas import Evaluator, atoms_of, eval_exact, eval_smooth, parse, to_text
-from polystl.geometry import ConvexPolygon, PolygonTemplate, SmoothingConfig
+from polystl.geometry import ConvexPolygon, PolygonTemplate, Pose2D, SmoothingConfig
 from polystl.optimize import (Movable, OptimizationError, OptimizerConfig, Problem,
                               build_trajectory, optimize,
                               _poses_from_flat, _smoothness_penalty)
@@ -358,3 +361,90 @@ def test_exact_pass_evaluates_only_what_the_carried_intervals_leave_open(monkeyp
     assert res.success and res.iterations_run == 71
     assert calls.count(False) < 600
     assert calls.count(True) == 556
+
+
+# -- placement and the smoothness penalty, one node each ------------------------
+
+
+def _poses(rng, steps, crossing):
+    """Float poses; with ``crossing`` the heading turns steadily across +-pi,
+    otherwise it is drawn at random, so consecutive steps often straddle it."""
+    out = []
+    for t in range(steps):
+        theta = ad.wrap_angle(math.pi - 0.3 + 0.25 * t) if crossing \
+            else rng.uniform(-math.pi, math.pi)
+        out.append((rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0), theta))
+    return out
+
+
+def _recorded(place, penalty, problem, poses, seed):
+    """Every movable placed at every step, then the penalty, in the order
+    optimize records them; the step-0 pose stays float. A node over every
+    vertex coordinate, with seeded partials, stands in for the formula.
+    Returns the tape size after placement, the bits of every vertex
+    coordinate and of the loss, and the adjoint of every pose scalar."""
+    rng = random.Random(seed)
+    tape = ad.Tape()
+    taped = {name: [p if t == 0 else tuple(map(tape.var, p)) for t, p in enumerate(ps)]
+             for name, ps in poses.items()}
+    coords = [c for m in problem.movables for pose in taped[m.name]
+              for vertex in place(m.template, Pose2D(*pose)).vertices for c in vertex]
+    placed = len(tape)
+    rho = ad.lift(1.0, coords, [rng.uniform(-2.0, 2.0) for _ in coords])
+    loss = rho + 0.01 * penalty(problem, taped)
+    grads = ad.backward(loss)
+    leaves = [c for ps in taped.values() for p in ps[1:] for c in p]
+    return (placed, [ad.value_of(c).hex() for c in coords], ad.value_of(loss).hex(),
+            [grads.wrt(v).hex() for v in leaves])
+
+
+def _two_movables(steps):
+    return Problem(parse("closeTo(ee, goal; 1)"), [static_square("goal", 5, 0, 0.5)],
+                   [Movable("ee", square_template(0.2), line_poses(steps)),
+                    Movable("arm", PolygonTemplate([(-0.3, -0.1), (0.4, -0.2), (0.1, 0.5)]),
+                            line_poses(steps))])
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("crossing", [True, False], ids=["crossing", "random"])
+def test_one_node_placement_and_penalty_keep_every_bit(seed, crossing):
+    # against the generic arithmetic they replaced: the same values, and the
+    # same adjoint for every pose scalar, compared as bits
+    rng = random.Random(seed)
+    problem = _two_movables(7)
+    poses = {m.name: _poses(rng, 7, crossing) for m in problem.movables}
+    got = _recorded(PolygonTemplate.at, _smoothness_penalty, problem, poses, seed)
+    want = _recorded(ref.place, ref.smoothness_penalty, problem, poses, seed)
+    assert got[1:] == want[1:]
+    # two nodes per vertex and the heading's cos and sin, per taped placement
+    assert got[0] == 2 * 6 * 3 + 6 * (2 + 2 * 4) + 6 * (2 + 2 * 3)
+
+
+def test_penalty_over_horizon_1_is_the_float_zero():
+    rng = random.Random(7)
+    problem = _two_movables(2)
+    poses = {m.name: _poses(rng, 2, True) for m in problem.movables}
+    tape = ad.Tape()
+    taped = {name: [ps[0], tuple(map(tape.var, ps[1]))] for name, ps in poses.items()}
+    for penalty in (_smoothness_penalty, ref.smoothness_penalty):
+        value = penalty(problem, taped)
+        assert type(value) is float and value == 0.0
+    assert len(tape) == 6
+    got = _recorded(PolygonTemplate.at, _smoothness_penalty, problem, poses, 7)
+    assert got[1:] == _recorded(ref.place, ref.smoothness_penalty, problem, poses, 7)[1:]
+
+
+def test_first_iteration_tape_stays_small(monkeypatch):
+    # placement records two nodes per vertex and the penalty one; the
+    # generic arithmetic they replaced made this tape 908 nodes long
+    sizes = []
+    real = ad.backward
+
+    def sizing(output):
+        sizes.append(len(output.tape))
+        return real(output)
+
+    monkeypatch.setattr(ad, "backward", sizing)
+    scn = load_scenario(SINGLE_OBSTACLE)
+    optimize(scn.problem, dataclasses.replace(scn.optimizer, iterations=1))
+    assert len(sizes) == 1 and sizes[0] < 300
