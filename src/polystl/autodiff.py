@@ -210,6 +210,21 @@ def atan2(y: Scalar, x: Scalar) -> Scalar:
 
 # -- smoothed extrema ----------------------------------------------------
 
+# A term of a soft extremum over N terms that lies more than
+# cull_width(tau, N) = tau * (CULL_GAP + log N) past the extreme term weighs
+# less than e^-CULL_GAP / N of it, so together such terms move the value by
+# less than tau * e^-CULL_GAP, about tau * 6e-19: below half an ulp of the
+# weight sum (which is >= 1), so double precision cannot see them. The
+# distance kernel's pair cull, the screened windows and the margin ascent
+# leave them out. A fixed constant, not a knob.
+CULL_GAP = 42.0
+
+
+def cull_width(tau: float, n: int) -> float:
+    """How far past the extreme term of an ``n``-term soft extremum at
+    temperature ``tau`` a term may lie and still carry weight."""
+    return tau * (CULL_GAP + math.log(n))
+
 
 def lse_parts(vals: Sequence[float], tau: float, sign: float) -> tuple[float, list[float], float]:
     """Float core of :func:`lse_max` (``sign`` 1) and :func:`lse_min`

@@ -23,10 +23,11 @@ A smooth pass can lean on an exact pass over the same trajectory (see
 proved gap (``predicates.smooth_gaps``), bounds its smooth value there. A
 ``G`` window over an atom then evaluates first the step with the lowest
 bound, whose smooth value v* bounds the soft-min from above, and leaves
-out every step whose bound exceeds v* + tau*(CULL_GAP + log N): such a term
-weighs less than e^-CULL_GAP / N of the largest, and all of them together
-add less than e^-CULL_GAP to a weight sum of at least 1, below half an ulp
-of it. ``F`` is the mirror case with upper bounds.
+out every step whose bound exceeds v* + tau*(CULL_GAP + log N)
+(``autodiff.cull_width``): such a term weighs less than e^-CULL_GAP / N of
+the largest, and all of them together add less than e^-CULL_GAP to a
+weight sum of at least 1, below half an ulp of it. ``F`` is the mirror
+case with upper bounds.
 
 An exact pass can in turn start from the one before it over a trajectory
 that moved a little (see ``Evaluator``'s ``prior``): each atom's last
@@ -43,7 +44,7 @@ from typing import Optional, Union
 
 from . import autodiff as ad
 from .autodiff import Scalar, value_of
-from .geometry import CULL_GAP, SmoothingConfig
+from .geometry import SmoothingConfig
 from .predicates import (ARITY, MOTION_BOUNDED, MOTION_ROUNDING, PARAM_ORDER, PredicateKind,
                          PredicateParams, Scene, atom_robustness, displacement,
                          smooth_gaps)
@@ -615,7 +616,7 @@ class Evaluator:
         top = min(hi for _, hi in spans)
         first = min((i for i, (lo, _) in enumerate(spans) if lo <= top), key=key)
         cut = (-sign * value_of(self.eval(child, ts[first]))
-               + self.cfg.tau * (CULL_GAP + math.log(len(ts))))
+               + ad.cull_width(self.cfg.tau, len(ts)))
         out = []
         for i, (lo, hi) in enumerate(spans):
             if cut < lo and hi < math.inf:

@@ -318,12 +318,9 @@ def smooth_sat_penetration(A: ConvexPolygon, B: ConvexPolygon,
 
 # Interior samples of an edge pair are skipped when a lower bound on their
 # distances exceeds the smallest vertex-edge distance by more than
-# tau * (CULL_GAP + log N), N the number of terms of the flat soft-min. Each
-# skipped term then weighs less than e^-CULL_GAP / N of the largest one, so
-# together they move the value by less than tau * e^-CULL_GAP, about
-# tau * 6e-19: below half an ulp of the soft-min's weight sum (which is >= 1),
-# so double precision cannot see them. A fixed constant, not a knob.
-CULL_GAP = 42.0
+# ad.cull_width(tau, N), N the number of terms of the flat soft-min (see
+# ad.CULL_GAP, re-exported here).
+CULL_GAP = ad.CULL_GAP
 
 
 def _kept_pairs(fa: list[tuple], fb: list[tuple], va: list[list], vb: list[list],
@@ -373,8 +370,7 @@ def smooth_polygon_distance(A: ConvexPolygon, B: ConvexPolygon,
     va = [_segment_offsets(x, y, eb) for x, y in fa]
     vb = [_segment_offsets(x, y, ea) for x, y in fb]
     n_terms = 2 * len(ea) * cfg.samples_per_edge * len(eb)
-    cut = (min(o[0] for row in va + vb for o in row)
-           + tau * (CULL_GAP + math.log(n_terms)))
+    cut = min(o[0] for row in va + vb for o in row) + ad.cull_width(tau, n_terms)
     keep_a, keep_b = _kept_pairs(fa, fb, va, vb, cut)
 
     # the interior boundary samples: a + t e at t = j * (1 / S), 0 < j < S

@@ -1,16 +1,19 @@
 """Specification mining: candidate pool, retention, margin widening."""
+import math
 import os
 import tempfile
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tape_reference import tape_ascent
 from polystl import autodiff as ad
 from polystl.formulas import Trajectory, eval_exact, satisfies
 from polystl.mining import (RETREAT, Candidate, DemonstrationSet,
                             MiningError, Phase, RetainedFormula, discover,
                             enumerate_candidates, learn_margins, make_demo_set, mine,
-                            planted_candidates, window_extremes)
+                            planted_candidates, weighty_residuals, window_extremes)
 from polystl.predicates import AxisAlignedBox3, PredicateKind, Scene, SceneObject
 from polystl.scenario import read_demo_dir, write_demo_dir
 
@@ -264,28 +267,6 @@ def test_learn_margins_rejects_bad_temperature(demos, tau):
         learn_margins(discover(demos), tau=tau)
 
 
-def tape_ascent(retained, tau=1e-3, step_size=5e-3, iterations=3000,
-                penalty_weight=50.0):
-    """Reference margin ascent: each iteration records the objective on a
-    fresh tape and takes its gradient with one reverse sweep."""
-    eps = [0.0] * len(retained)
-    decay_from = int(0.7 * iterations)
-    for it in range(iterations):
-        step = step_size
-        if it >= decay_from:
-            step /= 1.0 + 9.0 * (it - decay_from) / max(1, iterations - decay_from)
-        tape = ad.Tape()
-        evars = [tape.var(e) for e in eps]
-        residuals = [r.per_demo[j] - evars[k]
-                     for k, r in enumerate(retained)
-                     for j in range(len(r.per_demo))]
-        slack = ad.lse_min(residuals, tau)
-        objective = sum(evars) - penalty_weight * ad.relu(-slack)
-        grads = ad.backward(objective)
-        eps = [max(0.0, e + step * grads.wrt(v)) for e, v in zip(eps, evars)]
-    return eps
-
-
 def hand_built(rows):
     """Retained formulas whose robustness per demonstration is ``rows``."""
     cands = enumerate_candidates(make_demo_set(seed=0, n_demos=1))
@@ -314,6 +295,12 @@ def test_active_hinge_ascent_is_the_tape_ascent_bit_for_bit(kwargs):
         assert m.estimate_agrees
 
 
+def test_thirty_demo_ascent_is_the_tape_ascent_bit_for_bit():
+    # the CLI default; with 30 demonstrations the cut leaves out most terms
+    retained = discover(make_demo_set(seed=1, n_demos=30))
+    assert [m.margin_estimate for m in learn_margins(retained)] == tape_ascent(retained)
+
+
 def test_single_demo_ascent_is_the_tape_ascent_bit_for_bit():
     retained = hand_built([(0.45,), (2.0,), (0.05,)])
     margins = learn_margins(retained, iterations=1500)
@@ -334,6 +321,52 @@ def test_learn_margins_skips_the_soft_min_while_the_hinge_is_off(monkeypatch):
     monkeypatch.setattr(ad, "lse_parts", counted)
     learn_margins(retained, iterations=3000)
     assert 0 < len(calls) < 3000
+
+
+def test_learn_margins_forms_the_soft_min_over_the_terms_that_carry_weight(monkeypatch):
+    # learn --synthetic 30 --seed 1; without the cut each of these 1,636
+    # soft-mins would stack all 360 residuals, 588,960 terms in all
+    retained = discover(make_demo_set(seed=1, n_demos=30))
+    terms = []
+    lse_parts = ad.lse_parts
+
+    def counted(vals, *args):
+        terms.append(len(vals))
+        return lse_parts(vals, *args)
+
+    monkeypatch.setattr(ad, "lse_parts", counted)
+    learn_margins(retained)
+    assert sum(len(r.per_demo) for r in retained) == 360
+    assert len(terms) == 1636
+    assert sum(terms) == 52077
+
+
+residual_rows = st.lists(st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=12),
+                         min_size=1, max_size=8)
+
+
+@settings(max_examples=300, deadline=None)
+@given(residual_rows, st.data(), st.sampled_from([1e-3, 1e-2, 1e-1]))
+def test_cut_soft_min_is_the_full_soft_min(rows, data, tau):
+    eps = data.draw(st.lists(st.floats(0.0, 1.0), min_size=len(rows), max_size=len(rows)))
+    worst = [min(row) for row in rows]
+    stacked = [[d - e for d in row] for row, e in zip(rows, eps)]
+    flat = [x for xs in stacked for x in xs]
+    lo = min(flat)
+    kept = weighty_residuals(rows, worst, eps, lo + ad.cull_width(tau, len(flat)))
+    full, ws, s = ad.lse_parts(flat, tau, -1.0)
+    cut, _, _ = ad.lse_parts([x for _, xs in kept for x in xs], tau, -1.0)
+    assert abs(cut - full) <= tau * math.exp(-ad.CULL_GAP) + 4 * math.ulp(full)
+
+    # each margin keeps a subsequence of its residuals, and every term left
+    # out weighs less than e^-CULL_GAP / N of the full sum
+    weight = dict(zip(flat, (w / s for w in ws)))
+    kept_rows = dict(kept)
+    for k, xs in enumerate(stacked):
+        ks, ys = kept_rows.get(k, []), iter(xs)
+        assert all(any(x == y for y in ys) for x in ks)
+        for x in (Counter(xs) - Counter(ks)).elements():
+            assert weight[x] < math.exp(-ad.CULL_GAP) / len(flat)
 
 
 def test_learn_margins_records_no_tape(demos, monkeypatch):
