@@ -2,6 +2,9 @@
 
 Four quantities per pair: boundary distance, signed clearance, SAT
 penetration, and enclosure robustness of the first polygon in the second.
+Each smooth kernel runs once per pair and (tau, samples) setting; the
+smooth clearance is that setting's distance minus its penetration, which
+is what ``geometry.signed_clearance`` computes.
 Each pair's geometry comes from its own RNG stream keyed by (seed, index),
 so a pair's rows do not depend on which other pairs the sweep covers.
 """
@@ -10,8 +13,8 @@ from __future__ import annotations
 from typing import Sequence
 
 from . import exactgeo as xg
-from .geometry import (ConvexPolygon, SmoothingConfig, signed_clearance,
-                       smooth_polygon_distance, smooth_sat_penetration)
+from .geometry import (ConvexPolygon, SmoothingConfig, smooth_polygon_distance,
+                       smooth_sat_penetration)
 from .predicates import (PredicateKind, PredicateParams, Scene, SceneObject,
                          atom_robustness)
 from .randgeom import pair_for_index
@@ -39,7 +42,9 @@ SIGN_AGREEMENT_GATE = 0.05  # |exact| above this must match smooth in sign
 def pair_quantities(va: list, vb: list, settings: Sequence[tuple[float, int]]) -> list[tuple]:
     """(tau, samples, quantity, exact, smooth) for one polygon pair given as
     float vertices, at each (tau, samples) of ``settings`` in turn. The
-    polygons and the exact values are computed once for all of them."""
+    polygons and the exact values are computed once for all of them, and
+    each smooth kernel once per setting: the clearance is that setting's
+    distance minus its penetration."""
     pa, pb = ConvexPolygon(va), ConvexPolygon(vb)
     scene = Scene([SceneObject("a", pa), SceneObject("b", pb)])
     params = PredicateParams.for_kind(PredicateKind.ENCL_IN, [ENCLOSURE_DELTA])
@@ -48,8 +53,9 @@ def pair_quantities(va: list, vb: list, settings: Sequence[tuple[float, int]]) -
     out = []
     for tau, samples in settings:
         cfg = SmoothingConfig(tau=tau, samples_per_edge=samples)
-        smooth = (smooth_polygon_distance(pa, pb, cfg), signed_clearance(pa, pb, cfg),
-                  smooth_sat_penetration(pa, pb, cfg),
+        d = smooth_polygon_distance(pa, pb, cfg)
+        p = smooth_sat_penetration(pa, pb, cfg)
+        smooth = (d, d - p, p,
                   atom_robustness(scene, PredicateKind.ENCL_IN, ("a", "b"), params,
                                   smooth=True, cfg=cfg))
         out.extend((tau, samples, q, float(e), float(v))
@@ -68,6 +74,10 @@ def run_sweep(n_pairs: int, taus: Sequence[float], samples_list: Sequence[int],
     """Rows (pair, tau, samples, quantity, exact, smooth), ordered by pair."""
     if n_pairs < 0:
         raise ValueError("n_pairs must be >= 0")
+    for name, values in (("tau", taus), ("samples", samples_list)):
+        for i, v in enumerate(values):
+            if v in values[:i]:
+                raise ValueError(f"{name} {v:g} is given more than once")
     for tau in taus:    # reject every bad entry, even when no pair would use it
         for samples in samples_list:
             SmoothingConfig(tau=tau, samples_per_edge=samples)

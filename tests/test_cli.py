@@ -783,6 +783,36 @@ class TestAccuracy:
         assert len(rows) == 1 + 4 * 4   # 4 quantities per pair
         assert (tmp_path / "accuracy_summary.csv").exists()
 
+    def test_smooth_clearance_is_distance_minus_penetration(self, tmp_path, capsys):
+        rc = main(["accuracy", "--pairs", "5", "--tau", "1e-1,1e-3", "--samples", "4,32",
+                   "--out-dir", str(tmp_path)])
+        capsys.readouterr()
+        assert rc == 0
+        with open(tmp_path / "accuracy.csv", newline="") as fh:
+            smooth = {(r["pair"], r["tau"], r["samples"], r["quantity"]): float(r["smooth"])
+                      for r in csv.DictReader(fh)}
+        clearance = [key for key in smooth if key[3] == "clearance"]
+        assert len(clearance) == 5 * 2 * 2
+        # %.17g round-trips every double, so the row values are the computed ones
+        for pair, tau, samples, _ in clearance:
+            assert smooth[pair, tau, samples, "clearance"] == (
+                smooth[pair, tau, samples, "distance"]
+                - smooth[pair, tau, samples, "penetration"])
+
+    @pytest.mark.parametrize("flag, value", [("--samples", "16,16"), ("--tau", "1e-2,0.01")])
+    def test_repeated_setting_exits_2_with_one_error_line(self, tmp_path, capsys,
+                                                          flag, value):
+        argv = ["accuracy", "--pairs", "3", "--tau", "1e-2", "--samples", "16",
+                "--out-dir", str(tmp_path)]
+        argv[argv.index(flag) + 1] = value
+        rc = main(argv)
+        out, err = capsys.readouterr()
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "more than once" in err
+        assert not (tmp_path / "accuracy.csv").exists()
+
     def test_zero_pairs_header_only_exit_0(self, tmp_path, capsys):
         rc = main(["accuracy", "--pairs", "0", "--out-dir", str(tmp_path)])
         capsys.readouterr()
