@@ -100,8 +100,6 @@ def cmd_optimize(args) -> int:
         overrides["tau_start"] = args.tau
     if args.samples is not None:
         overrides["samples_per_edge"] = args.samples
-    if args.adam:
-        overrides["use_adam"] = True
     base = scn.optimizer.__dict__ | overrides
     cfg = OptimizerConfig(**{**base, "snapshot_iterations": _checkpoints(
         base["iterations"], args.svg_every)})
@@ -193,9 +191,19 @@ def cmd_learn(args) -> int:
 # -- accuracy --------------------------------------------------------------------
 
 
+def _list_arg(flag: str, text: str, kind) -> list:
+    out = []
+    for entry in text.split(","):
+        try:
+            out.append(kind(entry))
+        except ValueError:
+            raise ValueError(f"{flag}: bad entry {entry!r} in {text!r}") from None
+    return out
+
+
 def cmd_accuracy(args) -> int:
-    taus = [float(x) for x in args.tau.split(",")]
-    samples_list = [int(x) for x in args.samples.split(",")]
+    taus = _list_arg("--tau", args.tau, float)
+    samples_list = _list_arg("--samples", args.samples, int)
     rows = run_sweep(args.pairs, taus, samples_list, args.seed)
 
     out = _ensure_out(args)
@@ -242,7 +250,6 @@ def build_parser() -> argparse.ArgumentParser:
     po.add_argument("--seed", type=int)
     po.add_argument("--tau", type=float, help="starting smoothing temperature")
     po.add_argument("--samples", type=int)
-    po.add_argument("--adam", action="store_true")
     po.add_argument("--svg-every", type=int, default=0,
                     help="snapshot every N iterations (default 0, K/4, K/2, final)")
     po.add_argument("--out-dir", default="out")

@@ -94,11 +94,6 @@ class ConvexPolygon:
     def float_vertices(self) -> list[tuple[float, float]]:
         return [(value_of(x), value_of(y)) for x, y in self.vertices]
 
-    def edges(self):
-        vs = self.vertices
-        n = len(vs)
-        return [(vs[i], vs[(i + 1) % n]) for i in range(n)]
-
     def centroid(self, floats: bool = False) -> ScalarPoint:
         """Vertex mean; of the float snapshot, recording no node, if ``floats``."""
         vs = self.float_vertices() if floats else self.vertices
@@ -316,13 +311,6 @@ def smooth_sat_penetration(A: ConvexPolygon, B: ConvexPolygon,
     return ad.lift(value, coords, grads[0] + grads[1], "smooth_sat_penetration")
 
 
-# Interior samples of an edge pair are skipped when a lower bound on their
-# distances exceeds the smallest vertex-edge distance by more than
-# ad.cull_width(tau, N), N the number of terms of the flat soft-min (see
-# ad.CULL_GAP, re-exported here).
-CULL_GAP = ad.CULL_GAP
-
-
 def _kept_pairs(fa: list[tuple], fb: list[tuple], va: list[list], vb: list[list],
                 cut: float) -> tuple[list[list[int]], list[list[int]]]:
     """For each edge of A, the edges of B whose pair keeps its interior
@@ -356,7 +344,7 @@ def smooth_polygon_distance(A: ConvexPolygon, B: ConvexPolygon,
 
     The vertex-edge terms (the samples at t = 0) are always evaluated; the
     interior samples of an edge pair are skipped when their terms cannot
-    carry weight (see ``CULL_GAP`` and ``_kept_pairs``). Skipping terms only
+    carry weight (see ``ad.cull_width`` and ``_kept_pairs``). Skipping terms only
     moves a soft-min towards the hard minimum, so the log-sum-exp gap of the
     full sum still bounds the error."""
     tau = cfg.tau

@@ -323,7 +323,7 @@ def read_trajectory_csv(path: str, expected_objects: Sequence[str],
 
 # -- optimization trace CSV ---------------------------------------------------------
 
-TRACE_HEADER = ["iteration", "loss", "rho_smooth", "rho_exact", "grad_norm"]
+TRACE_HEADER = ["iteration", "loss", "rho_smooth", "rho_exact", "grad_norm", "tau"]
 
 
 def write_trace_csv(path: str, trace: Sequence[TraceRow]) -> None:
@@ -332,7 +332,7 @@ def write_trace_csv(path: str, trace: Sequence[TraceRow]) -> None:
         w.writerow(TRACE_HEADER)
         for row in trace:
             w.writerow([row.iteration, fmt(row.loss), fmt(row.robustness_smooth),
-                        fmt(row.robustness_exact), fmt(row.gradient_norm)])
+                        fmt(row.robustness_exact), fmt(row.gradient_norm), fmt(row.tau)])
 
 
 # -- accuracy CSV -------------------------------------------------------------------

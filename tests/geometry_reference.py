@@ -8,8 +8,9 @@ operations. The bodies below are kept verbatim, together with the hard
 against them for equal values and matching adjoints.
 
 ``sqrt_guarded`` is the guarded square root those bodies measure with.
-``sample_boundary``, ``edge_normals`` and ``point_segment_distance`` take
-floats as well as Vars, so they also serve the tests as float helpers.
+``polygon_edges``, ``sample_boundary``, ``edge_normals`` and
+``point_segment_distance`` take floats as well as Vars, so they also serve
+the tests as float helpers.
 ``segment_distance`` is the exact distance of two closed segments, the
 edge-pair formulation ``exactgeo.exact_distance`` is checked against.
 """
@@ -50,6 +51,12 @@ def sqrt_guarded(x: Scalar) -> Scalar:
 ad = types.SimpleNamespace(**vars(_autodiff), max2=max2, min2=min2, sqrt_guarded=sqrt_guarded)
 
 
+def polygon_edges(polygon: ConvexPolygon) -> list[tuple[ScalarPoint, ScalarPoint]]:
+    """Each edge as (start, end), counter-clockwise from vertex 0."""
+    vs = polygon.vertices
+    return [(vs[i], vs[(i + 1) % len(vs)]) for i in range(len(vs))]
+
+
 @dataclass
 class BoundarySamples:
     """Evenly spaced boundary points with their worst-case spacing."""
@@ -64,7 +71,7 @@ def sample_boundary(polygon: ConvexPolygon, samples_per_edge: int) -> BoundarySa
         raise ValueError(f"samples_per_edge must be >= 1, got {samples_per_edge}")
     pts = []
     inv = 1.0 / samples_per_edge
-    for (ax, ay), (bx, by) in polygon.edges():
+    for (ax, ay), (bx, by) in polygon_edges(polygon):
         ex = bx - ax
         ey = by - ay
         for k in range(samples_per_edge):
@@ -80,7 +87,7 @@ def edge_normals(polygon: ConvexPolygon) -> list[ScalarPoint]:
     """Inward unit normals, one per directed edge (interior is to the left
     of a counter-clockwise edge)."""
     normals = []
-    for (ax, ay), (bx, by) in polygon.edges():
+    for (ax, ay), (bx, by) in polygon_edges(polygon):
         ex = bx - ax
         ey = by - ay
         length = ad.sqrt_guarded(ex * ex + ey * ey)
@@ -115,10 +122,11 @@ def point_polygon_signed_distance(p: ScalarPoint, polygon: ConvexPolygon,
     tau = cfg.tau
     px, py = p
     margins = []
-    for (vx, vy), (nx, ny) in zip([e[0] for e in polygon.edges()], edge_normals(polygon)):
+    edges = polygon_edges(polygon)
+    for (vx, vy), (nx, ny) in zip([e[0] for e in edges], edge_normals(polygon)):
         margins.append((px - vx) * nx + (py - vy) * ny)
     m_in = ad.lse_min(margins, tau)
-    m_out = ad.lse_min([point_segment_distance(p, a, b) for a, b in polygon.edges()], tau)
+    m_out = ad.lse_min([point_segment_distance(p, a, b) for a, b in edges], tau)
     w = ad.sigmoid(cfg.sigmoid_scale * m_in)
     return (1.0 - w) * m_out - w * m_in
 
@@ -155,7 +163,7 @@ def smooth_polygon_distance(A: ConvexPolygon, B: ConvexPolygon,
     tau = cfg.tau
     sides = []
     for src, dst in ((A, B), (B, A)):
-        edges = dst.edges()
+        edges = polygon_edges(dst)
         dists = []
         for p in sample_boundary(src, cfg.samples_per_edge).points:
             dists.append(ad.lse_min([point_segment_distance(p, a, b) for a, b in edges], tau))
@@ -177,7 +185,7 @@ def flat_polygon_distance(A: ConvexPolygon, B: ConvexPolygon,
     no term skipped; float polygons only."""
     dists = []
     for src, dst in ((A, B), (B, A)):
-        edges = dst.edges()
+        edges = polygon_edges(dst)
         for p in sample_boundary(src, cfg.samples_per_edge).points:
             dists += [point_segment_distance(p, a, b) for a, b in edges]
     return ad.lse_min(dists, cfg.tau)

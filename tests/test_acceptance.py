@@ -142,7 +142,7 @@ def _sample_gap(a: geo.ConvexPolygon, b: geo.ConvexPolygon,
     polygon's boundary."""
     gap = math.inf
     for src, dst in ((a, b), (b, a)):
-        edges = list(dst.edges())
+        edges = ref.polygon_edges(dst)
         for p in ref.sample_boundary(src, samples_per_edge).points:
             for e0, e1 in edges:
                 gap = min(gap, ref.point_segment_distance(p, e0, e1))

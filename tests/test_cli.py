@@ -205,8 +205,10 @@ class TestOptimize:
         with open(tmp_path / "trace.csv", newline="") as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == ["iteration", "loss", "rho_smooth", "rho_exact",
-                           "grad_norm"]
+                           "grad_norm", "tau"]
         assert len(rows) == 4   # header + one row per iteration
+        # three iterations are too few to anneal: every row is at tau_start
+        assert [float(r[5]) for r in rows[1:]] == [0.005] * 3
 
     def test_unsatisfied_run_exits_1(self, tmp_path, capsys):
         rc = main(["optimize", scenario_path("corridor"), "--out-dir",
@@ -811,6 +813,23 @@ class TestAccuracy:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "more than once" in err
+        assert not (tmp_path / "accuracy.csv").exists()
+
+    @pytest.mark.parametrize("flag, value, entry", [("--samples", "16,x", "'x'"),
+                                                    ("--samples", "16,1.5", "'1.5'"),
+                                                    ("--tau", "1e-2,", "''"),
+                                                    ("--tau", "abc", "'abc'")])
+    def test_malformed_entry_exits_2_naming_flag_and_entry(self, tmp_path, capsys,
+                                                           flag, value, entry):
+        argv = ["accuracy", "--pairs", "3", "--tau", "1e-2", "--samples", "16",
+                "--out-dir", str(tmp_path)]
+        argv[argv.index(flag) + 1] = value
+        rc = main(argv)
+        out, err = capsys.readouterr()
+        assert rc == 2
+        assert out == ""
+        assert err.startswith(f"error: {flag}: ") and err.count("\n") == 1
+        assert f"entry {entry} in {value!r}" in err
         assert not (tmp_path / "accuracy.csv").exists()
 
     def test_zero_pairs_header_only_exit_0(self, tmp_path, capsys):

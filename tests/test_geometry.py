@@ -404,7 +404,7 @@ def test_culled_distance_is_the_full_flat_sum():
         for a_v, b_v in tol_pairs:
             value = geo.smooth_polygon_distance(poly(a_v), poly(b_v), cfg)
             full = ref.flat_polygon_distance(poly(a_v), poly(b_v), cfg)
-            assert abs(value - full) <= tau * math.exp(-geo.CULL_GAP) + 4 * math.ulp(full)
+            assert abs(value - full) <= tau * math.exp(-ad.CULL_GAP) + 4 * math.ulp(full)
 
 
 @pytest.mark.parametrize("a_v,b_v,tau", [(*FAR_APART, 1e-2), (*NEEDLE, 1e-3)],

@@ -11,8 +11,8 @@ import tape_reference as ref
 from polystl import autodiff as ad
 from polystl.formulas import Evaluator, atoms_of, eval_exact, eval_smooth, parse, to_text
 from polystl.geometry import ConvexPolygon, PolygonTemplate, Pose2D, SmoothingConfig
-from polystl.optimize import (Movable, OptimizationError, OptimizerConfig, Problem,
-                              build_trajectory, optimize,
+from polystl.optimize import (POLYAK_CAP, Movable, OptimizationError, OptimizerConfig,
+                              Problem, build_trajectory, optimize,
                               _poses_from_flat, _smoothness_penalty)
 from polystl.predicates import AxisAlignedBox3, PredicateKind, SceneObject
 from polystl.scenario import load_scenario
@@ -186,11 +186,23 @@ def test_reach_repair_with_plain_descent():
     assert all(math.isfinite(r.loss) for r in res.trace)
 
 
-def test_reach_repair_with_adam():
+def test_reach_repair_takes_capped_polyak_steps():
+    # each iteration moves the decision vector by step * |g|, with the step
+    # loss / |g|^2 clamped to [step_size, POLYAK_CAP * step_size]
     prob = reach_problem()
-    cfg = OptimizerConfig(iterations=250, samples_per_edge=8, use_adam=True, seed=3)
+    cfg = OptimizerConfig(iterations=250, samples_per_edge=8, seed=3,
+                          snapshot_iterations=tuple(range(250)))
     res = optimize(prob, cfg)
-    assert res.success
+    assert res.success and res.iterations_run < 10
+    flat = [[c for pose in res.snapshots[it]["ee"][1:] for c in pose]
+            for it in range(res.iterations_run)]
+    clamps = set()
+    for row, a, b in zip(res.trace, flat, flat[1:]):
+        step = min(POLYAK_CAP * cfg.step_size,
+                   max(cfg.step_size, row.loss / row.gradient_norm ** 2))
+        clamps.add(step / cfg.step_size)
+        assert math.dist(a, b) == pytest.approx(step * row.gradient_norm, rel=1e-9)
+    assert clamps == {1.0, POLYAK_CAP}   # this run meets both ends of the clamp
 
 
 def test_result_reports_best_iterate():
@@ -265,8 +277,8 @@ def test_directional_objective_moves_the_box_world():
     xs = [p[0] for p in res.poses["ee"]]
     assert min(xs[1:]) < -0.7  # crossed to the far side with the margin
 
-SINGLE_OBSTACLE = os.path.join(os.path.dirname(os.path.dirname(__file__)),
-                               "scenarios", "single_obstacle.json")
+SCENARIOS = os.path.join(os.path.dirname(os.path.dirname(__file__)), "scenarios")
+SINGLE_OBSTACLE = os.path.join(SCENARIOS, "single_obstacle.json")
 
 EVERY_KIND = ("closeTo(ee, obs; 1.0) & farFrom(ee, obs; 0.3) & touch(ee, obs; 0.1)"
               " & ovlp(ee, obs; 0.05) & partOvlp(ee, obs; 0.05, 0.05) & enclIn(ee, goal; 0.05)"
@@ -304,7 +316,7 @@ def test_exact_pass_over_tape_scenes_reads_floats_and_records_no_node():
 
 def test_one_trajectory_per_iteration(monkeypatch):
     # the exact and the smooth pass read the same scenes, so single_obstacle's
-    # 71 iterations build 71 trajectories, not a float copy besides each
+    # 12 iterations build 12 trajectories, not a float copy besides each
     opt = importlib.import_module("polystl.optimize")   # the package exports optimize()
     built = []
     real = opt.build_trajectory
@@ -316,8 +328,8 @@ def test_one_trajectory_per_iteration(monkeypatch):
     monkeypatch.setattr(opt, "build_trajectory", counting)
     scn = load_scenario(SINGLE_OBSTACLE)
     res = optimize(scn.problem, scn.optimizer)
-    assert res.iterations_run == 71
-    assert len(built) == 71
+    assert res.iterations_run == 12
+    assert len(built) == 12
 
 
 @pytest.mark.parametrize("bad", [math.nan, -math.inf])
@@ -345,8 +357,9 @@ def test_non_finite_loss_is_reported_after_the_exact_pass(monkeypatch, bad):
 
 
 def test_exact_pass_evaluates_only_what_the_carried_intervals_leave_open(monkeypatch):
-    # single_obstacle's 71 iterations would evaluate every atom at every
-    # step, 2,414 exact atom calls; the carried intervals leave 400
+    # single_obstacle's 12 iterations would evaluate both atoms at all 17
+    # steps, 408 exact atom calls; the carried intervals leave 78, under a
+    # quarter of that
     from polystl import formulas
     scn = load_scenario(SINGLE_OBSTACLE)
     calls = []
@@ -358,9 +371,21 @@ def test_exact_pass_evaluates_only_what_the_carried_intervals_leave_open(monkeyp
 
     monkeypatch.setattr(formulas, "atom_robustness", counting)
     res = optimize(scn.problem, scn.optimizer)
-    assert res.success and res.iterations_run == 71
-    assert calls.count(False) < 600
-    assert calls.count(True) == 556
+    assert res.success and res.iterations_run == 12
+    every = res.iterations_run * len(atoms_of(scn.formula)) * (scn.horizon + 1)
+    assert every == 408
+    assert calls.count(False) < every // 4
+    assert calls.count(True) == 98
+
+
+@pytest.mark.parametrize("step_size", [0.02, 0.03, 0.05, 0.1, 0.2])
+@pytest.mark.parametrize("name", ["single_obstacle", "corridor", "free_space"])
+def test_shipped_scenarios_repair_at_every_base_step(name, step_size):
+    # a fixed step of step_size runs out of iterations at -0.3 on
+    # single_obstacle at 0.02, 0.03 and 0.1 and on corridor at 0.02 and 0.03
+    scn = load_scenario(os.path.join(SCENARIOS, f"{name}.json"))
+    res = optimize(scn.problem, dataclasses.replace(scn.optimizer, step_size=step_size))
+    assert res.success and res.reached_margin, (res.iterations_run, res.robustness_exact)
 
 
 # -- placement and the smoothness penalty, one node each ------------------------

@@ -180,8 +180,9 @@ class TestCsvRoundTrips:
         path = str(tmp_path / "trace.csv")
         write_trace_csv(path, rows)
         lines = open(path).read().strip().splitlines()
-        assert lines[0] == "iteration,loss,rho_smooth,rho_exact,grad_norm"
+        assert lines[0] == "iteration,loss,rho_smooth,rho_exact,grad_norm,tau"
         assert float(lines[1].split(",")[1]) == 1 / 3
+        assert float(lines[1].split(",")[5]) == 0.01
 
     def test_accuracy_summary_groups_and_sorts(self):
         rows = [(0, 1e-3, 32, "distance", 1.0, 1.01),
