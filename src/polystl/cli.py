@@ -7,6 +7,7 @@ can only ever be evidence, the exact one is the certificate.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 from datetime import datetime, timezone
@@ -17,7 +18,7 @@ from .accuracy import run_sweep
 from .formulas import Evaluator, FormulaError, satisfies, smoothing_budget
 from .geometry import (DEFAULT_SAMPLES_PER_EDGE, DEFAULT_TAU, SmoothingConfig)
 from .mining import check_retention, make_demo_set, mine
-from .optimize import OptimizerConfig, build_trajectory, optimize
+from .optimize import build_trajectory, optimize
 from .render import write_frames
 
 
@@ -90,21 +91,20 @@ def _checkpoints(iterations: int, svg_every: int) -> tuple[int, ...]:
 
 
 def cmd_optimize(args) -> int:
+    if args.svg_every < 0:
+        return _fail(f"--svg-every must be >= 0, got {args.svg_every}")
     scn = sio.load_scenario(args.scenario)
     overrides = {}
     if args.iterations is not None:
         overrides["iterations"] = args.iterations
-    if args.seed is not None:
-        overrides["seed"] = args.seed
     if args.tau is not None:
-        overrides["tau_start"] = args.tau
+        overrides["tau"] = args.tau
     if args.samples is not None:
         overrides["samples_per_edge"] = args.samples
-    base = scn.optimizer.__dict__ | overrides
-    cfg = OptimizerConfig(**{**base, "snapshot_iterations": _checkpoints(
-        base["iterations"], args.svg_every)})
+    cfg = dataclasses.replace(scn.optimizer, **overrides)
 
-    result = optimize(scn.problem, cfg)
+    result = optimize(scn.problem, cfg,
+                      snapshot_iterations=_checkpoints(cfg.iterations, args.svg_every))
 
     out = _ensure_out(args)
     traj_path = os.path.join(out, "trajectory.csv")
@@ -116,7 +116,7 @@ def cmd_optimize(args) -> int:
     snapshots.append(("final", result.poses))
     frames = write_frames(out, scn.problem, snapshots, scn.goal_names)
     outputs = [traj_path, trace_path] + frames
-    sio.write_manifest(os.path.join(out, "manifest.json"), "optimize", cfg.seed,
+    sio.write_manifest(os.path.join(out, "manifest.json"), "optimize", None,
                        {k: v for k, v in cfg.__dict__.items()},
                        [args.scenario], outputs, _utc_now())
 
@@ -247,8 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     po = sub.add_parser("optimize", help="repair a trajectory against its formula")
     po.add_argument("scenario")
     po.add_argument("--iterations", type=int)
-    po.add_argument("--seed", type=int)
-    po.add_argument("--tau", type=float, help="starting smoothing temperature")
+    po.add_argument("--tau", type=float, help="smoothing temperature")
     po.add_argument("--samples", type=int)
     po.add_argument("--svg-every", type=int, default=0,
                     help="snapshot every N iterations (default 0, K/4, K/2, final)")

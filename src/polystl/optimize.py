@@ -10,16 +10,14 @@ with the heading component of the second difference computed on wrapped
 angle increments. Each iteration takes a capped Polyak step along the
 negative gradient g: the hinge has a known target of 0, so loss / |g|^2 is
 a natural step length, clamped to [step_size, POLYAK_CAP * step_size]
-(B. T. Polyak, Introduction to Optimization, 1987). The smoothing
-temperature anneals towards its final value over the last stretch of the
-run so early iterations see a wider basin and late ones a tighter fit.
+(B. T. Polyak, Introduction to Optimization, 1987). A zero gradient ends
+the run: the poses cannot move, so exact robustness cannot change.
 """
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from . import autodiff as ad
 from .autodiff import Scalar, value_of
@@ -89,36 +87,17 @@ class OptimizerConfig:
     iterations: int = 500
     satisfaction_margin: float = 0.1    # hinge target on smooth robustness
     smoothness_weight: float = 1e-2
-    tau_start: float = 1e-2
-    tau_end: float = 1e-3
-    anneal_fraction: float = 0.2        # trailing fraction that anneals tau
+    tau: float = 1e-2
     samples_per_edge: int = 16
     sigmoid_scale: float = 50.0
-    stall_grad_norm: float = 1e-6
-    stall_patience: int = 5
-    perturbation: float = 1e-3
-    seed: int = 0
-    snapshot_iterations: tuple = ()   # iterations whose poses are kept for rendering
 
     def __post_init__(self):
         if self.iterations < 1:
             raise OptimizationError("iterations must be >= 1")
-        if not all(math.isfinite(v) and v > 0
-                   for v in (self.step_size, self.tau_start, self.tau_end, self.sigmoid_scale)):
-            raise OptimizationError(
-                "step size, temperatures and sigmoid scale must be positive and finite")
-        if not 0.0 <= self.anneal_fraction <= 1.0:
-            raise OptimizationError("anneal_fraction must lie in [0, 1]")
-
-    def tau_at(self, iteration: int) -> float:
-        """Constant tau_start, then log-linear decay to tau_end over the
-        trailing anneal_fraction of the run."""
-        start = int(math.ceil(self.iterations * (1.0 - self.anneal_fraction)))
-        if iteration < start or self.iterations - 1 <= start:
-            return self.tau_start
-        frac = (iteration - start) / (self.iterations - 1 - start)
-        return math.exp((1.0 - frac) * math.log(self.tau_start)
-                        + frac * math.log(self.tau_end))
+        for name in ("step_size", "tau", "sigmoid_scale"):
+            v = getattr(self, name)
+            if not (math.isfinite(v) and v > 0.0):
+                raise OptimizationError(f"{name} must be positive and finite, got {v}")
 
 
 @dataclass(frozen=True)
@@ -216,17 +195,17 @@ def _smoothness_penalty(problem: Problem, poses: dict[str, list[tuple]]) -> Scal
                    [g for _, gs in terms for g in gs], "smoothness")
 
 
-def optimize(problem: Problem, cfg: OptimizerConfig = OptimizerConfig()) -> OptimizationResult:
+def optimize(problem: Problem, cfg: OptimizerConfig = OptimizerConfig(), *,
+             snapshot_iterations: Iterable[int] = ()) -> OptimizationResult:
     """Run the descent loop; returns the best iterate by exact robustness.
 
-    Stops early once exact robustness reaches the hinge margin. A run of
-    stall_patience iterations with gradient norm under stall_grad_norm
-    triggers a small seeded perturbation of the decision vector.
+    Stops early once exact robustness reaches the hinge margin or the
+    gradient is zero. The poses at each of snapshot_iterations that the
+    run reaches are kept for rendering.
     """
     flat = _flatten(problem.movables)
-    rng = random.Random(cfg.seed)
     trace: list[TraceRow] = []
-    snap_at = set(cfg.snapshot_iterations)
+    snap_at = set(snapshot_iterations)
     snapshots: dict[int, dict[str, list[PoseTriple]]] = {}
 
     def float_pose_dict(vec):
@@ -237,13 +216,13 @@ def optimize(problem: Problem, cfg: OptimizerConfig = OptimizerConfig()) -> Opti
     best_flat = list(flat)
     best_smooth = -math.inf
     reached_margin = False
-    stalled = 0
 
     iterations_run = 0
     exact = None
+    scfg = SmoothingConfig(tau=cfg.tau, samples_per_edge=cfg.samples_per_edge,
+                           sigmoid_scale=cfg.sigmoid_scale)
     for it in range(cfg.iterations):
         iterations_run = it + 1
-        tau = cfg.tau_at(it)
         if it in snap_at:
             snapshots[it] = float_pose_dict(flat)
 
@@ -263,8 +242,6 @@ def optimize(problem: Problem, cfg: OptimizerConfig = OptimizerConfig()) -> Opti
         except FormulaError as exc:   # not finite: a non-finite loss is reported first
             exact_error = exc
 
-        scfg = SmoothingConfig(tau=tau, samples_per_edge=cfg.samples_per_edge,
-                               sigmoid_scale=cfg.sigmoid_scale)
         # a failed exact pass leaves its table partial, and bounds nothing
         res = eval_smooth(problem.formula, traj, cfg=scfg,
                           exact=exact if exact_error is None else None)
@@ -286,7 +263,7 @@ def optimize(problem: Problem, cfg: OptimizerConfig = OptimizerConfig()) -> Opti
         gsq = math.fsum(g * g for g in grad)
         gnorm = math.sqrt(gsq)
 
-        trace.append(TraceRow(it, loss_val, res.value, rho_exact, gnorm, tau))
+        trace.append(TraceRow(it, loss_val, res.value, rho_exact, gnorm, cfg.tau))
 
         if rho_exact > best_exact:
             best_exact = rho_exact
@@ -297,18 +274,9 @@ def optimize(problem: Problem, cfg: OptimizerConfig = OptimizerConfig()) -> Opti
             reached_margin = True
             break
 
-        if gnorm < cfg.stall_grad_norm:
-            stalled += 1
-            if stalled >= cfg.stall_patience:
-                flat = [v + rng.uniform(-cfg.perturbation, cfg.perturbation) for v in flat]
-                stalled = 0
-                continue
-        else:
-            stalled = 0
-
-        step = cfg.step_size
-        if gsq > 0.0:
-            step = min(POLYAK_CAP * step, max(step, loss_val / gsq))
+        if gsq == 0.0:
+            break
+        step = min(POLYAK_CAP * cfg.step_size, max(cfg.step_size, loss_val / gsq))
         flat = [v - step * g for v, g in zip(flat, grad)]
 
     return OptimizationResult(

@@ -139,17 +139,14 @@ class Scenario:
     formula_text: str
     formula: Formula
     problem: Problem
-    seed: int
     optimizer: OptimizerConfig
     goal_names: frozenset[str]  # enclosure containers, styled specially in renders
 
 
 # what an optimizer override must be, by the type of the field's default
 _OVERRIDE_TYPES = {
-    bool: ("true or false", lambda v: isinstance(v, bool)),
     int: ("an integer", _is_integer),
     float: ("a finite number", lambda v: _is_number(v) and math.isfinite(v)),
-    tuple: ("a list of integers", lambda v: isinstance(v, list) and all(map(_is_integer, v))),
 }
 
 
@@ -182,7 +179,7 @@ def scenario_from_dict(doc: dict, where: str = "scenario") -> Scenario:
     if not isinstance(doc, dict):
         raise ScenarioFileError(f"{where}: must be a JSON object")
     _require_keys(doc, ["name", "horizon", "formula", "objects"],
-                  ["seed", "optimizer"], where)
+                  ["optimizer"], where)
     if not isinstance(doc["name"], str):
         raise ScenarioFileError(f"{where}: name must be a string")
     horizon = doc["horizon"]
@@ -194,9 +191,6 @@ def scenario_from_dict(doc: dict, where: str = "scenario") -> Scenario:
         formula = parse(doc["formula"])
     except FormulaError as exc:
         raise ScenarioFileError(f"{where}: formula does not parse: {exc}") from None
-    seed = doc.get("seed", 0)
-    if not _is_integer(seed):
-        raise ScenarioFileError(f"{where}: seed must be an integer")
 
     statics: list[SceneObject] = []
     movables: list[Movable] = []
@@ -265,7 +259,7 @@ def scenario_from_dict(doc: dict, where: str = "scenario") -> Scenario:
     goal_names = frozenset(
         atom.objects[1] for atom in _enclosure_atoms(formula))
     return Scenario(doc["name"], horizon, doc["formula"], formula, problem,
-                    seed, opt, goal_names)
+                    opt, goal_names)
 
 
 def _enclosure_atoms(formula: Formula):
@@ -517,7 +511,7 @@ def sha256_file(path: str) -> str:
     return h.hexdigest()
 
 
-def write_manifest(path: str, command: str, seed: int, config: dict,
+def write_manifest(path: str, command: str, seed: Optional[int], config: dict,
                    inputs: Sequence[str], outputs: Sequence[str],
                    timestamp: Optional[str] = None) -> None:
     """Inputs and outputs are hashed; the manifest pins everything needed

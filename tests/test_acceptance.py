@@ -30,7 +30,7 @@ from polystl.accuracy import (FROZEN_BOUNDS, QUANTITIES, max_errors, run_sweep,
                               sign_disagreements)
 from polystl.formulas import Trajectory, eval_exact, eval_smooth, parse
 from polystl.mining import make_demo_set, mine, planted_candidates
-from polystl.optimize import OptimizerConfig, build_trajectory, optimize
+from polystl.optimize import build_trajectory, optimize
 from polystl.predicates import (AxisAlignedBox3, PredicateKind as K,
                                 PredicateParams, Scene, SceneObject)
 from polystl.randgeom import pair_for_index
@@ -56,11 +56,9 @@ def sweep_1000():
 
 def _run_scenario(name: str, snapshot_every_iteration: bool = False):
     scn = sio.load_scenario(str(SCENARIO_DIR / f"{name}.json"))
-    base = dict(scn.optimizer.__dict__)
-    if snapshot_every_iteration:
-        base["snapshot_iterations"] = range(base["iterations"])
-    cfg = OptimizerConfig(**base)
-    return scn, cfg, optimize(scn.problem, cfg)
+    cfg = scn.optimizer
+    snapshots = range(cfg.iterations) if snapshot_every_iteration else ()
+    return scn, cfg, optimize(scn.problem, cfg, snapshot_iterations=snapshots)
 
 
 @pytest.fixture(scope="session")
@@ -472,21 +470,6 @@ def test_5_error_monotone_in_tau_and_samples():
 # -- 6: the optimizer reaches exact satisfaction --------------------------------
 
 
-def _perturbed_iterations(trace, cfg) -> set[int]:
-    """Iterations whose loss follows a stall perturbation, per the stall rule."""
-    out = set()
-    stalled = 0
-    for row in trace:
-        if row.gradient_norm < cfg.stall_grad_norm:
-            stalled += 1
-            if stalled >= cfg.stall_patience:
-                out.add(row.iteration + 1)
-                stalled = 0
-        else:
-            stalled = 0
-    return out
-
-
 def _window_minima(losses, width=10):
     return [min(losses[k:k + width]) for k in range(0, len(losses), width)]
 
@@ -500,9 +483,7 @@ def test_6_optimizer_reaches_satisfaction(scenario_runs):
         if not result.success or result.iterations_run > 500:
             failures.append(f"{name}: not satisfied in {result.iterations_run} iters")
             continue
-        perturbed = _perturbed_iterations(result.trace, cfg)
-        losses = [r.loss for r in result.trace if r.iteration not in perturbed]
-        minima = _window_minima(losses)
+        minima = _window_minima([r.loss for r in result.trace])
         if any(b > a + 1e-9 for a, b in zip(minima, minima[1:])):
             failures.append(f"{name}: loss window minima increase {minima}")
 

@@ -1,6 +1,6 @@
 """End-to-end command-line checks on small workloads.
 
-The seeded repo scenarios get their full-budget runs in the acceptance
+The shipped scenarios get their full-budget runs in the acceptance
 suite; here optimize runs with clipped iteration counts so the whole file
 stays fast.
 """
@@ -207,7 +207,7 @@ class TestOptimize:
         assert rows[0] == ["iteration", "loss", "rho_smooth", "rho_exact",
                            "grad_norm", "tau"]
         assert len(rows) == 4   # header + one row per iteration
-        # three iterations are too few to anneal: every row is at tau_start
+        # every row is at the scenario's temperature
         assert [float(r[5]) for r in rows[1:]] == [0.005] * 3
 
     def test_unsatisfied_run_exits_1(self, tmp_path, capsys):
@@ -223,11 +223,21 @@ class TestOptimize:
         assert frames == ["frame_000000.svg", "frame_000002.svg",
                           "frame_final.svg"]
 
+    def test_negative_svg_every_exits_2_writing_nothing(self, tmp_path, capsys):
+        out_dir = tmp_path / "out"
+        rc = main(["optimize", scenario_path("free_space"), "--out-dir", str(out_dir),
+                   "--iterations", "2", "--svg-every", "-1"])
+        out, err = capsys.readouterr()
+        assert rc == 2
+        assert out == ""
+        assert err == "error: --svg-every must be >= 0, got -1\n"
+        assert not out_dir.exists()
+
     def test_manifest_records_config_and_hashes(self, tmp_path):
         main(["optimize", scenario_path("free_space"), "--out-dir", str(tmp_path),
-              "--iterations", "3", "--seed", "5"])
+              "--iterations", "3"])
         doc = json.load(open(tmp_path / "manifest.json"))
-        assert doc["seed"] == 5
+        assert doc["seed"] is None   # nothing in optimize is random
         assert doc["config"]["iterations"] == 3
         assert "trajectory.csv" in doc["outputs"]
         assert len(doc["outputs"]["trajectory.csv"]) == 64
@@ -298,6 +308,20 @@ MALFORMED = {
     "formula_a_number": (_set(["formula"], 5), "formula must be a string"),
     "name_a_list": (_set(["objects", 0, "name"], ["ee"]), "objects[0]: name must be a string"),
     "scenario_name_nan": (_set(["name"], float("nan")), "name must be a string"),
+    # snapshots are chosen by --svg-every, not by the scenario
+    "optimizer_snapshot_iterations": (_set(["optimizer", "snapshot_iterations"], [1, 2]),
+                                      "unknown optimizer key 'snapshot_iterations'"),
+    # keys of the deleted annealing, stall perturbation and seeds
+    "optimizer_tau_start": (_set(["optimizer", "tau_start"], 0.005),
+                            "unknown optimizer key 'tau_start'"),
+    "optimizer_tau_end": (_set(["optimizer", "tau_end"], 0.001),
+                          "unknown optimizer key 'tau_end'"),
+    "optimizer_anneal_fraction": (_set(["optimizer", "anneal_fraction"], 0.5),
+                                  "unknown optimizer key 'anneal_fraction'"),
+    "optimizer_stall_patience": (_set(["optimizer", "stall_patience"], 5),
+                                 "unknown optimizer key 'stall_patience'"),
+    "optimizer_seed": (_set(["optimizer", "seed"], 0), "unknown optimizer key 'seed'"),
+    "top_level_seed": (_set(["seed"], 0), "unknown key 'seed'"),
 }
 
 

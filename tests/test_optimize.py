@@ -1,4 +1,4 @@
-"""Optimizer loop: loss shape, schedules, convergence on small problems."""
+"""Optimizer loop: loss shape, step rule, convergence on small problems."""
 import dataclasses
 import importlib
 import os
@@ -83,30 +83,14 @@ def test_config_validation():
         OptimizerConfig(iterations=0)
     with pytest.raises(OptimizationError):
         OptimizerConfig(step_size=-1.0)
-    with pytest.raises(OptimizationError):
-        OptimizerConfig(anneal_fraction=1.5)
-    for field in ("step_size", "tau_start", "tau_end", "sigmoid_scale"):
+    for field in ("step_size", "tau", "sigmoid_scale"):
         for bad in (math.nan, math.inf, 0.0):
-            with pytest.raises(OptimizationError, match="positive and finite"):
+            with pytest.raises(OptimizationError,
+                               match=f"^{field} must be positive and finite, got {bad}$"):
                 OptimizerConfig(**{field: bad})
 
 
-# -- schedules and penalties ---------------------------------------------------
-
-
-def test_tau_schedule_holds_then_decays():
-    cfg = OptimizerConfig(iterations=100, tau_start=1e-2, tau_end=1e-3,
-                          anneal_fraction=0.2)
-    assert cfg.tau_at(0) == 1e-2
-    assert cfg.tau_at(79) == 1e-2
-    taus = [cfg.tau_at(i) for i in range(80, 100)]
-    assert taus[-1] == pytest.approx(1e-3)
-    assert all(a >= b for a, b in zip(taus, taus[1:]))
-
-
-def test_tau_schedule_degenerate_run_stays_at_start():
-    cfg = OptimizerConfig(iterations=1)
-    assert cfg.tau_at(0) == cfg.tau_start
+# -- penalties -------------------------------------------------------------------
 
 
 def test_smoothness_penalty_zero_for_constant_velocity():
@@ -173,7 +157,7 @@ def test_already_satisfying_returns_immediately():
 
 def test_reach_repair_with_plain_descent():
     prob = reach_problem()
-    cfg = OptimizerConfig(iterations=250, samples_per_edge=8, seed=3)
+    cfg = OptimizerConfig(iterations=250, samples_per_edge=8)
     res = optimize(prob, cfg)
     assert res.success, f"exact robustness stayed at {res.robustness_exact}"
     assert res.robustness_exact > 0.0
@@ -182,7 +166,7 @@ def test_reach_repair_with_plain_descent():
     assert res.poses["ee"][0] == (0.0, 0.0, 0.0)
     # trace rows are well formed
     row = res.trace[0]
-    assert row.iteration == 0 and row.tau == cfg.tau_start
+    assert row.iteration == 0 and row.tau == cfg.tau
     assert all(math.isfinite(r.loss) for r in res.trace)
 
 
@@ -190,9 +174,8 @@ def test_reach_repair_takes_capped_polyak_steps():
     # each iteration moves the decision vector by step * |g|, with the step
     # loss / |g|^2 clamped to [step_size, POLYAK_CAP * step_size]
     prob = reach_problem()
-    cfg = OptimizerConfig(iterations=250, samples_per_edge=8, seed=3,
-                          snapshot_iterations=tuple(range(250)))
-    res = optimize(prob, cfg)
+    cfg = OptimizerConfig(iterations=250, samples_per_edge=8)
+    res = optimize(prob, cfg, snapshot_iterations=range(250))
     assert res.success and res.iterations_run < 10
     flat = [[c for pose in res.snapshots[it]["ee"][1:] for c in pose]
             for it in range(res.iterations_run)]
@@ -207,7 +190,7 @@ def test_reach_repair_takes_capped_polyak_steps():
 
 def test_result_reports_best_iterate():
     prob = reach_problem()
-    cfg = OptimizerConfig(iterations=120, samples_per_edge=8, seed=3)
+    cfg = OptimizerConfig(iterations=120, samples_per_edge=8)
     res = optimize(prob, cfg)
     best = max(r.robustness_exact for r in res.trace)
     # returned robustness can exceed the trace maximum only if the final
@@ -215,9 +198,9 @@ def test_result_reports_best_iterate():
     assert res.robustness_exact >= best - 1e-12
 
 
-def test_determinism_under_seed():
+def test_reruns_are_deterministic():
     prob = reach_problem()
-    cfg = OptimizerConfig(iterations=40, samples_per_edge=8, seed=11)
+    cfg = OptimizerConfig(iterations=40, samples_per_edge=8)
     a = optimize(prob, cfg)
     b = optimize(reach_problem(), cfg)
     assert [(r.loss, r.robustness_smooth, r.robustness_exact, r.gradient_norm)
@@ -227,17 +210,16 @@ def test_determinism_under_seed():
     assert a.poses == b.poses
 
 
-def test_stall_perturbation_keeps_the_loop_alive():
-    # formula ignores the movable entirely: gradient is identically zero,
-    # so the stall branch must fire rather than spin forever
+def test_zero_gradient_ends_the_run():
+    # formula ignores the movable entirely and the poses are already smooth:
+    # the gradient is exactly zero, so no later iteration could move them
     prob = Problem(parse("closeTo(g1, g2; 1)"),
                    [static_square("g1", 0, 0, 0.5), static_square("g2", 4, 0, 0.5)],
                    [Movable("ee", square_template(0.2), line_poses(3))])
-    cfg = OptimizerConfig(iterations=15, samples_per_edge=4, stall_patience=3, seed=5)
-    res = optimize(prob, cfg)
-    assert res.iterations_run == 15
+    res = optimize(prob, OptimizerConfig(iterations=15, samples_per_edge=4))
+    assert res.iterations_run == 1
     assert not res.success  # robustness is fixed and negative
-    assert any(r.gradient_norm < cfg.stall_grad_norm for r in res.trace)
+    assert [r.gradient_norm for r in res.trace] == [0.0]
 
 
 def evaluate_poses(problem, poses, tau, cfg):
@@ -255,7 +237,7 @@ def test_evaluate_poses_matches_trace_head():
     cfg = OptimizerConfig(iterations=1, samples_per_edge=8)
     res = optimize(prob, cfg)
     poses = {"ee": [(0.01 * t, 0.0, 0.0) for t in range(5)]}
-    smooth, exact = evaluate_poses(prob, poses, cfg.tau_start, cfg)
+    smooth, exact = evaluate_poses(prob, poses, cfg.tau, cfg)
     assert smooth == pytest.approx(res.trace[0].robustness_smooth, abs=1e-12)
     assert exact == pytest.approx(res.trace[0].robustness_exact, abs=1e-12)
 
@@ -271,7 +253,7 @@ def test_directional_objective_moves_the_box_world():
         movables=[Movable("ee", square_template(0.2),
                           [(1.0 + 0.01 * t, 0.0, 0.0) for t in range(4)])],
     )
-    cfg = OptimizerConfig(iterations=300, samples_per_edge=4, seed=1)
+    cfg = OptimizerConfig(iterations=300, samples_per_edge=4)
     res = optimize(prob, cfg)
     assert res.success
     xs = [p[0] for p in res.poses["ee"]]

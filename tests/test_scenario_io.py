@@ -41,7 +41,6 @@ class TestScenarioSchema:
         scn = scenario_from_dict(doc())
         assert scn.name == "toy"
         assert scn.horizon == 4
-        assert scn.seed == 0
         assert len(scn.problem.movables) == 1
         assert scn.goal_names == frozenset({"goal"})
 
@@ -78,9 +77,9 @@ class TestScenarioSchema:
             scenario_from_dict(doc(optimizer={"stepsize": 0.1}))
 
     def test_optimizer_overrides_apply(self):
-        scn = scenario_from_dict(doc(optimizer={"iterations": 7, "tau_start": 0.005}))
+        scn = scenario_from_dict(doc(optimizer={"iterations": 7, "tau": 0.005}))
         assert scn.optimizer.iterations == 7
-        assert scn.optimizer.tau_start == 0.005
+        assert scn.optimizer.tau == 0.005
 
     def test_bad_formula_rejected_with_location(self):
         with pytest.raises(ScenarioFileError, match="does not parse"):
