@@ -1,10 +1,13 @@
 """Smooth-vs-exact accuracy sweeps over random polygon pairs.
 
-Four quantities per pair: boundary distance, signed clearance, SAT
+Four quantities per pair: distance, signed clearance, push-out
 penetration, and enclosure robustness of the first polygon in the second.
-Each smooth kernel runs once per pair and (tau, samples) setting; the
-smooth clearance is that setting's distance minus its penetration, which
-is what ``geometry.signed_clearance`` computes.
+The first three come from one call of the pair kernel
+(``geometry.clearance_parts``) per pair and (tau, samples) setting: the
+clearance is the blended signed distance of the origin to the Minkowski
+difference, the distance its positive part, and the penetration its
+inside branch clamped at 0. No kernel samples the boundary any more, so
+the samples setting changes no value; it stays a column of the output.
 Each pair's geometry comes from its own RNG stream keyed by (seed, index),
 so a pair's rows do not depend on which other pairs the sweep covers.
 """
@@ -13,8 +16,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from . import exactgeo as xg
-from .geometry import (ConvexPolygon, SmoothingConfig, smooth_polygon_distance,
-                       smooth_sat_penetration)
+from .geometry import ConvexPolygon, SmoothingConfig, clearance_parts
 from .predicates import (PredicateKind, PredicateParams, Scene, SceneObject,
                          atom_robustness)
 from .randgeom import pair_for_index
@@ -23,12 +25,13 @@ QUANTITIES = ("distance", "clearance", "penetration", "enclosure")
 
 ENCLOSURE_DELTA = 0.05
 
-# Per-quantity regression bounds at tau=1e-3, S=32, frozen from the
-# smoothing-error budget evaluated at the sweep's worst-case geometry
-# (<= 10 vertices, diameter <= 3, so the worst edge is a decagon's 1.854
-# and h <= 1.854/32). The calibration run behind the sampling constant
-# and these numbers lives in scripts/calibrate_bounds.py; observed sweep
-# maxima sit well below every bound.
+# Per-quantity regression bounds at tau=1e-3, S=32, frozen when the pair
+# kernels sampled the boundary. Each still covers the proved budget at the
+# sweep's worst-case geometry (<= 10 vertices, so n + m <= 20, with blunt
+# corners): ``geometry.clearance_error_budget`` for the distance and the
+# clearance, tau*log(n + m) for the penetration, and
+# ``geometry.enclosure_error_budget``. scripts/calibrate_bounds.py prints
+# the budgets beside the observed sweep maxima.
 FROZEN_BOUNDS = {
     "distance": 0.0240,
     "clearance": 0.0330,
@@ -43,8 +46,7 @@ def pair_quantities(va: list, vb: list, settings: Sequence[tuple[float, int]]) -
     """(tau, samples, quantity, exact, smooth) for one polygon pair given as
     float vertices, at each (tau, samples) of ``settings`` in turn. The
     polygons and the exact values are computed once for all of them, and
-    each smooth kernel once per setting: the clearance is that setting's
-    distance minus its penetration."""
+    the pair kernel once per setting."""
     pa, pb = ConvexPolygon(va), ConvexPolygon(vb)
     scene = Scene([SceneObject("a", pa), SceneObject("b", pb)])
     params = PredicateParams.for_kind(PredicateKind.ENCL_IN, [ENCLOSURE_DELTA])
@@ -53,9 +55,8 @@ def pair_quantities(va: list, vb: list, settings: Sequence[tuple[float, int]]) -
     out = []
     for tau, samples in settings:
         cfg = SmoothingConfig(tau=tau, samples_per_edge=samples)
-        d = smooth_polygon_distance(pa, pb, cfg)
-        p = smooth_sat_penetration(pa, pb, cfg)
-        smooth = (d, d - p, p,
+        clr, m_in = clearance_parts(pa, pb, cfg)
+        smooth = (max(0.0, clr), clr, max(0.0, m_in),
                   atom_robustness(scene, PredicateKind.ENCL_IN, ("a", "b"), params,
                                   smooth=True, cfg=cfg))
         out.extend((tau, samples, q, float(e), float(v))

@@ -215,8 +215,8 @@ def atan2(y: Scalar, x: Scalar) -> Scalar:
 # less than e^-CULL_GAP / N of it, so together such terms move the value by
 # less than tau * e^-CULL_GAP, about tau * 6e-19: below half an ulp of the
 # weight sum (which is >= 1), so double precision cannot see them. The
-# distance kernel's pair cull, the screened windows and the margin ascent
-# leave them out. A fixed constant, not a knob.
+# screened windows and the margin ascent leave them out. A fixed constant,
+# not a knob.
 CULL_GAP = 42.0
 
 

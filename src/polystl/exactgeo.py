@@ -1,18 +1,25 @@
 """Exact reference geometry for convex polygons, plain floats only.
 
-Deliberately independent of the smooth pipeline: hard separating-axis
-tests, hard point/segment projections, hard min/max. Every smoothed
-quantity in :mod:`polystl.geometry` is regression-tested against the
-functions here.
+Deliberately independent of the smooth pipeline: hard point/segment
+projections, hard half-plane tests, hard min/max. Every pair quantity is
+the origin's signed distance to the Minkowski difference
+M = A + (-B) = {a - b}, which :func:`minkowski_difference` builds in
+O(n + m): the origin lies in M iff the polygons intersect, its distance
+to M outside is their distance, and its distance to M's boundary inside
+is the depth that pushes them apart. Every smoothed quantity in
+:mod:`polystl.geometry` is regression-tested against the functions here.
 """
 from __future__ import annotations
 
 import math
+from operator import itemgetter
 from typing import Sequence, Tuple
 
 Point = Tuple[float, float]
 
 COLLINEAR_EPS = 1e-9
+
+_YX = itemgetter(1, 0)   # orders points by y, then x
 
 
 class GeometryError(ValueError):
@@ -116,95 +123,67 @@ def point_segment_distance(p: Point, a: Point, b: Point) -> float:
     return math.hypot(px - (ax + t * ex), py - (ay + t * ey))
 
 
-def _orient(a: Point, b: Point, c: Point) -> float:
-    return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-
-
-def segments_intersect(a1: Point, a2: Point, b1: Point, b2: Point) -> bool:
-    """Closed-segment intersection, collinear overlaps included."""
-    d1 = _orient(b1, b2, a1)
-    d2 = _orient(b1, b2, a2)
-    d3 = _orient(a1, a2, b1)
-    d4 = _orient(a1, a2, b2)
-    if ((d1 > 0 and d2 < 0) or (d1 < 0 and d2 > 0)) and \
-       ((d3 > 0 and d4 < 0) or (d3 < 0 and d4 > 0)):
-        return True
-
-    def on_segment(p, q, r):
-        return (min(p[0], r[0]) <= q[0] <= max(p[0], r[0]) and
-                min(p[1], r[1]) <= q[1] <= max(p[1], r[1]))
-
-    if d1 == 0 and on_segment(b1, a1, b2):
-        return True
-    if d2 == 0 and on_segment(b1, a2, b2):
-        return True
-    if d3 == 0 and on_segment(a1, b1, a2):
-        return True
-    if d4 == 0 and on_segment(a1, b2, a2):
-        return True
-    return False
-
-
 def _edges(vertices: Sequence[Point]):
     n = len(vertices)
     for i in range(n):
         yield vertices[i], vertices[(i + 1) % n]
 
 
-def _axis_overlaps(A: Sequence[Point], B: Sequence[Point]):
-    """Hard interval-overlap margin per combined edge normal.
+def minkowski_difference(A: Sequence[Point],
+                         B: Sequence[Point]) -> tuple[list[Point], list[tuple[int, int]]]:
+    """Counter-clockwise vertices of M = A + (-B), and the index pair
+    (i, j) of each vertex a_i - b_j.
 
-    Margin for axis n is min(max proj A, max proj B) - max(min proj A,
-    min proj B); negative on any axis means the polygons are separated.
-    """
-    for poly in (A, B):
-        for nx, ny in inward_edge_normals(poly):
-            a_min = a_max = A[0][0] * nx + A[0][1] * ny
-            for vx, vy in A[1:]:
-                p = vx * nx + vy * ny
-                if p < a_min:
-                    a_min = p
-                elif p > a_max:
-                    a_max = p
-            b_min = b_max = B[0][0] * nx + B[0][1] * ny
-            for vx, vy in B[1:]:
-                p = vx * nx + vy * ny
-                if p < b_min:
-                    b_min = p
-                elif p > b_max:
-                    b_max = p
-            yield min(a_max, b_max) - max(a_min, b_min)
-
-
-def polygons_intersect(A: Sequence[Point], B: Sequence[Point]) -> bool:
-    """Separating-axis test; touching counts as intersecting."""
-    return all(margin >= 0.0 for margin in _axis_overlaps(A, B))
-
-
-def exact_distance(A: Sequence[Point], B: Sequence[Point]) -> float:
-    """Minimum boundary-to-boundary distance; 0 if the polygons intersect.
-
-    Disjoint polygons have no two edges that meet, so the distance of every
-    edge pair is attained at an endpoint, and the minimum over all pairs is
-    the smallest vertex-edge distance in either direction."""
-    if polygons_intersect(A, B):
-        return 0.0
-    return min(point_segment_distance(p, a, b)
-               for src, dst in ((A, B), (B, A)) for p in src for a, b in _edges(dst))
-
-
-def exact_penetration(A: Sequence[Point], B: Sequence[Point]) -> float:
-    """Smallest interval-overlap margin over combined face normals,
-    clamped at 0; positive only when the polygons intersect."""
-    return max(0.0, min(_axis_overlaps(A, B)))
+    Both edge sequences start at their polygon's lowest (then leftmost)
+    vertex, -B's being B's highest (then rightmost), and are merged by
+    angle through the cross product of the two current edges. Exactly
+    parallel edges are not merged: A's goes first, so M always has n + m
+    vertices, and the two edges meet at a straight corner. M is convex by
+    construction and is not validated again: near-parallel edges of A and
+    B give near-collinear corners."""
+    n, m = len(A), len(B)
+    i0 = A.index(min(A, key=_YX))
+    j0 = B.index(max(B, key=_YX))
+    ra, rb = (A[i0:] + A[:i0]) * 2, (B[j0:] + B[:j0]) * 2
+    verts, pairs = [], []
+    i = j = 0
+    while i < n or j < m:
+        (ax, ay), (bx, by) = ra[i], rb[j]
+        verts.append((ax - bx, ay - by))
+        pairs.append(((i0 + i) % n, (j0 + j) % m))
+        (cx, cy), (dx, dy) = ra[i + 1], rb[j + 1]
+        # A's edge is c - a; -B's edge is -(d - b)
+        cross = (cx - ax) * (by - dy) - (cy - ay) * (bx - dx)
+        step_a = j == m or (i < n and cross >= 0.0)
+        step_b = i == n or (j < m and cross < 0.0)
+        i += step_a
+        j += step_b
+    return verts, pairs
 
 
 def exact_clearance(A: Sequence[Point], B: Sequence[Point]) -> float:
-    """Distance when disjoint, negated penetration when intersecting."""
-    d = exact_distance(A, B)
-    if d > 0.0:
-        return d
-    return -exact_penetration(A, B)
+    """Signed distance of the origin to M = A + (-B): the distance of the
+    polygons when they are apart, minus the depth that pushes them apart
+    when they overlap (also when one contains the other)."""
+    return exact_point_signed_distance((0.0, 0.0), minkowski_difference(A, B)[0])
+
+
+def exact_distance(A: Sequence[Point], B: Sequence[Point]) -> float:
+    """Minimum distance; 0 if the polygons intersect: the clearance's
+    positive part."""
+    return max(0.0, exact_clearance(A, B))
+
+
+def exact_penetration(A: Sequence[Point], B: Sequence[Point]) -> float:
+    """Push-out depth, the shortest translation that separates the
+    polygons; 0 when they are apart: the clearance's negated negative
+    part."""
+    return max(0.0, -exact_clearance(A, B))
+
+
+def polygons_intersect(A: Sequence[Point], B: Sequence[Point]) -> bool:
+    """Whether the origin lies in M; touching counts as intersecting."""
+    return point_in_polygon((0.0, 0.0), minkowski_difference(A, B)[0])
 
 
 def point_in_polygon(p: Point, vertices: Sequence[Point]) -> bool:

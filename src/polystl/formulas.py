@@ -772,8 +772,8 @@ def smoothing_budget(formula: Formula, trajectory: Trajectory, tau: float,
     """Proved bound on |smooth - exact| for ``formula`` anchored at ``t``,
     composed per soft extreme (see ``_Budgets``); an ``U`` window counts
     the soft-min at each release step and the soft-max over them. None
-    when an atom the formula reaches has no two-sided gap, as the sampled
-    distance and the enclosure atoms have not.
+    when an atom the formula reaches has no two-sided gap, as the pair and
+    the enclosure atoms have not.
 
     ``smooth``, the smooth Evaluator over ``trajectory`` at ``tau`` whose
     value the budget bounds, lends the gaps its screened windows already

@@ -1,37 +1,30 @@
-"""Smooth convex-polygon geometry: poses and the differentiable
-distance/penetration/enclosure surrogates.
+"""Smooth convex-polygon geometry: poses and the differentiable signed
+distance surrogates.
 
-Coordinates are generic scalars (tape ``Var`` or plain float). The smooth
-distance, penetration and point signed distance are plain-float kernels over
-the float snapshot of the vertices, so both modes compute the same value bit
-for bit; when some input coordinate is a ``Var`` the kernel also derives its
-partials with respect to every vertex coordinate analytically and records the
-result as one tape node through :func:`polystl.autodiff.lift`. Hard
-counterparts for every quantity live in :mod:`polystl.exactgeo`.
-
-The smooth distance of an n-gon and an m-gon at S samples per edge is one
-flat log-sum-exp, -tau log sum exp(-d / tau), over the 2 n S m distances
-from each polygon's boundary samples to the other polygon's edges (the
-nested soft-min over sides, samples and edges, written as one sum). The
-2 n m vertex-edge terms are always evaluated. Their minimum U bounds the
-smallest term from above, and unless two edges intersect, the distances
-of one edge's samples to the other edge are at least the smallest of the
-pair's four endpoint terms. A pair whose bound exceeds
-U + tau (CULL_GAP + log(2 n S m)) skips its interior samples: together
-they weigh less than e^-CULL_GAP of the sum, which double precision
-cannot see, and dropping terms only moves a soft-min towards the hard
-minimum, so the budget of the full sum still holds.
+Coordinates are generic scalars (tape ``Var`` or plain float). The one
+smooth primitive is the blended signed distance of a point to a convex
+polygon. Every pair quantity is that primitive at the origin against the
+Minkowski difference M = A + (-B) = {a - b}: M is convex, has at most
+n + m vertices a_i - b_j, and the origin's signed distance to it is the
+distance of the two polygons when they are apart and minus their
+push-out depth when they overlap. The kernels run on the float snapshot
+of the vertices, so both modes compute the same value bit for bit; when
+some input coordinate is a ``Var`` they also derive the partials with
+respect to every vertex coordinate analytically and record the result as
+one tape node through :func:`polystl.autodiff.lift`. Hard counterparts
+for every quantity live in :mod:`polystl.exactgeo`.
 """
 from __future__ import annotations
 
 import math
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 from . import autodiff as ad
 from .autodiff import SQRT_GUARD, Scalar, value_of
-from .exactgeo import segments_intersect, validate_convex_ccw
+from .exactgeo import minkowski_difference, validate_convex_ccw
 
 ScalarPoint = tuple  # (Scalar, Scalar)
 
@@ -45,7 +38,8 @@ class SmoothingConfig:
     """Knobs shared by all smooth geometric quantities.
 
     tau: log-sum-exp temperature; smaller is sharper.
-    samples_per_edge: boundary sample density for distance queries.
+    samples_per_edge: kept for the command line and the accuracy CSV; no
+        kernel samples the boundary any more, so it changes no value.
     sigmoid_scale: inside/outside blending steepness for signed distance.
     """
     tau: float = DEFAULT_TAU
@@ -104,11 +98,6 @@ class ConvexPolygon:
             sy = sy + vy
         return (sx / n, sy / n)
 
-    def max_edge_length(self) -> float:
-        fs = self.float_vertices()
-        n = len(fs)
-        return max(math.dist(fs[i], fs[(i + 1) % n]) for i in range(n))
-
 
 @dataclass
 class PolygonTemplate:
@@ -137,23 +126,30 @@ class PolygonTemplate:
 
 # -- float kernels ---------------------------------------------------------------
 #
-# The three smooth quantities below evaluate on the float snapshot of the
-# vertices. When some input coordinate is a tape Var they also accumulate the
-# analytic partials of the result with respect to every vertex coordinate (and
-# the query point) in reverse order, and record the result as one tape node
-# whose parents are those Vars. Distances use envelope partials: the clamped
+# The smooth quantities below evaluate on the float snapshot of the vertices.
+# When some input coordinate is a tape Var they also accumulate the analytic
+# partials of the result with respect to every vertex coordinate (and the
+# query point) in reverse order, and record the result as one tape node whose
+# parents are those Vars. Distances use envelope partials: the clamped
 # projection parameter of a point onto a segment is held fixed, since the
 # distance is stationary in it wherever it is not clamped.
 
 
-def _edge_table(fv: list[tuple[float, float]]) -> list[tuple]:
-    """(ax, ay, ex, ey, ex^2 + ey^2) of each directed edge a -> a + e."""
+def _segments(pts: list[tuple[float, float]], idx: Sequence[tuple[int, int]]) -> list[tuple]:
+    """(ax, ay, ex, ey, ex^2 + ey^2) of each directed segment a -> a + e
+    from pts[k] to pts[l], (k, l) in ``idx``."""
     out = []
-    for (ax, ay), (bx, by) in zip(fv, fv[1:] + fv[:1]):
-        ex = bx - ax
-        ey = by - ay
+    for k, l in idx:
+        ax, ay = pts[k]
+        ex = pts[l][0] - ax
+        ey = pts[l][1] - ay
         out.append((ax, ay, ex, ey, ex * ex + ey * ey))
     return out
+
+
+def _ring(n: int) -> list[tuple[int, int]]:
+    """The edges (k, k + 1) of a closed polygon with n vertices."""
+    return [(k, (k + 1) % n) for k in range(n)]
 
 
 def _unit_normals(edges: Sequence[tuple]) -> list[tuple[float, float, float]]:
@@ -165,13 +161,18 @@ def _unit_normals(edges: Sequence[tuple]) -> list[tuple[float, float, float]]:
     return out
 
 
-def _segment_offsets(px: float, py: float, edges: Sequence[tuple]) -> list[tuple]:
-    """(d, t, dx, dy) per edge: the guarded distance from (px, py) to the
-    edge, the hard-clamped projection parameter t (a tie keeps the
-    unclamped value) and the offset from the projected point."""
+def _segment_offsets(px: float, py: float, pts: list[tuple[float, float]],
+                     idx: Sequence[tuple[int, int]]) -> list[tuple]:
+    """(d, t, dx, dy) per segment pts[k] -> pts[l], (k, l) in ``idx``: the
+    guarded distance from (px, py) to the segment, the hard-clamped
+    projection parameter t (a tie keeps the unclamped value) and the
+    offset from the projected point."""
     out = []
-    for ax, ay, ex, ey, len2 in edges:
-        t = ((px - ax) * ex + (py - ay) * ey) / len2
+    for k, l in idx:
+        ax, ay = pts[k]
+        ex = pts[l][0] - ax
+        ey = pts[l][1] - ay
+        t = ((px - ax) * ex + (py - ay) * ey) / (ex * ex + ey * ey)
         if t < 0.0:
             t = 0.0
         if t > 1.0:
@@ -186,30 +187,73 @@ def _flat(points) -> list[Scalar]:
     return [c for pt in points for c in pt]
 
 
-def _segment_adjoint(g: list[float], k: int, t: float, gx: float, gy: float) -> None:
-    """Adjoint (gx, gy) of the offset p - (a + t e) pushed onto edge k's
-    vertices a = v_k and a + e = v_{k+1} in the flat gradient ``g``."""
-    j = 2 * ((k + 1) % (len(g) // 2))
+def _segment_adjoint(g: list[float], k: int, l: int, t: float, gx: float, gy: float) -> None:
+    """Adjoint (gx, gy) of the offset p - (a + t e) pushed onto the
+    segment's points a = pts[k] and a + e = pts[l] in the flat gradient ``g``."""
     g[2 * k] -= (1.0 - t) * gx
     g[2 * k + 1] -= (1.0 - t) * gy
-    g[j] -= t * gx
-    g[j + 1] -= t * gy
+    g[2 * l] -= t * gx
+    g[2 * l + 1] -= t * gy
 
 
-def _normal_adjoint(g: list[float], k: int, edge: tuple, length: float,
+def _normal_adjoint(g: list[float], k: int, l: int, edge: tuple, length: float,
                     gnx: float, gny: float) -> None:
-    """Adjoint (gnx, gny) of edge k's unit normal (-ey, ex) / length pushed
-    onto its vertices in the flat gradient ``g``."""
+    """Adjoint (gnx, gny) of the unit normal (-ey, ex) / length of the edge
+    pts[k] -> pts[l] pushed onto its points in the flat gradient ``g``."""
     ex, ey = edge[2], edge[3]
     inv = 1.0 / length
     c = (gnx * ey - gny * ex) * inv * inv * inv
     gex = inv * gny + c * ex
     gey = c * ey - inv * gnx
-    j = 2 * ((k + 1) % (len(g) // 2))
     g[2 * k] -= gex
     g[2 * k + 1] -= gey
-    g[j] += gex
-    g[j + 1] += gey
+    g[2 * l] += gex
+    g[2 * l + 1] += gey
+
+
+def _blend(px: float, py: float, pts: list[tuple[float, float]],
+           faces: Sequence[tuple[int, int]], segs: Sequence[tuple[int, int]],
+           cfg: SmoothingConfig, live: bool) -> tuple[float, float, list[float] | None]:
+    """(value, m_in, partials) of the blended signed distance from (px, py)
+    to a convex polygon: m_in, the inside branch, is the soft-min of the
+    inward margins of the polygon's counter-clockwise edges ``faces``; the
+    outside branch is the soft-min of the distances to the segments
+    ``segs``, whose hard minimum is the distance to the polygon from
+    outside it. Both are (k, l) index pairs into ``pts``. The partials
+    (point, then every coordinate of ``pts``) are derived only when
+    ``live``."""
+    tau = cfg.tau
+    edges = _segments(pts, faces)
+    normals = _unit_normals(edges)
+    margins = [(px - ax) * nx + (py - ay) * ny
+               for (ax, ay, _, _, _), (nx, ny, _) in zip(edges, normals)]
+    m_in, w_in, s_in = ad.lse_parts(margins, tau, -1.0)
+    offsets = _segment_offsets(px, py, pts, segs)
+    m_out, w_out, s_out = ad.lse_parts([o[0] for o in offsets], tau, -1.0)
+    w = ad.sigmoid(cfg.sigmoid_scale * m_in)
+    value = (1.0 - w) * m_out - w * m_in
+    if not live:
+        return value, m_in, None
+
+    g_out = 1.0 - w
+    g_in = (-m_out - m_in) * (w * (1.0 - w)) * cfg.sigmoid_scale - w
+    gp = [0.0, 0.0]
+    gv = [0.0] * (2 * len(pts))
+    for (k, l), edge, (nx, ny, length), wk in zip(faces, edges, normals, w_in):
+        a = g_in * (wk / s_in)   # adjoint of this margin
+        if a != 0.0:
+            gp[0] += a * nx
+            gp[1] += a * ny
+            gv[2 * k] -= a * nx
+            gv[2 * k + 1] -= a * ny
+            _normal_adjoint(gv, k, l, edge, length, a * (px - edge[0]), a * (py - edge[1]))
+    for (k, l), (d, t, dx, dy), wk in zip(segs, offsets, w_out):
+        c = g_out * (wk / s_out) / d   # adjoint of this distance, over d
+        if c != 0.0:
+            gp[0] += c * dx
+            gp[1] += c * dy
+            _segment_adjoint(gv, k, l, t, c * dx, c * dy)
+    return value, m_in, gp + gv
 
 
 def point_polygon_signed_distance(p: ScalarPoint, polygon: ConvexPolygon,
@@ -221,231 +265,76 @@ def point_polygon_signed_distance(p: ScalarPoint, polygon: ConvexPolygon,
     outside distance (soft-min of point-to-edge distances) through a
     sigmoid on the inside depth.
     """
-    tau = cfg.tau
     coords = list(p) + _flat(polygon.vertices)
-    px, py = value_of(p[0]), value_of(p[1])
-    edges = _edge_table(polygon.float_vertices())
-    normals = _unit_normals(edges)
-    margins = [(px - ax) * nx + (py - ay) * ny
-               for (ax, ay, _, _, _), (nx, ny, _) in zip(edges, normals)]
-    m_in, w_in, s_in = ad.lse_parts(margins, tau, -1.0)
-    offsets = _segment_offsets(px, py, edges)
-    m_out, w_out, s_out = ad.lse_parts([o[0] for o in offsets], tau, -1.0)
-    w = ad.sigmoid(cfg.sigmoid_scale * m_in)
-    value = (1.0 - w) * m_out - w * m_in
-    if not any(isinstance(c, ad.Var) for c in coords):
-        return value
-
-    g_out = 1.0 - w
-    g_in = (-m_out - m_in) * (w * (1.0 - w)) * cfg.sigmoid_scale - w
-    gp = [0.0, 0.0]
-    gv = [0.0] * (2 * len(edges))
-    for k, (edge, (nx, ny, length), (d, t, dx, dy)) in enumerate(zip(edges, normals, offsets)):
-        a = g_in * (w_in[k] / s_in)   # adjoint of margin k
-        if a != 0.0:
-            gp[0] += a * nx
-            gp[1] += a * ny
-            gv[2 * k] -= a * nx
-            gv[2 * k + 1] -= a * ny
-            _normal_adjoint(gv, k, edge, length, a * (px - edge[0]), a * (py - edge[1]))
-        c = g_out * (w_out[k] / s_out) / d   # adjoint of distance k, over d
-        if c != 0.0:
-            gp[0] += c * dx
-            gp[1] += c * dy
-            _segment_adjoint(gv, k, t, c * dx, c * dy)
-    return ad.lift(value, coords, gp + gv, "point_polygon_signed_distance")
+    live = ad.Var in map(type, coords)
+    ring = _ring(len(polygon))
+    value, _, partials = _blend(value_of(p[0]), value_of(p[1]), polygon.float_vertices(),
+                                ring, ring, cfg, live)
+    return ad.lift(value, coords, partials, "point_polygon_signed_distance")
 
 
-def smooth_sat_penetration(A: ConvexPolygon, B: ConvexPolygon,
-                           cfg: SmoothingConfig = SmoothingConfig()) -> Scalar:
-    """Smooth face-normal penetration from soft separating-axis margins:
-    the smallest projection overlap over the face normals, which is not
-    the depth needed to push the polygons apart once one projection holds
-    the other.
+@lru_cache(maxsize=None)
+def _vertex_edge_segments(n: int, m: int) -> tuple[tuple[int, int], ...]:
+    """The 2 n m segments a_i - b_j -> a_(i+1) - b_j, then a_i - b_j ->
+    a_i - b_(j+1), as index pairs into the points a_i - b_j at i*m + j."""
+    return tuple([(i * m + j, (i + 1) % n * m + j) for i in range(n) for j in range(m)]
+                 + [(i * m + j, i * m + (j + 1) % m) for i in range(n) for j in range(m)])
 
-    For each combined inward edge normal, project both polygons with
-    soft extrema and take the soft interval overlap; the soft minimum over
-    axes, clamped by relu, approximates the hard face-normal penetration.
-    One temperature serves both the projection extrema and the axis
-    aggregation.
+
+def clearance_parts(A: ConvexPolygon, B: ConvexPolygon,
+                    cfg: SmoothingConfig = SmoothingConfig()) -> tuple[Scalar, float]:
+    """(signed clearance, inside branch m_in) of A and B: see
+    :func:`signed_clearance`. The inside branch is a float; clamped at 0
+    it is the smooth push-out depth.
+
+    Both branches run over the points a_i - b_j. The inside branch takes
+    the margins of M's n + m edges, in the order
+    ``exactgeo.minkowski_difference`` merges them; each margin is the
+    support of M along an edge normal, which stays continuous when an edge
+    of A turns past parallel to an edge of B and the merge order flips.
+    The outside branch takes the 2 n m segments that set each vertex of
+    one polygon against each edge of the other. They all lie in M and
+    include its boundary, so their distances are at least the distance to
+    M, and equal it at the minimum. Unlike M's edges, they do not depend
+    on the merge order: where the order flips, the vertex between two
+    near-parallel edges of M jumps along them, and a soft-min over M's
+    edges alone would jump by up to tau*log 2. Point a_i - b_j sends its
+    adjoint to +a_i and -b_j.
     """
-    tau = cfg.tau
     coords = _flat(A.vertices) + _flat(B.vertices)
-    fvs = (A.float_vertices(), B.float_vertices())
-    axes = []
-    overlaps = []
-    for owner, fv in enumerate(fvs):
-        edges = _edge_table(fv)
-        for k, (edge, (nx, ny, length)) in enumerate(zip(edges, _unit_normals(edges))):
-            projections = [[vx * nx + vy * ny for vx, vy in f] for f in fvs]
-            highs = [ad.lse_parts(pr, tau, 1.0) for pr in projections]
-            lows = [ad.lse_parts(pr, tau, -1.0) for pr in projections]
-            hi = ad.lse_parts([h[0] for h in highs], tau, -1.0)
-            lo = ad.lse_parts([l[0] for l in lows], tau, 1.0)
-            overlaps.append(hi[0] - lo[0])
-            axes.append((owner, k, edge, nx, ny, length, highs, lows, hi, lo))
-    total, ws, s = ad.lse_parts(overlaps, tau, -1.0)
-    value = total if total > 0.0 else 0.0
-    if not any(isinstance(c, ad.Var) for c in coords):
-        return value
-
-    relu = 1.0 if total > 0.0 else 0.0   # the clamp's partial, 0 at the kink
-    grads = ([0.0] * (2 * len(A)), [0.0] * (2 * len(B)))
-    for (owner, k, edge, nx, ny, length, highs, lows, hi, lo), w in zip(axes, ws):
-        c = relu * (w / s)
-        if c == 0.0:
-            continue
-        gnx = gny = 0.0
-        for q, (fv, g) in enumerate(zip(fvs, grads)):
-            ch = c * (hi[1][q] / hi[2])   # adjoint of this polygon's soft max
-            cl = c * (lo[1][q] / lo[2])   # and, negated, of its soft min
-            _, wh, sh = highs[q]
-            _, wl, sl = lows[q]
-            for i, (vx, vy) in enumerate(fv):
-                a = ch * (wh[i] / sh) - cl * (wl[i] / sl)   # adjoint of projection i
-                g[2 * i] += a * nx
-                g[2 * i + 1] += a * ny
-                gnx += a * vx
-                gny += a * vy
-        _normal_adjoint(grads[owner], k, edge, length, gnx, gny)
-    return ad.lift(value, coords, grads[0] + grads[1], "smooth_sat_penetration")
-
-
-def _kept_pairs(fa: list[tuple], fb: list[tuple], va: list[list], vb: list[list],
-                cut: float) -> tuple[list[list[int]], list[list[int]]]:
-    """For each edge of A, the edges of B whose pair keeps its interior
-    samples, and the same for each edge of B.
-
-    ``va[i][k]`` is the offset row of vertex i of A against edge k of B, and
-    ``vb`` the converse. Unless the edges intersect, the distance from any
-    point of A's edge i to B's edge k is at least the segment distance,
-    which is the smallest of its four endpoint terms; the guarded sqrt is
-    monotone, so the bound survives the guard. An intersecting pair is
-    bounded by 0 only, and always kept."""
-    n, m = len(fa), len(fb)
-    keep_a = [[] for _ in range(n)]
-    keep_b = [[] for _ in range(m)]
-    for i in range(n):
-        i1 = (i + 1) % n
-        for k in range(m):
-            k1 = (k + 1) % m
-            if (min(va[i][k][0], va[i1][k][0], vb[k][i][0], vb[k1][i][0]) <= cut
-                    or segments_intersect(fa[i], fa[i1], fb[k], fb[k1])):
-                keep_a[i].append(k)
-                keep_b[k].append(i)
-    return keep_a, keep_b
-
-
-def smooth_polygon_distance(A: ConvexPolygon, B: ConvexPolygon,
-                            cfg: SmoothingConfig = SmoothingConfig()) -> Scalar:
-    """Smooth boundary-to-boundary distance: one soft-min over the unsigned
-    distances of every boundary sample of each polygon to every edge of the
-    other, 2 n S m terms for an n-gon and an m-gon at S samples per edge.
-
-    The vertex-edge terms (the samples at t = 0) are always evaluated; the
-    interior samples of an edge pair are skipped when their terms cannot
-    carry weight (see ``ad.cull_width`` and ``_kept_pairs``). Skipping terms only
-    moves a soft-min towards the hard minimum, so the log-sum-exp gap of the
-    full sum still bounds the error."""
-    tau = cfg.tau
-    coords = _flat(A.vertices) + _flat(B.vertices)
-    n = 2 * len(A)
-    # a polygon with no Var coordinate gets no partials, so none are pushed to it
-    live = (any(isinstance(c, ad.Var) for c in coords[:n]),
-            any(isinstance(c, ad.Var) for c in coords[n:]))
+    live = ad.Var in map(type, coords)
     fa, fb = A.float_vertices(), B.float_vertices()
-    ea, eb = _edge_table(fa), _edge_table(fb)
-    va = [_segment_offsets(x, y, eb) for x, y in fa]
-    vb = [_segment_offsets(x, y, ea) for x, y in fb]
-    n_terms = 2 * len(ea) * cfg.samples_per_edge * len(eb)
-    cut = min(o[0] for row in va + vb for o in row) + ad.cull_width(tau, n_terms)
-    keep_a, keep_b = _kept_pairs(fa, fb, va, vb, cut)
-
-    # the interior boundary samples: a + t e at t = j * (1 / S), 0 < j < S
-    inv = 1.0 / cfg.samples_per_edge
-    interior = [j * inv for j in range(1, cfg.samples_per_edge)]
-    dists = []
-    rows = [] if any(live) else None   # (side, src edge, t, dst edges, offsets) per sample
-    for side, src, dst, verts, keep in ((0, ea, eb, va, keep_a), (1, eb, ea, vb, keep_b)):
-        every = range(len(dst))
-        for i, (ax, ay, ex, ey, _) in enumerate(src):
-            samples = [(0.0, every, verts[i])]
-            ks = keep[i]
-            if ks:
-                near = [dst[k] for k in ks]
-                samples += [(t, ks, _segment_offsets(ax + t * ex, ay + t * ey, near))
-                            for t in interior]
-            for t, ks, offsets in samples:
-                dists += [o[0] for o in offsets]
-                if rows is not None:
-                    rows.append((side, i, t, ks, offsets))
-    value, ws, s = ad.lse_parts(dists, tau, -1.0)
-    if rows is None:
-        return value
-
-    grads = ([0.0] * n, [0.0] * (len(coords) - n))
-    pos = 0
-    for side, i, t, ks, offsets in rows:
-        g_dst = grads[1 - side] if live[1 - side] else None
-        gx = gy = 0.0
-        for k, (d, tk, dx, dy), w in zip(ks, offsets, ws[pos:pos + len(offsets)]):
-            c = (w / s) / d   # adjoint of this term, over its distance
-            if c != 0.0:
-                if g_dst is not None:
-                    _segment_adjoint(g_dst, k, tk, c * dx, c * dy)
-                gx += c * dx
-                gy += c * dy
-        pos += len(offsets)
-        # the sample is a + t e on the source's edge i; the offset's sign flips
-        if live[side]:
-            _segment_adjoint(grads[side], i, t, -gx, -gy)
-    return ad.lift(value, coords, grads[0] + grads[1], "smooth_polygon_distance")
+    n, m = len(fa), len(fb)
+    pts = [(ax - bx, ay - by) for ax, ay in fa for bx, by in fb]   # a_i - b_j at i*m + j
+    order = [i * m + j for i, j in minkowski_difference(fa, fb)[1]]
+    faces = list(zip(order, order[1:] + order[:1]))
+    value, m_in, g = _blend(0.0, 0.0, pts, faces, _vertex_edge_segments(n, m), cfg, live)
+    if not live:
+        return value, m_in
+    partials = [0.0] * len(coords)
+    for k in range(n * m):
+        gx, gy = g[2 * k + 2], g[2 * k + 3]
+        if gx != 0.0 or gy != 0.0:
+            i, j = divmod(k, m)
+            partials[2 * i] += gx
+            partials[2 * i + 1] += gy
+            partials[2 * (n + j)] -= gx
+            partials[2 * (n + j) + 1] -= gy
+    return ad.lift(value, coords, partials, "signed_clearance"), m_in
 
 
 def signed_clearance(A: ConvexPolygon, B: ConvexPolygon,
                      cfg: SmoothingConfig = SmoothingConfig()) -> Scalar:
-    """Smooth distance minus smooth penetration: positive when separated,
-    negative when the boundaries cross. Separated, the penetration term is
-    ~0; crossing, the distance term is ~0. Under containment neither is:
-    the sampled distance measures boundary to boundary, so it keeps the
-    gap between the two boundaries although the exact distance is 0, and
-    the difference can take either sign."""
-    return smooth_polygon_distance(A, B, cfg) - smooth_sat_penetration(A, B, cfg)
+    """Smooth signed distance of the origin to the Minkowski difference
+    M = A + (-B): positive when the polygons are apart (their distance),
+    negative when they overlap (minus the depth that pushes them apart,
+    also when one contains the other). It blends the two branches of
+    :func:`point_polygon_signed_distance` at the origin against M, with no
+    boundary samples, and is recorded as one node."""
+    return clearance_parts(A, B, cfg)[0]
 
 
 # -- error budget ----------------------------------------------------------
-
-# Calibrated constant for the sampling term of the accuracy budget
-# C*h + tau*sum(log N_k): fitted once against the exact reference on the
-# frozen random-pair suite (scripts/calibrate_bounds.py) and kept as a
-# regression bound.
-# Calibrated once over a 300-pair random suite at (tau, S) in
-# {(1e-3,32), (1e-2,16), (1e-1,4)}; the largest coefficient any pair
-# required was 0.10, frozen here with 2.5x headroom. Rederive with
-# scripts/calibrate_bounds.py after touching the distance kernels.
-SAMPLING_ERROR_COEFF = 0.25
-
-
-def distance_error_budget(A: ConvexPolygon, B: ConvexPolygon,
-                          cfg: SmoothingConfig = SmoothingConfig()) -> float:
-    """Upper bound on |smooth - exact| for the boundary-sampled distance:
-    a C*h sampling term plus the log-sum-exp gap tau*log(2nSm) of the one
-    flat soft-min over all sample-edge terms. The culled terms only raise
-    the value towards the hard minimum over the samples, so the gap of the
-    full sum still bounds it from below."""
-    s = cfg.samples_per_edge
-    h = max(A.max_edge_length(), B.max_edge_length()) / s
-    return SAMPLING_ERROR_COEFF * h + cfg.tau * math.log(2 * len(A) * s * len(B))
-
-
-def penetration_error_budget(A: ConvexPolygon, B: ConvexPolygon,
-                             cfg: SmoothingConfig = SmoothingConfig()) -> float:
-    """Log-sum-exp budget for the soft separating-axis penetration (no
-    sampling term; projections use vertices only)."""
-    axes = len(A) + len(B)
-    verts = max(len(A), len(B))
-    return cfg.tau * (math.log(axes) + 2.0 * math.log(verts) + 2.0 * math.log(2.0))
-
 
 # sup over u > 0 of u * sigmoid(-u), attained near u = 1.2785; rounded up so
 # the blended signed-distance budget below stays a true upper bound
@@ -468,3 +357,26 @@ def enclosure_error_budget(inner: ConvexPolygon, outer: ConvexPolygon,
     """
     return (cfg.tau * (math.log(len(inner)) + math.log(len(outer)))
             + 2.0 / cfg.sigmoid_scale * _BLEND_SUP)
+
+
+def clearance_error_budget(A: ConvexPolygon, B: ConvexPolygon,
+                           cfg: SmoothingConfig = SmoothingConfig()) -> float:
+    """Bound on |smooth - exact| signed clearance when every corner of A,
+    or every corner of B, is at least 38.94 degrees.
+
+    M's edges are A's and -B's merged by angle, so each exterior angle of
+    M lies inside one exterior angle of A and one of B: no corner of M is
+    sharper than the blunter operand's sharpest corner. The inside branch
+    lies within L_in = tau*log(n + m) below the hard margin, and outside
+    M the outside branch within L_out = tau*log(2nm) <= 2 L_in below the
+    distance. Outside, at distance d, the inside weight costs at most
+    (1/k) sup u*sigmoid(-u) (1/sin(phi/2) - 1) <= 2/k sup u*sigmoid(-u)
+    below, on top of L_out (``predicates.smooth_gaps``), and at most
+    (L_in + L_out)/2 above. Inside, at depth D, every segment distance is
+    at least 0 and m_in at most D, so the value is at least -D; and the
+    outside weight 1 - w on m_out + D <= 2(m_in + L_in) costs at most
+    2/k sup u*sigmoid(-u) + 2 L_in above. The guarded square root adds at
+    most sqrt(SQRT_GUARD). The clamped inside branch, the smooth push-out
+    depth, lies within L_in of the exact one with no blend term."""
+    return (2.0 * cfg.tau * math.log(len(A) + len(B)) + 2.0 / cfg.sigmoid_scale * _BLEND_SUP
+            + math.sqrt(SQRT_GUARD))

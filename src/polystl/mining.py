@@ -9,11 +9,13 @@ the most robust few are kept, so the mined description stays small.
 A directional atom is a threshold-free quantity q_t
 (``predicates.directional_gap``) less its threshold kappa, so a candidate's
 exact robustness on a demonstration is rho(kappa) = q - kappa, with q the
-max (F) or min (G) of q_t over the phase window. Mining reads each
-(relation, obstacle) series once per demonstration step, keeps only its
-window extremes, and applies any threshold on read: retention at the base
-kappa and the widened and over-widened checks of ``learn`` evaluate no
-formula. The values are bit for bit the exact evaluator's, since
+max (F) or min (G) of q_t over the phase window. Mining reads the
+subject's and each obstacle's extremes along an axis once per
+demonstration step, forms each (relation, obstacle) series from them,
+keeps only its window extremes, and applies any threshold on read:
+retention at the base kappa and the widened and over-widened checks of
+``learn`` evaluate no formula. The values are bit for bit the exact
+evaluator's, since q_t is the same difference of the same extremes, and
 subtracting a constant is monotone under rounding.
 
 Margins are then widened per retained formula. Directional robustness is
@@ -27,7 +29,7 @@ floats, no tape), is run as well and cross-checked against the closed
 form; the closed form is what ends up in the result. Its soft-min over the
 stacked residuals takes only the terms within ``ad.cull_width`` of the
 smallest: the rest weigh less than e^-CULL_GAP / N each, the argument of
-the distance kernel's pair cull and the screened windows.
+the screened windows.
 """
 from __future__ import annotations
 
@@ -38,8 +40,9 @@ from typing import Sequence
 
 from . import autodiff as ad
 from .formulas import Always, Atom, Eventually, Formula, FormulaError, Trajectory
-from .predicates import (DIRECTIONAL, AxisAlignedBox3, PredicateKind, PredicateParams,
-                         Scene, SceneObject, directional_gap)
+from .geometry import DEFAULT_TAU
+from .predicates import (DIRECTIONAL, DIRECTIONAL_AXES, AxisAlignedBox3, PredicateKind,
+                         PredicateParams, Scene, SceneObject, axis_extremes)
 
 # learn's message for a candidate whose robustness is not finite; candidates
 # anchor at 0
@@ -128,23 +131,42 @@ def window_extremes(candidates: Sequence[Candidate], demos: DemonstrationSet,
     threshold-free quantity q_t = directional_gap(subject, obstacle), and
     the min of q_t.
 
-    Each (kind, obstacle, phase) series is read once per demonstration and
-    serves both its F and G candidates; demonstrations go one at a time,
-    and a series lives only until its extremes are taken. As in the exact
-    ``Evaluator``, a series that holds a non-finite value, or whose atom at
-    ``kappa`` would, raises FormulaError, and candidates are read in the
-    order the exact evaluator would read them.
+    Each object's (min, max) extent along an axis is read once per
+    demonstration step, on the phase windows that need it. Each (kind,
+    obstacle, phase) series is formed once per demonstration from those
+    reads and serves both its F and G candidates; demonstrations go one at
+    a time, and a series lives only until its extremes are taken. As in
+    the exact ``Evaluator``, a series that holds a non-finite value, or
+    whose atom at ``kappa`` would, raises FormulaError, and candidates are
+    read in the order the exact evaluator would read them.
     """
     extremes: list[list[float]] = [[] for _ in candidates]
     floors: list[list[float]] = [[] for _ in candidates]
     for traj in demos.trajectories:
         seen: dict[tuple, tuple[float, float]] = {}
+        reads: dict[tuple, tuple] = {}
+
+        def extents(name: str, axis: int, kind: PredicateKind, phase: Phase) -> tuple:
+            """(mins, maxs) of one object along one axis over a phase window."""
+            key = (name, axis, phase)
+            if key not in reads:
+                reads[key] = tuple(zip(*(axis_extremes(scene.get(name), axis, kind, False,
+                                                       DEFAULT_TAU)
+                                         for scene in traj.scenes[phase.lo:phase.hi + 1])))
+            return reads[key]
+
         for c, ext, flo in zip(candidates, extremes, floors):
             key = (c.kind, c.obstacle, c.phase)
             lo_hi = seen.get(key)
             if lo_hi is None:
-                qs = [directional_gap(scene.get(demos.subject), scene.get(c.obstacle), c.kind)
-                      for scene in traj.scenes[c.phase.lo:c.phase.hi + 1]]
+                # the gap is min(hi_obj extent) - max(lo_obj extent), a flipped
+                # relation swapping the subject into hi_obj
+                axis, flipped = DIRECTIONAL_AXES[c.kind]
+                lo_name, hi_name = ((c.obstacle, demos.subject) if flipped
+                                    else (demos.subject, c.obstacle))
+                lo_max = extents(lo_name, axis, c.kind, c.phase)[1]
+                hi_min = extents(hi_name, axis, c.kind, c.phase)[0]
+                qs = [h - l for h, l in zip(hi_min, lo_max)]
                 if not (all(map(math.isfinite, qs)) and math.isfinite(min(qs) - kappa)):
                     raise FormulaError(_NOT_FINITE)
                 lo_hi = seen[key] = (min(qs), max(qs))

@@ -94,10 +94,16 @@ class OptimizerConfig:
     def __post_init__(self):
         if self.iterations < 1:
             raise OptimizationError("iterations must be >= 1")
+        if self.samples_per_edge < 1:
+            raise OptimizationError(f"samples_per_edge must be >= 1, got {self.samples_per_edge}")
         for name in ("step_size", "tau", "sigmoid_scale"):
             v = getattr(self, name)
             if not (math.isfinite(v) and v > 0.0):
                 raise OptimizationError(f"{name} must be positive and finite, got {v}")
+        for name in ("smoothness_weight", "satisfaction_margin"):
+            v = getattr(self, name)
+            if not (math.isfinite(v) and v >= 0.0):
+                raise OptimizationError(f"{name} must be finite and >= 0, got {v}")
 
 
 @dataclass(frozen=True)

@@ -48,12 +48,12 @@ class PredicateKind(Enum):
 
 # directional kind -> (axis, flipped): a flipped relation swaps its operands;
 # the order is the retention tie-break of mining's candidate enumeration
-_DIRECTIONAL_AXES = {
+DIRECTIONAL_AXES = {
     PredicateKind.LEFT_OF: (0, False), PredicateKind.RIGHT_OF: (0, True),
     PredicateKind.BEHIND: (1, False), PredicateKind.IN_FRONT_OF: (1, True),
     PredicateKind.BELOW: (2, False), PredicateKind.ABOVE: (2, True),
 }
-DIRECTIONAL = tuple(_DIRECTIONAL_AXES)
+DIRECTIONAL = tuple(DIRECTIONAL_AXES)
 
 # positional parameter names per predicate, in surface-syntax order
 PARAM_ORDER = {
@@ -179,8 +179,8 @@ def _polygon(obj: SceneObject, kind: PredicateKind) -> ConvexPolygon:
     return obj.shape
 
 
-def _axis_extremes(obj: SceneObject, axis: int, kind: PredicateKind,
-                   smooth: bool, tau: float) -> tuple[Scalar, Scalar]:
+def axis_extremes(obj: SceneObject, axis: int, kind: PredicateKind,
+                  smooth: bool, tau: float) -> tuple[Scalar, Scalar]:
     """(min, max) extent of an object along a coordinate axis.
 
     Polygon extremes use soft extrema in smooth mode; box extremes are the
@@ -222,10 +222,13 @@ def _pair_clearance(a: SceneObject, b: SceneObject, kind: PredicateKind,
 
 def _pair_distance(a: SceneObject, b: SceneObject, kind: PredicateKind,
                    smooth: bool, cfg: SmoothingConfig) -> Scalar:
-    pa, pb = _polygon(a, kind), _polygon(b, kind)
-    if smooth:
-        return geo.smooth_polygon_distance(pa, pb, cfg)
-    return xg.exact_distance(pa.float_vertices(), pb.float_vertices())
+    """The exact distance is the clearance's positive part. The smooth side
+    reads the signed clearance itself, which only falls below the distance
+    under overlap (where closeTo holds and farFrom fails for any positive
+    threshold) and keeps a gradient there, also when one polygon contains
+    the other."""
+    clr = _pair_clearance(a, b, kind, smooth, cfg)
+    return clr if smooth else max(0.0, clr)
 
 
 def _enclosure(inner: SceneObject, outer: SceneObject, delta_inside: float,
@@ -259,19 +262,19 @@ def directional_gap(a: SceneObject, b: SceneObject, kind: PredicateKind,
     extent is clear of b's along the kind's axis, min(hi_obj extent) -
     max(lo_obj extent). The atom with threshold kappa is this minus kappa,
     positive when the extents are clear by more than kappa."""
-    axis, flipped = _DIRECTIONAL_AXES[kind]
+    axis, flipped = DIRECTIONAL_AXES[kind]
     lo_obj, hi_obj = (b, a) if flipped else (a, b)
-    _, lo_max = _axis_extremes(lo_obj, axis, kind, smooth, tau)
-    hi_min, _ = _axis_extremes(hi_obj, axis, kind, smooth, tau)
+    _, lo_max = axis_extremes(lo_obj, axis, kind, smooth, tau)
+    hi_min, _ = axis_extremes(hi_obj, axis, kind, smooth, tau)
     return hi_min - lo_max
 
 
 def _between(a: SceneObject, mid: SceneObject, c: SceneObject, axis: int,
              kind: PredicateKind, kappa: float, smooth: bool,
              cfg: SmoothingConfig) -> Scalar:
-    _, a_max = _axis_extremes(a, axis, kind, smooth, cfg.tau)
-    m_min, m_max = _axis_extremes(mid, axis, kind, smooth, cfg.tau)
-    c_min, _ = _axis_extremes(c, axis, kind, smooth, cfg.tau)
+    _, a_max = axis_extremes(a, axis, kind, smooth, cfg.tau)
+    m_min, m_max = axis_extremes(mid, axis, kind, smooth, cfg.tau)
+    c_min, _ = axis_extremes(c, axis, kind, smooth, cfg.tau)
     first = m_min - a_max - kappa
     second = c_min - m_max - kappa
     if smooth:
@@ -377,10 +380,6 @@ def smooth_gaps(scene: Scene, kind: PredicateKind, names: Sequence[str],
     ``math.inf`` wherever no bound is proved. The threshold parameters
     shift both values alike, so they do not enter.
 
-    - farFrom, below by tau*log(2nSm): every term of the sampled soft-min
-      is a guarded point-to-edge distance, at least the exact distance, and
-      a soft-min over at most 2nSm terms (the cull keeps fewer) lies within
-      tau*log(2nSm) of their minimum. closeTo negates it: above, the same.
     - enclIn on polygons, above by ``enclosure_error_budget``, when every
       corner of the outer polygon is at least 38.94 degrees. Inside, the
       blended signed distance of a vertex is at least the exact one minus
@@ -402,13 +401,11 @@ def smooth_gaps(scene: Scene, kind: PredicateKind, names: Sequence[str],
     - oriented and bearingTo compute the same arithmetic in both modes, so
       both gaps are 0.
 
-    Every other kind gets ``inf`` on both sides."""
+    Every other kind gets ``inf`` on both sides, closeTo and farFrom
+    included: their smooth side reads the blended signed clearance, whose
+    gaps against the exact distance are not proved yet."""
     shapes = [scene.get(n).shape for n in names]
     polygons = all(isinstance(s, ConvexPolygon) for s in shapes)
-    if kind in (PredicateKind.FAR_FROM, PredicateKind.CLOSE_TO) and polygons:
-        a, b = shapes
-        gap = cfg.tau * math.log(2 * len(a) * cfg.samples_per_edge * len(b))
-        return (gap, math.inf) if kind is PredicateKind.FAR_FROM else (math.inf, gap)
     if kind is PredicateKind.ENCL_IN and polygons and _corners_blunt(shapes[1]):
         return math.inf, geo.enclosure_error_budget(shapes[0], shapes[1], cfg)
     if kind in DIRECTIONAL:
@@ -436,9 +433,8 @@ def smooth_gaps(scene: Scene, kind: PredicateKind, names: Sequence[str],
 #   one. On boxes each face margin is a difference of two coordinates.
 # - Directional kinds and betweenPx/betweenPy: axis extremes are extreme
 #   vertex or corner coordinates, each moved by at most the displacement.
-# touch, ovlp and partOvlp read the penetration over the polygons' own
-# face normals, which turn with them, and oriented and bearingTo read
-# headings and centroid bearings; they get no bound.
+# touch, ovlp and partOvlp read the signed clearance, and oriented and
+# bearingTo read headings and centroid bearings; they get no bound yet.
 MOTION_BOUNDED = frozenset({
     PredicateKind.CLOSE_TO, PredicateKind.FAR_FROM, PredicateKind.ENCL_IN,
     *DIRECTIONAL, PredicateKind.BETWEEN_PX, PredicateKind.BETWEEN_PY})

@@ -70,10 +70,10 @@ def random_polygon_pair(rng: random.Random,
     """A pair in general position: mix of separated, touching-ish and
     overlapping placements.
 
-    Pairs where one polygon fully contains the other are resampled: the
-    boundary-to-boundary clearance surrogate is not meant for nested
-    shapes (enclosure has its own predicate), so accuracy suites exclude
-    that regime.
+    Pairs where one polygon fully contains the other are resampled, as they
+    were when the clearance surrogate measured boundary to boundary, so the
+    frozen accuracy suites keep their draws; nested pairs are tested on
+    their own.
     """
     while True:
         a = random_convex_polygon(rng)

@@ -146,7 +146,7 @@ class Scenario:
 # what an optimizer override must be, by the type of the field's default
 _OVERRIDE_TYPES = {
     int: ("an integer", _is_integer),
-    float: ("a finite number", lambda v: _is_number(v) and math.isfinite(v)),
+    float: ("a number", _is_number),   # OptimizerConfig checks the range
 }
 
 

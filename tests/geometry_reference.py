@@ -1,18 +1,23 @@
-"""Reference copies of the scalar Var-path geometry kernels.
+"""Reference copies of the scalar Var-path geometry kernels, and brute-force
+references for the exact pair geometry.
 
-These are the smooth distance, penetration and point signed distance as
-they were before the kernels were fused into single tape nodes: every
-boundary sample against every edge is recorded as a chain of scalar tape
-operations. The bodies below are kept verbatim, together with the hard
-``max2``/``min2`` they clamp with, so the fused kernels can be checked
-against them for equal values and matching adjoints.
+``point_polygon_signed_distance`` is the point signed distance as it was
+before the kernels were fused into single tape nodes, recorded as a chain
+of scalar tape operations; the body is kept verbatim, together with the
+hard ``max2``/``min2`` it clamps with, so the fused kernels can be checked
+against it for equal values and matching adjoints. ``signed_clearance``
+writes the fused pair kernel the same way, with every point a_i - b_j a
+tape difference.
 
 ``sqrt_guarded`` is the guarded square root those bodies measure with.
 ``polygon_edges``, ``sample_boundary``, ``edge_normals`` and
 ``point_segment_distance`` take floats as well as Vars, so they also serve
 the tests as float helpers.
-``segment_distance`` is the exact distance of two closed segments, the
-edge-pair formulation ``exactgeo.exact_distance`` is checked against.
+
+``segment_distance`` is the exact distance of two closed segments, and
+``brute_clearance`` the signed clearance of two polygons from the
+polygons themselves, never from their Minkowski difference: the
+references ``exactgeo``'s pair functions are checked against.
 """
 import math
 import types
@@ -80,7 +85,9 @@ def sample_boundary(polygon: ConvexPolygon, samples_per_edge: int) -> BoundarySa
                 pts.append((ax, ay))
             else:
                 pts.append((ax + t * ex, ay + t * ey))
-    return BoundarySamples(pts, polygon.max_edge_length() / samples_per_edge)
+    fs = polygon.float_vertices()
+    longest = max(math.dist(a, b) for a, b in zip(fs, fs[1:] + fs[:1]))
+    return BoundarySamples(pts, longest / samples_per_edge)
 
 
 def edge_normals(polygon: ConvexPolygon) -> list[ScalarPoint]:
@@ -131,70 +138,81 @@ def point_polygon_signed_distance(p: ScalarPoint, polygon: ConvexPolygon,
     return (1.0 - w) * m_out - w * m_in
 
 
-def smooth_sat_penetration(A: ConvexPolygon, B: ConvexPolygon,
-                           cfg: SmoothingConfig = SmoothingConfig()) -> Scalar:
-    """Smooth penetration depth from soft separating-axis margins.
-
-    For each combined inward edge normal, project both polygons with
-    soft extrema and take the soft interval overlap; the soft minimum over
-    axes, clamped by relu, approximates the hard face-normal penetration.
-    One temperature serves both the projection extrema and the axis
-    aggregation.
-    """
-    tau = cfg.tau
-    overlaps = []
-    a_verts = A.vertices
-    b_verts = B.vertices
-    for normals in (edge_normals(A), edge_normals(B)):
-        for nx, ny in normals:
-            pa = [vx * nx + vy * ny for vx, vy in a_verts]
-            pb = [vx * nx + vy * ny for vx, vy in b_verts]
-            hi = ad.lse_min([ad.lse_max(pa, tau), ad.lse_max(pb, tau)], tau)
-            lo = ad.lse_max([ad.lse_min(pa, tau), ad.lse_min(pb, tau)], tau)
-            overlaps.append(hi - lo)
-    return ad.relu(ad.lse_min(overlaps, tau))
-
-
-def smooth_polygon_distance(A: ConvexPolygon, B: ConvexPolygon,
-                            cfg: SmoothingConfig = SmoothingConfig()) -> Scalar:
-    """Smooth boundary-to-boundary distance: symmetric soft-min over the
-    unsigned distances of each polygon's boundary samples to the other
-    polygon's edges."""
-    tau = cfg.tau
-    sides = []
-    for src, dst in ((A, B), (B, A)):
-        edges = polygon_edges(dst)
-        dists = []
-        for p in sample_boundary(src, cfg.samples_per_edge).points:
-            dists.append(ad.lse_min([point_segment_distance(p, a, b) for a, b in edges], tau))
-        sides.append(ad.lse_min(dists, tau))
-    return ad.lse_min(sides, tau)
-
-
 def signed_clearance(A: ConvexPolygon, B: ConvexPolygon,
                      cfg: SmoothingConfig = SmoothingConfig()) -> Scalar:
-    """Smooth distance minus smooth penetration: positive when separated,
-    negative when overlapping; in each regime the other term is ~0."""
-    return smooth_polygon_distance(A, B, cfg) - smooth_sat_penetration(A, B, cfg)
+    """Smooth signed clearance as scalar tape operations: every point
+    a_i - b_j is a tape difference; the inside branch is the soft-min of
+    the inward margins of M's edges, in the order
+    ``exactgeo.minkowski_difference`` merges them, and the outside branch
+    the soft-min of the distances to the 2 n m segments from a_i - b_j to
+    a_(i+1) - b_j, then to a_i - b_(j+1)."""
+    tau = cfg.tau
+    va, vb = A.vertices, B.vertices
+    n, m = len(va), len(vb)
+    pt = [[(a[0] - b[0], a[1] - b[1]) for b in vb] for a in va]
+    _, pairs = _exactgeo.minkowski_difference(A.float_vertices(), B.float_vertices())
+    ring = [pt[i][j] for i, j in pairs]
+    M = types.SimpleNamespace(vertices=ring)
+    margins = []
+    for (vx, vy), (nx, ny) in zip(ring, edge_normals(M)):
+        margins.append((0.0 - vx) * nx + (0.0 - vy) * ny)
+    m_in = ad.lse_min(margins, tau)
+    segs = ([(pt[i][j], pt[(i + 1) % n][j]) for i in range(n) for j in range(m)]
+            + [(pt[i][j], pt[i][(j + 1) % m]) for i in range(n) for j in range(m)])
+    m_out = ad.lse_min([point_segment_distance((0.0, 0.0), a, b) for a, b in segs], tau)
+    w = ad.sigmoid(cfg.sigmoid_scale * m_in)
+    return (1.0 - w) * m_out - w * m_in
 
 
-def flat_polygon_distance(A: ConvexPolygon, B: ConvexPolygon,
-                          cfg: SmoothingConfig = SmoothingConfig()) -> float:
-    """The smooth distance as one log-sum-exp over all 2 n S m distances
-    from each polygon's boundary samples to the other polygon's edges, with
-    no term skipped; float polygons only."""
-    dists = []
-    for src, dst in ((A, B), (B, A)):
-        edges = polygon_edges(dst)
-        for p in sample_boundary(src, cfg.samples_per_edge).points:
-            dists += [point_segment_distance(p, a, b) for a, b in edges]
-    return ad.lse_min(dists, cfg.tau)
+def _orient(a, b, c) -> float:
+    return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+
+
+def segments_intersect(a1, a2, b1, b2) -> bool:
+    """Closed-segment intersection, collinear overlaps included."""
+    d1 = _orient(b1, b2, a1)
+    d2 = _orient(b1, b2, a2)
+    d3 = _orient(a1, a2, b1)
+    d4 = _orient(a1, a2, b2)
+    if d1 * d2 < 0 and d3 * d4 < 0:
+        return True
+
+    def on_segment(p, q, r):
+        return (min(p[0], r[0]) <= q[0] <= max(p[0], r[0]) and
+                min(p[1], r[1]) <= q[1] <= max(p[1], r[1]))
+
+    return ((d1 == 0 and on_segment(b1, a1, b2)) or (d2 == 0 and on_segment(b1, a2, b2))
+            or (d3 == 0 and on_segment(a1, b1, a2)) or (d4 == 0 and on_segment(a1, b2, a2)))
 
 
 def segment_distance(a1, a2, b1, b2) -> float:
-    if _exactgeo.segments_intersect(a1, a2, b1, b2):
+    if segments_intersect(a1, a2, b1, b2):
         return 0.0
     return min(_exactgeo.point_segment_distance(a1, b1, b2),
                _exactgeo.point_segment_distance(a2, b1, b2),
                _exactgeo.point_segment_distance(b1, a1, a2),
                _exactgeo.point_segment_distance(b2, a1, a2))
+
+
+def brute_clearance(A, B) -> float:
+    """Signed clearance of two float polygons by brute force.
+
+    Over both polygons' face normals, the push-out along a normal is
+    min(a_max - b_min, b_max - a_min) of the two projections. If some
+    push-out is negative, that normal separates the polygons, and the
+    clearance is the smallest vertex-to-edge distance in either direction.
+    Otherwise it is minus the smallest push-out, the depth."""
+    push = math.inf
+    for poly in (A, B):
+        n = len(poly)
+        for i in range(n):
+            (ax, ay), (bx, by) = poly[i], poly[(i + 1) % n]
+            nx, ny = ay - by, bx - ax
+            length = math.hypot(nx, ny)
+            pa = [(x * nx + y * ny) / length for x, y in A]
+            pb = [(x * nx + y * ny) / length for x, y in B]
+            push = min(push, max(pa) - min(pb), max(pb) - min(pa))
+    if push >= 0.0:
+        return -push
+    return min(_exactgeo.point_segment_distance(p, dst[k], dst[(k + 1) % len(dst)])
+               for src, dst in ((A, B), (B, A)) for p in src for k in range(len(dst)))

@@ -1,32 +1,37 @@
-"""The accuracy sweep's kernel calls and the bits of its smooth clearance."""
+"""The accuracy sweep's kernel calls, the bits of its smooth clearance, and
+the proved budgets on nested pairs."""
 import pytest
 
+import math
+import random
+import subprocess
+import sys
+from pathlib import Path
+
 from polystl import accuracy
+from polystl import exactgeo as xg
 from polystl import geometry as geo
+from polystl.predicates import _corners_blunt
 from polystl.randgeom import pair_for_index
 
 SETTINGS = [(1e-1, 4), (1e-2, 16), (1e-3, 32), (1e-3, 64)]
 
 
 def test_each_kernel_runs_once_per_pair_and_setting(monkeypatch):
-    calls = {"distance": 0, "penetration": 0}
+    calls = {"clearance": 0}
+    kernel = geo.clearance_parts
 
-    def counted(name, kernel):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return kernel(*args, **kwargs)
-        return wrapper
+    def counted(*args, **kwargs):
+        calls["clearance"] += 1
+        return kernel(*args, **kwargs)
 
-    # geometry's own bindings are counted too, so a kernel reached through
+    # geometry's own binding is counted too, so a call reached through
     # geo.signed_clearance would show up
-    for name, kernel in (("distance", geo.smooth_polygon_distance),
-                         ("penetration", geo.smooth_sat_penetration)):
-        wrapper = counted(name, kernel)
-        monkeypatch.setattr(accuracy, kernel.__name__, wrapper)
-        monkeypatch.setattr(geo, kernel.__name__, wrapper)
+    monkeypatch.setattr(accuracy, "clearance_parts", counted)
+    monkeypatch.setattr(geo, "clearance_parts", counted)
     rows = accuracy.run_sweep(3, (1e-2, 1e-3), (4, 16), seed=0)
     assert len(rows) == 3 * 4 * len(accuracy.QUANTITIES)
-    assert calls == {"distance": 12, "penetration": 12}
+    assert calls == {"clearance": 12}
 
 
 @pytest.mark.parametrize("index", range(8))
@@ -55,3 +60,44 @@ def test_repeated_setting_is_rejected_before_any_pair(monkeypatch, taus, samples
     monkeypatch.setattr(accuracy, "pair_quantities", no_pair)
     with pytest.raises(ValueError, match=f"^{repeated} is given more than once$"):
         accuracy.run_sweep(3, taus, samples_list, seed=0)
+
+
+def _nested_pair(rng):
+    """A random pair with the second polygon shrunk into the first: about
+    its own centroid to under a fifth of its size, then moved to the
+    first's centroid, plus an offset its half-size keeps inside."""
+    va, vb = pair_for_index(6, rng.randrange(1 << 30))
+    (ax, ay), (bx, by) = xg.centroid(va), xg.centroid(vb)
+    s = rng.uniform(0.02, 0.2)
+    dx, dy = rng.uniform(-0.1, 0.1), rng.uniform(-0.1, 0.1)
+    return va, [(ax + dx + s * (x - bx), ay + dy + s * (y - by)) for x, y in vb]
+
+
+def test_nested_pairs_stay_within_the_proved_budgets():
+    rng = random.Random(20261020)
+    nested = 0
+    for _ in range(200):
+        va, vb = _nested_pair(rng)
+        if not xg.polygon_contains_polygon(va, vb):
+            continue
+        nested += 1
+        pa, pb = geo.ConvexPolygon(va), geo.ConvexPolygon(vb)
+        blunt = _corners_blunt(pa) or _corners_blunt(pb)
+        for tau, samples, quantity, exact, smooth in accuracy.pair_quantities(va, vb, SETTINGS):
+            cfg = geo.SmoothingConfig(tau=tau, samples_per_edge=samples)
+            if quantity == "penetration":
+                assert abs(smooth - exact) <= tau * math.log(len(va) + len(vb))
+            elif quantity in ("distance", "clearance") and blunt:
+                assert abs(smooth - exact) <= geo.clearance_error_budget(pa, pb, cfg)
+    assert nested >= 150
+
+
+def test_calibrate_bounds_script_runs():
+    # nothing else imports the script, so a name it imports that is gone
+    # would break it silently
+    root = Path(__file__).resolve().parent.parent
+    proc = subprocess.run([sys.executable, "scripts/calibrate_bounds.py", "5"], cwd=root,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.startswith("suite: 5 pairs")
+    assert proc.stdout.count(" OK") == len(accuracy.QUANTITIES)

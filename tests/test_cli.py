@@ -322,6 +322,15 @@ MALFORMED = {
                                  "unknown optimizer key 'stall_patience'"),
     "optimizer_seed": (_set(["optimizer", "seed"], 0), "unknown optimizer key 'seed'"),
     "top_level_seed": (_set(["seed"], 0), "unknown key 'seed'"),
+    # every optimizer field is checked at load, and the error names the key
+    "optimizer_samples_per_edge_zero": (_set(["optimizer", "samples_per_edge"], 0),
+                                        "optimizer: samples_per_edge must be >= 1, got 0"),
+    "optimizer_smoothness_weight_negative": (
+        _set(["optimizer", "smoothness_weight"], -5),
+        "optimizer: smoothness_weight must be finite and >= 0, got -5"),
+    "optimizer_satisfaction_margin_nan": (
+        _set(["optimizer", "satisfaction_margin"], float("nan")),
+        "optimizer: satisfaction_margin must be finite and >= 0, got nan"),
 }
 
 
@@ -809,7 +818,7 @@ class TestAccuracy:
         assert len(rows) == 1 + 4 * 4   # 4 quantities per pair
         assert (tmp_path / "accuracy_summary.csv").exists()
 
-    def test_smooth_clearance_is_distance_minus_penetration(self, tmp_path, capsys):
+    def test_smooth_distance_is_the_clearance_positive_part(self, tmp_path, capsys):
         rc = main(["accuracy", "--pairs", "5", "--tau", "1e-1,1e-3", "--samples", "4,32",
                    "--out-dir", str(tmp_path)])
         capsys.readouterr()
@@ -821,9 +830,12 @@ class TestAccuracy:
         assert len(clearance) == 5 * 2 * 2
         # %.17g round-trips every double, so the row values are the computed ones
         for pair, tau, samples, _ in clearance:
-            assert smooth[pair, tau, samples, "clearance"] == (
-                smooth[pair, tau, samples, "distance"]
-                - smooth[pair, tau, samples, "penetration"])
+            assert smooth[pair, tau, samples, "distance"] == max(
+                0.0, smooth[pair, tau, samples, "clearance"])
+            assert smooth[pair, tau, samples, "penetration"] >= 0.0
+        # no kernel samples the boundary, so S changes no value
+        for (pair, tau, samples, quantity), value in smooth.items():
+            assert value == smooth[pair, tau, "4", quantity]
 
     @pytest.mark.parametrize("flag, value", [("--samples", "16,16"), ("--tau", "1e-2,0.01")])
     def test_repeated_setting_exits_2_with_one_error_line(self, tmp_path, capsys,

@@ -146,9 +146,50 @@ def test_distance_is_the_edge_pair_minimum_on_random_pairs():
     for i in range(300):
         a, b = pair_for_index(57, i)
         d = xg.exact_distance(a, b)
-        assert d == _edge_pair_distance(a, b) and xg.exact_distance(b, a) == d
+        scale = max(abs(c) for v in a + b for c in v)
+        assert d == pytest.approx(_edge_pair_distance(a, b), abs=1e-12 * scale)
+        assert xg.exact_distance(b, a) == d
         separated += d > 0.0
     assert separated >= 100
+
+
+# -- the Minkowski difference against the brute-force reference -------------
+
+
+def test_minkowski_difference_keeps_parallel_edges():
+    # every edge of the inner square is parallel to one of the outer's;
+    # A's edge goes first and the two meet at a straight corner
+    verts, pairs = xg.minkowski_difference(square(2.0, 2.0, 2.0), square(2.0, 2.0, 0.2))
+    assert pairs == [(0, 2), (1, 2), (1, 3), (2, 3), (2, 0), (3, 0), (3, 1), (0, 1)]
+    assert verts[::2] == [(-2.2, -2.2), (2.2, -2.2), (2.2, 2.2), (-2.2, 2.2)]
+    tri = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)]
+    verts, pairs = xg.minkowski_difference(tri, UNIT_SQUARE)
+    assert len(pairs) == 7 and len(set(pairs)) == 7
+    assert xg.validate_convex_ccw(verts) == [1, 6]   # the two straight corners
+
+
+def test_nested_squares_clear_by_the_push_out_depth():
+    outer, inner = square(2.0, 2.0, 2.0), square(2.0, 2.0, 0.2)
+    for a, b in ((outer, inner), (inner, outer)):
+        assert xg.exact_clearance(a, b) == pytest.approx(-2.2)
+        assert xg.exact_penetration(a, b) == pytest.approx(2.2)
+        assert xg.exact_distance(a, b) == 0.0 and xg.polygons_intersect(a, b)
+
+
+@given(st.integers(min_value=0, max_value=10_000), st.floats(0.05, 1.0),
+       st.floats(-1.0, 1.0), st.floats(-1.0, 1.0))
+@settings(max_examples=300, deadline=None)
+def test_pair_geometry_matches_the_brute_force_reference(index, shrink, dx, dy):
+    # b shrunk about its centroid and moved near a's, so that separated,
+    # crossing and nested pairs all occur
+    a, b = pair_for_index(58, index)
+    (ax, ay), (bx, by) = xg.centroid(a), xg.centroid(b)
+    b = [(ax + dx + shrink * (x - bx), ay + dy + shrink * (y - by)) for x, y in b]
+    tol = 1e-12 * max(abs(c) for v in a + b for c in v)
+    brute = ref.brute_clearance(a, b)
+    assert xg.exact_distance(a, b) == pytest.approx(max(0.0, brute), abs=tol)
+    assert xg.exact_penetration(a, b) == pytest.approx(max(0.0, -brute), abs=tol)
+    assert xg.polygons_intersect(a, b) == (brute <= 0.0) or abs(brute) <= tol
 
 
 # -- brute-force agreement ---------------------------------------------------

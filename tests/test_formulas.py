@@ -742,17 +742,22 @@ def test_screened_windows_match_unscreened(tau, monkeypatch):
     assert counts["screened"] < counts["full"]   # some steps were left out
 
 
+def _directional(kind, x, y, kappa):
+    return Atom(kind, (x, y), PredicateParams.for_kind(kind, [kappa]))
+
+
 def test_screen_skips_the_steps_far_from_the_obstacle(monkeypatch):
-    # the obstacle comes near at steps 5 and 11 only; every other step of
-    # G[0,16] farFrom sits about 6.5 above them, far past tau*(CULL_GAP + log 17)
+    # the obstacle comes near at steps 5 and 11 only; at every other step
+    # leftOf's gap sits about 6.5 above them, and rightOf's as far below,
+    # far past tau*(CULL_GAP + log 17); directional kinds have proved gaps
     steps = [8.0] * 17
     steps[5], steps[11] = 1.5, 1.6
     traj = Trajectory([pair_scene(d) for d in steps])
     cfg = SmoothingConfig(tau=1e-2)
     exact = Evaluator(traj, smooth=False)
     calls = _counting_atoms(monkeypatch)
-    for f in (Always(0, 16, _far_from("a", "b", 0.3)),
-              Eventually(0, 16, close_to("a", "b", 0.3))):
+    for f in (Always(0, 16, _directional(PredicateKind.LEFT_OF, "a", "b", 0.3)),
+              Eventually(0, 16, _directional(PredicateKind.RIGHT_OF, "a", "b", 0.3))):
         exact.result(f)
         full = eval_smooth(f, traj, cfg=cfg).value
         del calls[:]

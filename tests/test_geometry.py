@@ -5,11 +5,12 @@ import random
 
 import pytest
 
-from gradcheck import central_difference, max_gradient_error
+from gradcheck import central_difference, check_gradient, max_gradient_error
 import geometry_reference as ref
 from polystl import autodiff as ad
 from polystl import exactgeo as xg
 from polystl import geometry as geo
+from polystl.predicates import _corners_blunt
 from polystl.randgeom import pair_for_index
 
 SHARP = geo.SmoothingConfig(tau=1e-3, samples_per_edge=32)
@@ -94,19 +95,33 @@ def test_centroid_is_vertex_mean():
 # -- frozen smooth values -----------------------------------------------------
 
 
+def smooth_penetration(a, b, cfg):
+    """The inside branch of the pair kernel clamped at 0, as the accuracy
+    sweep reads it."""
+    return max(0.0, geo.clearance_parts(a, b, cfg)[1])
+
+
 def test_smooth_distance_separated_squares():
-    d = geo.smooth_polygon_distance(square(0.5, 0.5), square(3.5, 0.5), SHARP)
+    d = geo.signed_clearance(square(0.5, 0.5), square(3.5, 0.5), SHARP)
     assert d == pytest.approx(2.0, abs=0.02)
 
 
 def test_smooth_penetration_shifted_squares():
     b = poly([(0.6, 0.0), (1.6, 0.0), (1.6, 1.0), (0.6, 1.0)])
-    pen = geo.smooth_sat_penetration(UNIT_SQUARE, b, SHARP)
+    pen = smooth_penetration(UNIT_SQUARE, b, SHARP)
     assert pen == pytest.approx(0.4, abs=0.01)
 
 
 def test_smooth_penetration_zero_when_separated():
-    assert geo.smooth_sat_penetration(square(0.5, 0.5), square(3.5, 0.5), SHARP) == 0.0
+    assert smooth_penetration(square(0.5, 0.5), square(3.5, 0.5), SHARP) == 0.0
+
+
+def test_nested_squares_clear_by_minus_the_push_out_depth():
+    # a 0.4 square inside a 4x4 one: 2.2 to push it out, exact distance 0
+    outer, inner = square(2.0, 2.0, 2.0), square(2.0, 2.0, 0.2)
+    for a, b in ((outer, inner), (inner, outer)):
+        assert geo.signed_clearance(a, b, SHARP) == pytest.approx(-2.2, abs=0.005)
+        assert smooth_penetration(a, b, SHARP) == pytest.approx(2.2, abs=0.005)
 
 
 def test_signed_distance_center_and_outside():
@@ -135,7 +150,7 @@ def test_smooth_distance_tracks_exact_on_random_pairs():
         exact = xg.exact_distance(a_v, b_v)
         if exact <= 0.0:
             continue
-        smooth = geo.smooth_polygon_distance(a, b, SHARP)
+        smooth = geo.signed_clearance(a, b, SHARP)
         worst = max(worst, abs(smooth - exact))
     assert worst <= 0.05
 
@@ -168,21 +183,25 @@ def test_penetration_limits_to_exact_as_tau_vanishes():
     cfg = geo.SmoothingConfig(tau=1e-6)
     for i in range(60):
         a_v, b_v = pair_for_index(34, i)
-        smooth = geo.smooth_sat_penetration(poly(a_v), poly(b_v), cfg)
+        smooth = smooth_penetration(poly(a_v), poly(b_v), cfg)
         assert smooth == pytest.approx(xg.exact_penetration(a_v, b_v), abs=1e-4)
 
 
 def test_distance_error_within_budget():
+    checked = 0
     for s, tau in ((4, 1e-2), (16, 1e-2), (32, 1e-3)):
         cfg = geo.SmoothingConfig(tau=tau, samples_per_edge=s)
         for i in range(40):
             a_v, b_v = pair_for_index(35, i)
-            exact = xg.exact_distance(a_v, b_v)
-            if exact <= 0.0:
-                continue
             a, b = poly(a_v), poly(b_v)
-            smooth = geo.smooth_polygon_distance(a, b, cfg)
-            assert abs(smooth - exact) <= geo.distance_error_budget(a, b, cfg)
+            if not (_corners_blunt(a) or _corners_blunt(b)):
+                continue   # the budget is proved for blunt corners only
+            checked += 1
+            budget = geo.clearance_error_budget(a, b, cfg)
+            clearance = geo.signed_clearance(a, b, cfg)
+            assert abs(clearance - xg.exact_clearance(a_v, b_v)) <= budget
+            assert abs(max(0.0, clearance) - xg.exact_distance(a_v, b_v)) <= budget
+    assert checked >= 100
 
 
 # -- structural invariances ----------------------------------------------------
@@ -192,9 +211,9 @@ def test_distance_and_penetration_symmetric():
     for i in range(40):
         a_v, b_v = pair_for_index(36, i)
         a, b = poly(a_v), poly(b_v)
-        assert geo.smooth_polygon_distance(a, b, SHARP) == geo.smooth_polygon_distance(b, a, SHARP)
-        assert geo.smooth_sat_penetration(a, b, SHARP) == pytest.approx(
-            geo.smooth_sat_penetration(b, a, SHARP), abs=1e-12)
+        assert geo.signed_clearance(a, b, SHARP) == geo.signed_clearance(b, a, SHARP)
+        assert smooth_penetration(a, b, SHARP) == pytest.approx(
+            smooth_penetration(b, a, SHARP), abs=1e-12)
 
 
 def test_rigid_motion_invariance():
@@ -208,10 +227,10 @@ def test_rigid_motion_invariance():
         def move(vs):
             return [(c * x - s * y + dx, s * x + c * y + dy) for x, y in vs]
 
-        before_d = geo.smooth_polygon_distance(poly(a_v), poly(b_v), cfg)
-        after_d = geo.smooth_polygon_distance(poly(move(a_v)), poly(move(b_v)), cfg)
-        before_p = geo.smooth_sat_penetration(poly(a_v), poly(b_v), cfg)
-        after_p = geo.smooth_sat_penetration(poly(move(a_v)), poly(move(b_v)), cfg)
+        before_d = geo.signed_clearance(poly(a_v), poly(b_v), cfg)
+        after_d = geo.signed_clearance(poly(move(a_v)), poly(move(b_v)), cfg)
+        before_p = smooth_penetration(poly(a_v), poly(b_v), cfg)
+        after_p = smooth_penetration(poly(move(a_v)), poly(move(b_v)), cfg)
         assert abs(after_d - before_d) < 1e-6
         assert abs(after_p - before_p) < 1e-6
 
@@ -227,9 +246,12 @@ def _pose_quantity(fn, pose_xyz, tpl_a, other, cfg):
     return value
 
 
+# One kernel serves every pair quantity; the cases check its gradient where
+# the pair is apart (the distance), where it overlaps (minus the
+# penetration), and everywhere (the clearance).
 GRAD_CASES = [
-    ("distance", geo.smooth_polygon_distance),
-    ("penetration", geo.smooth_sat_penetration),
+    ("distance", geo.signed_clearance),
+    ("penetration", lambda a, b, cfg: -geo.signed_clearance(a, b, cfg)),
     ("clearance", geo.signed_clearance),
 ]
 
@@ -249,8 +271,8 @@ def test_pose_gradients_match_finite_differences(name, fn):
         clr = xg.exact_clearance(tpl.at(geo.Pose2D(*xs)).float_vertices(), other_v)
         if abs(clr) <= 0.05:
             continue
-        if name == "penetration" and clr > 0.0:
-            continue  # flat region; nothing to check
+        if (name == "penetration" and clr > 0.0) or (name == "distance" and clr < 0.0):
+            continue  # the other regime
         checked += 1
         t = ad.Tape()
         pose = geo.Pose2D(t.var(xs[0]), t.var(xs[1]), t.var(xs[2]))
@@ -315,34 +337,29 @@ def _pair_adjoints(fn, a_v, b_v, cfg):
     return out.value, [g.wrt(c) for v in a.vertices + b.vertices for c in v]
 
 
-# The fused distance sums its 2nSm terms as one flat log-sum-exp, while the
-# reference nests a soft-min over edges inside one over samples inside one
-# over the two sides: equal in exact arithmetic, but rounded differently, so
-# its values (and the clearance built on it) agree to a relative tolerance.
-# The penetration is the reference's arithmetic reordered only, and equal.
-FUSED_CASES = [
-    ("distance", geo.smooth_polygon_distance, ref.smooth_polygon_distance, 1e-12),
-    ("penetration", geo.smooth_sat_penetration, ref.smooth_sat_penetration, 0.0),
-    ("clearance", geo.signed_clearance, ref.signed_clearance, 1e-12),
-]
+# The fused pair kernel runs the reference's arithmetic on the same floats,
+# so values are equal. The cases split the pairs by regime: as drawn (mostly
+# apart, the distance), moved together (overlapping, the penetration), and
+# both (the clearance).
+FUSED_CASES = [("distance", (0,)), ("penetration", (1,)), ("clearance", (0, 1))]
 
 
-@pytest.mark.parametrize("name,fused,reference,rtol", FUSED_CASES,
-                         ids=[c[0] for c in FUSED_CASES])
-def test_fused_pair_kernels_match_scalar_reference(name, fused, reference, rtol):
+@pytest.mark.parametrize("name,regimes", FUSED_CASES, ids=[c[0] for c in FUSED_CASES])
+def test_fused_pair_kernels_match_scalar_reference(name, regimes):
     active = 0
     for tau, s in REFERENCE_GRID:
         cfg = geo.SmoothingConfig(tau=tau, samples_per_edge=s)
-        for a_v, b_v in _reference_pairs(41, 5):
-            value = fused(poly(a_v), poly(b_v), cfg)
-            assert abs(value - reference(poly(a_v), poly(b_v), cfg)) <= rtol * abs(value)
-            got, adjoints = _pair_adjoints(fused, a_v, b_v, cfg)
-            want, expected = _pair_adjoints(reference, a_v, b_v, cfg)
-            assert got == value
-            assert abs(value - want) <= rtol * abs(value)
+        for k, (a_v, b_v) in enumerate(_reference_pairs(41, 5)):
+            if k % 2 not in regimes:
+                continue
+            value = geo.signed_clearance(poly(a_v), poly(b_v), cfg)
+            assert value == ref.signed_clearance(poly(a_v), poly(b_v), cfg)
+            got, adjoints = _pair_adjoints(geo.signed_clearance, a_v, b_v, cfg)
+            want, expected = _pair_adjoints(ref.signed_clearance, a_v, b_v, cfg)
+            assert got == value == want
             assert max(abs(x - y) for x, y in zip(adjoints, expected)) <= ADJOINT_TOL
             active += any(y != 0.0 for y in expected)
-    assert active >= 20, f"{name}: only {active} cases with a non-zero gradient"
+    assert active >= 10 * len(regimes), f"{name}: only {active} cases with a non-zero gradient"
 
 
 def test_fused_point_signed_distance_matches_scalar_reference():
@@ -372,52 +389,65 @@ def test_fused_point_signed_distance_matches_scalar_reference():
 def test_fused_kernels_record_one_node():
     cfg = geo.SmoothingConfig(tau=5e-3, samples_per_edge=8)
     a_v, b_v = pair_for_index(44, 0)
-    for fn in (geo.smooth_polygon_distance, geo.smooth_sat_penetration):
-        t = ad.Tape()
-        a, b = _on_tape(t, a_v), _on_tape(t, b_v)
-        before = len(t)
-        out = fn(a, b, cfg)
-        assert isinstance(out, ad.Var) and len(t) == before + 1
+    t = ad.Tape()
+    a, b = _on_tape(t, a_v), _on_tape(t, b_v)
+    before = len(t)
+    out = geo.signed_clearance(a, b, cfg)
+    assert isinstance(out, ad.Var) and len(t) == before + 1
     t = ad.Tape()
     shape = poly(a_v)
     out = geo.point_polygon_signed_distance((t.var(0.1), t.var(0.2)), shape, cfg)
     assert len(t) == 3 and out.tape is t
 
 
-# -- the cull: skipped terms cannot carry weight ---------------------------------
+# -- the Minkowski-difference kernel: containment and merge-order changes ------
 
-# A needle poking through a square's bottom edge. Its tip lies 0.1 below the
-# square's top edge, which sets the smallest vertex-edge term, while every
-# endpoint term of the two crossing edge pairs is about 2: only the crossing
-# test keeps the interior samples that find the distance near 0.
-NEEDLE = ([(0.0, 0.0), (4.0, 0.0), (4.0, 4.0), (0.0, 4.0)],
-          [(1.99, -2.0), (2.01, -2.0), (2.01, 3.9), (1.99, 3.9)])
-# a square and a diamond 9.5 apart: most edge pairs face away from each other
-FAR_APART = ([(-0.5, -0.5), (0.5, -0.5), (0.5, 0.5), (-0.5, 0.5)],
-             [(10.0, 0.0), (10.7, -0.7), (11.4, 0.0), (10.7, 0.7)])
+ROTOR = geo.PolygonTemplate([(-0.3, -0.2), (0.3, -0.2), (0.3, 0.2), (-0.3, 0.2)])
 
 
-def test_culled_distance_is_the_full_flat_sum():
-    tol_pairs = list(_reference_pairs(45, 10)) + [NEEDLE, FAR_APART]
-    for tau, s in REFERENCE_GRID + [(1e-1, 4), (1e-2, 16)]:
-        cfg = geo.SmoothingConfig(tau=tau, samples_per_edge=s)
-        for a_v, b_v in tol_pairs:
-            value = geo.smooth_polygon_distance(poly(a_v), poly(b_v), cfg)
-            full = ref.flat_polygon_distance(poly(a_v), poly(b_v), cfg)
-            assert abs(value - full) <= tau * math.exp(-ad.CULL_GAP) + 4 * math.ulp(full)
+def _pose_clearance(other, cfg):
+    """The pair kernel of (ROTOR at a pose, other) as a float function of
+    the pose, and its analytic pose gradient."""
+    def value(xs):
+        return geo.signed_clearance(ROTOR.at(geo.Pose2D(*xs)), other, cfg)
+
+    def analytic(xs):
+        t = ad.Tape()
+        pose = geo.Pose2D(*(t.var(x) for x in xs))
+        g = ad.backward(geo.signed_clearance(ROTOR.at(pose), other, cfg))
+        return [g.wrt(pose.x), g.wrt(pose.y), g.wrt(pose.theta)]
+    return value, analytic
 
 
-@pytest.mark.parametrize("a_v,b_v,tau", [(*FAR_APART, 1e-2), (*NEEDLE, 1e-3)],
-                         ids=["far_apart", "needle"])
-def test_cull_skips_interior_samples(monkeypatch, a_v, b_v, tau):
-    terms = []
-    real = geo._segment_offsets
+@pytest.mark.parametrize("xs", [(2.0, 2.0, 0.3), (1.2, 2.4, -0.7), (2.5, 1.4, 1.9)])
+def test_pair_kernel_gradient_under_containment(xs):
+    # the rotor lies well inside the 4x4 square, so the exact distance is 0
+    # and only the push-out depth moves
+    outer = square(2.0, 2.0, 2.0)
+    assert xg.polygon_contains_polygon(outer.float_vertices(),
+                                       ROTOR.at(geo.Pose2D(*xs)).float_vertices())
+    cfg = geo.SmoothingConfig(tau=5e-2)
+    value, analytic = _pose_clearance(outer, cfg)
+    assert value(xs) < -0.5
+    check_gradient(value, list(xs), analytic(xs))
 
-    def counting(px, py, edges):
-        terms.append(len(edges))
-        return real(px, py, edges)
 
-    monkeypatch.setattr(geo, "_segment_offsets", counting)
-    cfg = geo.SmoothingConfig(tau=tau, samples_per_edge=16)
-    geo.smooth_polygon_distance(poly(a_v), poly(b_v), cfg)
-    assert sum(terms) < len(a_v) * len(b_v) * cfg.samples_per_edge   # under half of 2nSm
+@pytest.mark.parametrize("theta", [-2e-6, 0.0, 2e-6])
+def test_pair_kernel_gradient_across_a_merge_order_change(theta):
+    # at theta = 0 every edge of the rotor is parallel to an edge of the
+    # box; the central differences straddle the turn, where the merge order
+    # of the two edge sequences flips and the vertex between two parallel
+    # edges of M jumps along them. Apart, the distance is the smooth
+    # soft-min over both near corners; the cases face the box side on, from
+    # the left and from above, and across its corner. (Under overlap the
+    # push-out depth has a kink there, as the exact one has: the deepest
+    # corner changes.)
+    other = poly([(1.0, -1.0), (2.0, -1.0), (2.0, 1.0), (1.0, 1.0)])
+    cfg = geo.SmoothingConfig(tau=5e-2)
+    value, analytic = _pose_clearance(other, cfg)
+    for xs in ((0.1, 0.35, theta), (1.5, 1.5, theta), (0.6, 1.4, theta)):
+        orders = {tuple(xg.minkowski_difference(
+            ROTOR.at(geo.Pose2D(xs[0], xs[1], xs[2] + d)).float_vertices(),
+            other.float_vertices())[1]) for d in (-1e-5, 1e-5)}
+        assert len(orders) == 2   # the step crosses a merge-order change
+        check_gradient(value, list(xs), analytic(xs))

@@ -197,6 +197,24 @@ def test_window_extremes_are_the_exact_evaluator_bit_for_bit(demos, kappa, widen
             assert values == [eval_exact(f, traj).value for traj in demos.trajectories]
 
 
+def test_window_extremes_read_each_axis_once_per_step(demos, monkeypatch):
+    # 4 objects x 3 axes x 119 steps per demonstration, where every
+    # (kind, obstacle) series at every step read both objects' extremes
+    # again: 2 phases x 3 obstacles x 6 kinds x ~60 steps x 2 objects
+    from polystl import mining, predicates
+    reads = []
+
+    def counting(obj, axis, *args):
+        reads.append((obj.name, axis))
+        return predicates.axis_extremes(obj, axis, *args)
+
+    monkeypatch.setattr(mining, "axis_extremes", counting)
+    cands = enumerate_candidates(demos)
+    window_extremes(cands, demos, 0.05)
+    assert len(reads) == 5 * 4 * 3 * 119
+    assert Counter(reads)[("arm", 2)] == 5 * 119
+
+
 def test_worst_case_filter_drops_negative_candidates(demos):
     cands = enumerate_candidates(demos)
     matrix = robustness_matrix(cands, demos, 0.05)

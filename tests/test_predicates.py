@@ -167,7 +167,7 @@ def test_box_directional_uses_exact_corners():
 def test_directional_table_keys_are_the_directional_kinds_in_order():
     # DIRECTIONAL is read off the table, and its order is the retention
     # tie-break of mining's candidate enumeration
-    assert tuple(pr._DIRECTIONAL_AXES) == pr.DIRECTIONAL == (
+    assert tuple(pr.DIRECTIONAL_AXES) == pr.DIRECTIONAL == (
         K.LEFT_OF, K.RIGHT_OF, K.BEHIND, K.IN_FRONT_OF, K.BELOW, K.ABOVE)
 
 
@@ -436,10 +436,11 @@ def _check_gaps(sc, kind, names, cfg, **params):
 @settings(max_examples=300, deadline=None)
 @given(a=polygons(), b=polygons(), cfg=smoothing())
 def test_distance_gaps_hold(a, b, cfg):
+    # the smooth side reads the signed clearance, which falls below the
+    # exact distance by the depth under overlap; no gap is proved yet
     sc = scene(a=a, b=b)
-    gap = cfg.tau * math.log(2 * len(a) * cfg.samples_per_edge * len(b))
-    assert _check_gaps(sc, K.FAR_FROM, ["a", "b"], cfg, eps_far=0.3) == (gap, math.inf)
-    assert _check_gaps(sc, K.CLOSE_TO, ["a", "b"], cfg, eps_close=0.3) == (math.inf, gap)
+    assert _check_gaps(sc, K.FAR_FROM, ["a", "b"], cfg, eps_far=0.3) == (math.inf, math.inf)
+    assert _check_gaps(sc, K.CLOSE_TO, ["a", "b"], cfg, eps_close=0.3) == (math.inf, math.inf)
 
 
 @settings(max_examples=400, deadline=None)
