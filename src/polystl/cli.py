@@ -63,7 +63,7 @@ def cmd_eval(args) -> int:
     print(f"robustness (exact):  {sio.fmt(exact.value)}")
     print(f"robustness (smooth): {sio.fmt(smooth.value)}"
           f"  [tau={args.tau:g}, S={args.samples}]")
-    budget = smoothing_budget(scn.formula, traj, args.tau, smooth=evaluators["smooth"])
+    budget = smoothing_budget(scn.formula, evaluators["smooth"])
     if budget is not None:
         gap = abs(smooth.value - exact.value)
         print(f"smoothing budget (tau={args.tau:g}): {sio.fmt(budget)}"
@@ -94,14 +94,15 @@ def cmd_optimize(args) -> int:
     if args.svg_every < 0:
         return _fail(f"--svg-every must be >= 0, got {args.svg_every}")
     scn = sio.load_scenario(args.scenario)
-    overrides = {}
+    cfg = scn.optimizer
     if args.iterations is not None:
-        overrides["iterations"] = args.iterations
+        cfg = dataclasses.replace(cfg, iterations=args.iterations)
+    smoothing = {}
     if args.tau is not None:
-        overrides["tau"] = args.tau
+        smoothing["tau"] = args.tau
     if args.samples is not None:
-        overrides["samples_per_edge"] = args.samples
-    cfg = dataclasses.replace(scn.optimizer, **overrides)
+        smoothing["samples_per_edge"] = args.samples
+    cfg = dataclasses.replace(cfg, smoothing=dataclasses.replace(cfg.smoothing, **smoothing))
 
     result = optimize(scn.problem, cfg,
                       snapshot_iterations=_checkpoints(cfg.iterations, args.svg_every))
@@ -117,7 +118,7 @@ def cmd_optimize(args) -> int:
     frames = write_frames(out, scn.problem, snapshots, scn.goal_names)
     outputs = [traj_path, trace_path] + frames
     sio.write_manifest(os.path.join(out, "manifest.json"), "optimize", None,
-                       {k: v for k, v in cfg.__dict__.items()},
+                       dataclasses.asdict(cfg),
                        [args.scenario], outputs, _utc_now())
 
     print(f"scenario: {scn.name}")

@@ -86,22 +86,6 @@ def validate_convex_ccw(vertices: Sequence[Point]) -> list[int]:
     return collinear
 
 
-def inward_edge_normals(vertices: Sequence[Point]) -> list[Point]:
-    """Unit normals pointing into the polygon, one per directed edge."""
-    n = len(vertices)
-    normals = []
-    for i in range(n):
-        ax, ay = vertices[i]
-        bx, by = vertices[(i + 1) % n]
-        ex, ey = bx - ax, by - ay
-        length = math.hypot(ex, ey)
-        if length == 0.0:
-            raise GeometryError(f"zero-length edge at vertex {i}")
-        # interior lies to the left of a counter-clockwise edge
-        normals.append((-ey / length, ex / length))
-    return normals
-
-
 def centroid(vertices: Sequence[Point]) -> Point:
     n = len(vertices)
     return (sum(v[0] for v in vertices) / n, sum(v[1] for v in vertices) / n)

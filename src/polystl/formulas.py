@@ -767,21 +767,17 @@ class _Budgets(Evaluator):
     _max = _min
 
 
-def smoothing_budget(formula: Formula, trajectory: Trajectory, tau: float,
-                     t: int = 0, smooth: Optional[Evaluator] = None) -> Optional[float]:
+def smoothing_budget(formula: Formula, smooth: Evaluator, t: int = 0) -> Optional[float]:
     """Proved bound on |smooth - exact| for ``formula`` anchored at ``t``,
     composed per soft extreme (see ``_Budgets``); an ``U`` window counts
     the soft-min at each release step and the soft-max over them. None
     when an atom the formula reaches has no two-sided gap, as the pair and
     the enclosure atoms have not.
 
-    ``smooth``, the smooth Evaluator over ``trajectory`` at ``tau`` whose
-    value the budget bounds, lends the gaps its screened windows already
-    computed."""
-    if smooth is None:
-        smooth = Evaluator(trajectory, smooth=True, cfg=SmoothingConfig(tau=tau))
-    elif not smooth.smooth or smooth.traj is not trajectory or smooth.cfg.tau != tau:
-        raise FormulaError("smoothing_budget: the evaluator must be smooth, "
-                           "over this trajectory and at this tau")
+    ``smooth`` is the smooth Evaluator whose value the budget bounds; the
+    trajectory and the settings are its own, and the gaps its screened
+    windows already computed are reused."""
+    if not smooth.smooth:
+        raise FormulaError("smoothing_budget: the evaluator must be smooth")
     budget = _Budgets(smooth).eval(formula, t)
     return None if budget == math.inf else budget

@@ -35,7 +35,9 @@ DEFAULT_SIGMOID_SCALE = 50.0
 
 @dataclass(frozen=True)
 class SmoothingConfig:
-    """Knobs shared by all smooth geometric quantities.
+    """The one definition of the smooth semantics' settings, and the only
+    place they are checked: every smooth quantity, the smooth formula pass
+    and ``OptimizerConfig.smoothing`` read them from here.
 
     tau: log-sum-exp temperature; smaller is sharper.
     samples_per_edge: kept for the command line and the accuracy CSV; no

@@ -83,23 +83,19 @@ class Problem:
 
 @dataclass(frozen=True)
 class OptimizerConfig:
+    """The descent's settings; ``smoothing`` is the smooth semantics the
+    loss is built on, checked by ``SmoothingConfig`` itself."""
     step_size: float = 5e-2
     iterations: int = 500
     satisfaction_margin: float = 0.1    # hinge target on smooth robustness
     smoothness_weight: float = 1e-2
-    tau: float = 1e-2
-    samples_per_edge: int = 16
-    sigmoid_scale: float = 50.0
+    smoothing: SmoothingConfig = SmoothingConfig()
 
     def __post_init__(self):
         if self.iterations < 1:
             raise OptimizationError("iterations must be >= 1")
-        if self.samples_per_edge < 1:
-            raise OptimizationError(f"samples_per_edge must be >= 1, got {self.samples_per_edge}")
-        for name in ("step_size", "tau", "sigmoid_scale"):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and v > 0.0):
-                raise OptimizationError(f"{name} must be positive and finite, got {v}")
+        if not (math.isfinite(self.step_size) and self.step_size > 0.0):
+            raise OptimizationError(f"step_size must be positive and finite, got {self.step_size}")
         for name in ("smoothness_weight", "satisfaction_margin"):
             v = getattr(self, name)
             if not (math.isfinite(v) and v >= 0.0):
@@ -113,7 +109,6 @@ class TraceRow:
     robustness_smooth: float
     robustness_exact: float
     gradient_norm: float
-    tau: float
 
 
 @dataclass
@@ -225,8 +220,6 @@ def optimize(problem: Problem, cfg: OptimizerConfig = OptimizerConfig(), *,
 
     iterations_run = 0
     exact = None
-    scfg = SmoothingConfig(tau=cfg.tau, samples_per_edge=cfg.samples_per_edge,
-                           sigmoid_scale=cfg.sigmoid_scale)
     for it in range(cfg.iterations):
         iterations_run = it + 1
         if it in snap_at:
@@ -249,7 +242,7 @@ def optimize(problem: Problem, cfg: OptimizerConfig = OptimizerConfig(), *,
             exact_error = exc
 
         # a failed exact pass leaves its table partial, and bounds nothing
-        res = eval_smooth(problem.formula, traj, cfg=scfg,
+        res = eval_smooth(problem.formula, traj, cfg=cfg.smoothing,
                           exact=exact if exact_error is None else None)
         rho_node: Scalar = res.node if res.node is not None else res.value
         hinge = ad.relu(cfg.satisfaction_margin - rho_node)
@@ -269,7 +262,7 @@ def optimize(problem: Problem, cfg: OptimizerConfig = OptimizerConfig(), *,
         gsq = math.fsum(g * g for g in grad)
         gnorm = math.sqrt(gsq)
 
-        trace.append(TraceRow(it, loss_val, res.value, rho_exact, gnorm, cfg.tau))
+        trace.append(TraceRow(it, loss_val, res.value, rho_exact, gnorm))
 
         if rho_exact > best_exact:
             best_exact = rho_exact

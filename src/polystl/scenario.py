@@ -20,10 +20,9 @@ from . import __version__
 from .autodiff import wrap_angle
 from .exactgeo import GeometryError
 from .formulas import Formula, FormulaError, Trajectory, parse
-from .geometry import ConvexPolygon, PolygonTemplate
+from .geometry import ConvexPolygon, PolygonTemplate, SmoothingConfig
 from .mining import DemonstrationSet, LearnedMargin, MiningError, Phase, RetainedFormula
-from .optimize import (Movable, OptimizationError, OptimizerConfig, PoseTriple, Problem,
-                       TraceRow)
+from .optimize import Movable, OptimizerConfig, PoseTriple, Problem, TraceRow
 from .predicates import AxisAlignedBox3, Scene, SceneError, SceneObject
 
 
@@ -55,13 +54,16 @@ def _objects(meta: dict, key: str, where: str) -> list[dict]:
 
 
 def _finite_floats(cells, where: str) -> tuple[float, ...]:
-    """Floats of ``cells``; a cell that is not a number, NaN or infinity is
-    an input error at ``where`` (JSON and ``float()`` both accept the last
-    two)."""
+    """Floats of ``cells``; a cell that is not a number, an integer too
+    large for a float, NaN or infinity is an input error at ``where`` (JSON
+    and ``float()`` both accept the last two)."""
     try:
         values = tuple(float(c) for c in cells)
     except ValueError:
         raise ScenarioFileError(f"{where}: not a number in {list(cells)}") from None
+    except OverflowError:   # an integer beyond the float range
+        raise ScenarioFileError(
+            f"{where}: number too large for a float in {list(cells)}") from None
     if not all(math.isfinite(v) for v in values):
         raise ScenarioFileError(f"{where}: non-finite number in {list(cells)}")
     return values
@@ -146,23 +148,30 @@ class Scenario:
 # what an optimizer override must be, by the type of the field's default
 _OVERRIDE_TYPES = {
     int: ("an integer", _is_integer),
-    float: ("a number", _is_number),   # OptimizerConfig checks the range
+    float: ("a number", _is_number),   # the configs check the range
 }
 
 
 def _optimizer_from_overrides(raw: dict, where: str) -> OptimizerConfig:
+    """The flat ``optimizer`` block: the keys named by ``SmoothingConfig``'s
+    fields fill ``OptimizerConfig.smoothing``, the others the descent."""
     if not isinstance(raw, dict):
         raise ScenarioFileError(f"{where}: optimizer must be an object")
-    defaults = {f.name: f.default for f in dc_fields(OptimizerConfig)}
+    smoothing = {f.name: f.default for f in dc_fields(SmoothingConfig)}
+    descent = {f.name: f.default for f in dc_fields(OptimizerConfig) if f.name != "smoothing"}
     for k, v in raw.items():
-        if k not in defaults:
+        target = smoothing if k in smoothing else descent
+        if k not in target:
             raise ScenarioFileError(f"{where}: unknown optimizer key {k!r}")
-        what, ok = _OVERRIDE_TYPES[type(defaults[k])]
+        what, ok = _OVERRIDE_TYPES[type(target[k])]
         if not ok(v):
             raise ScenarioFileError(f"{where}: optimizer key {k!r} must be {what}, got {v!r}")
+        if isinstance(target[k], float):   # NaN, infinities and integers past float range
+            _finite_floats([v], f"{where}: optimizer key {k!r}")
+        target[k] = v
     try:
-        return OptimizerConfig(**raw)
-    except OptimizationError as exc:
+        return OptimizerConfig(**descent, smoothing=SmoothingConfig(**smoothing))
+    except ValueError as exc:
         raise ScenarioFileError(f"{where}: optimizer: {exc}") from None
 
 
@@ -317,7 +326,7 @@ def read_trajectory_csv(path: str, expected_objects: Sequence[str],
 
 # -- optimization trace CSV ---------------------------------------------------------
 
-TRACE_HEADER = ["iteration", "loss", "rho_smooth", "rho_exact", "grad_norm", "tau"]
+TRACE_HEADER = ["iteration", "loss", "rho_smooth", "rho_exact", "grad_norm"]
 
 
 def write_trace_csv(path: str, trace: Sequence[TraceRow]) -> None:
@@ -326,7 +335,7 @@ def write_trace_csv(path: str, trace: Sequence[TraceRow]) -> None:
         w.writerow(TRACE_HEADER)
         for row in trace:
             w.writerow([row.iteration, fmt(row.loss), fmt(row.robustness_smooth),
-                        fmt(row.robustness_exact), fmt(row.gradient_norm), fmt(row.tau)])
+                        fmt(row.robustness_exact), fmt(row.gradient_norm)])
 
 
 # -- accuracy CSV -------------------------------------------------------------------

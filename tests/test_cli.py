@@ -204,11 +204,8 @@ class TestOptimize:
               "--iterations", "3"])
         with open(tmp_path / "trace.csv", newline="") as fh:
             rows = list(csv.reader(fh))
-        assert rows[0] == ["iteration", "loss", "rho_smooth", "rho_exact",
-                           "grad_norm", "tau"]
+        assert rows[0] == ["iteration", "loss", "rho_smooth", "rho_exact", "grad_norm"]
         assert len(rows) == 4   # header + one row per iteration
-        # every row is at the scenario's temperature
-        assert [float(r[5]) for r in rows[1:]] == [0.005] * 3
 
     def test_unsatisfied_run_exits_1(self, tmp_path, capsys):
         rc = main(["optimize", scenario_path("corridor"), "--out-dir",
@@ -241,6 +238,26 @@ class TestOptimize:
         assert doc["config"]["iterations"] == 3
         assert "trajectory.csv" in doc["outputs"]
         assert len(doc["outputs"]["trajectory.csv"]) == 64
+
+    @pytest.mark.parametrize("flags, smoothing", [
+        ([], {"tau": 0.02, "samples_per_edge": 4, "sigmoid_scale": 40.0}),
+        (["--tau", "0.03", "--samples", "2"],
+         {"tau": 0.03, "samples_per_edge": 2, "sigmoid_scale": 40.0})],
+        ids=["scenario", "flags"])
+    def test_smoothing_settings_reach_the_nested_manifest_config(self, tmp_path, flags,
+                                                                 smoothing):
+        # the scenario's flat smoothing keys and the --tau/--samples flags
+        # both land in the config's smoothing block, next to the descent keys
+        with open(scenario_path("free_space")) as fh:
+            doc = json.load(fh)
+        doc["optimizer"] = {"iterations": 2, "tau": 0.02, "samples_per_edge": 4,
+                            "sigmoid_scale": 40}
+        path = tmp_path / "scn.json"
+        path.write_text(json.dumps(doc))
+        main(["optimize", str(path), "--out-dir", str(tmp_path / "out")] + flags)
+        config = json.load(open(tmp_path / "out" / "manifest.json"))["config"]
+        assert config == {"step_size": 0.05, "iterations": 2, "satisfaction_margin": 0.1,
+                          "smoothness_weight": 0.01, "smoothing": smoothing}
 
     def test_rerun_byte_identical(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -330,7 +347,22 @@ MALFORMED = {
         "optimizer: smoothness_weight must be finite and >= 0, got -5"),
     "optimizer_satisfaction_margin_nan": (
         _set(["optimizer", "satisfaction_margin"], float("nan")),
-        "optimizer: satisfaction_margin must be finite and >= 0, got nan"),
+        "optimizer key 'satisfaction_margin': non-finite number in [nan]"),
+    # an integer too large for a float is an input error wherever it sits
+    "huge_integer_start": (_set(["objects", 0, "start", 0], 10 ** 400),
+                           f"object 'ee': start: number too large for a float in "
+                           f"[{10 ** 400}, 2.0, 0.0]"),
+    "huge_integer_vertex": (_set(["objects", 2, "shape", "vertices", 0, 1], 10 ** 400),
+                            f"vertices[0]: number too large for a float in "
+                            f"[2.5, {10 ** 400}]"),
+    "huge_integer_static_heading": (_set(["objects", 2, "heading"], [10 ** 400, 0]),
+                                    f"object 'obs': heading: number too large for a float "
+                                    f"in [{10 ** 400}, 0]"),
+    "huge_integer_smoothness_weight": (
+        _set(["optimizer", "smoothness_weight"], 10 ** 400),
+        f"optimizer key 'smoothness_weight': number too large for a float in [{10 ** 400}]"),
+    "huge_integer_tau": (_set(["optimizer", "tau"], 10 ** 400),
+                         f"optimizer key 'tau': number too large for a float in [{10 ** 400}]"),
 }
 
 

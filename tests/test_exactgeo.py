@@ -57,14 +57,6 @@ def test_validate_returns_near_collinear_corners():
     assert xg.validate_convex_ccw([(0, 0), (1, 0), (2, 0), (2, 2), (0, 2)]) == [1]
 
 
-def test_inward_normals_unit_square():
-    normals = xg.inward_edge_normals(UNIT_SQUARE)
-    assert normals[0] == pytest.approx((0.0, 1.0))   # bottom edge
-    assert normals[1] == pytest.approx((-1.0, 0.0))  # right edge
-    assert normals[2] == pytest.approx((0.0, -1.0))  # top edge
-    assert normals[3] == pytest.approx((1.0, 0.0))   # left edge
-
-
 def test_centroid_is_vertex_mean():
     assert xg.centroid(UNIT_SQUARE) == pytest.approx((0.5, 0.5))
 

@@ -291,6 +291,11 @@ def test_smooth_eventually_bounds_exact():
     assert smooth <= exact + cfg.tau * math.log(3.0) + atom_slack
 
 
+def _budget(formula, traj, tau, t=0):
+    """smoothing_budget over a fresh smooth evaluator at ``tau``."""
+    return smoothing_budget(formula, Evaluator(traj, True, SmoothingConfig(tau=tau)), t)
+
+
 def test_smooth_always_within_budget_for_directional_formula():
     # Box atoms have exact extremes, so the only smooth/exact gap is the
     # temporal lse; smoothing_budget must cover it.
@@ -306,7 +311,7 @@ def test_smooth_always_within_budget_for_directional_formula():
     cfg = SmoothingConfig(tau=0.05)
     exact = eval_exact(f, traj).value
     smooth = eval_smooth(f, traj, cfg=cfg).value
-    budget = smoothing_budget(f, traj, cfg.tau)
+    budget = _budget(f, traj, cfg.tau)
     assert budget == pytest.approx(0.05 * math.log(4.0))
     assert abs(smooth - exact) <= budget + 1e-12
 
@@ -315,7 +320,7 @@ def test_smoothing_budget_directional_polygons():
     traj = Trajectory([pair_scene(3.0)])
     f = Atom(PredicateKind.LEFT_OF, ("a", "b"),
              PredicateParams.for_kind(PredicateKind.LEFT_OF, [0.1]))
-    budget = smoothing_budget(f, traj, 0.01)
+    budget = _budget(f, traj, 0.01)
     # two squares, four vertices each
     assert budget == pytest.approx(0.01 * 2 * math.log(4.0))
     exact = eval_exact(f, traj).value
@@ -325,7 +330,7 @@ def test_smoothing_budget_directional_polygons():
 
 def test_smoothing_budget_none_for_sampled_atoms():
     traj = traj_with_values([1.0])
-    assert smoothing_budget(close_to("a", "b", 4.0), traj, 0.01) is None
+    assert _budget(close_to("a", "b", 4.0), traj, 0.01) is None
 
 
 def test_smooth_matches_exact_as_tau_shrinks():
@@ -987,7 +992,7 @@ def test_memoized_budget_matches_the_plain_recursion():
             f = random_formula(rng, 4, pairs=(("a", "b"), ("a", "c")), kinds=kinds)
             until = "U[" in to_text(f)
             for t in range(traj.horizon + 1):
-                got = _budget_or_error(smoothing_budget, f, traj, t)
+                got = _budget_or_error(_budget, f, traj, t)
                 old = _budget_or_error(_plain_smoothing_budget, f, traj, t)
                 seen.add(got if got in (None, FormulaError) else type(got))
                 if until and isinstance(old, float):
@@ -1011,7 +1016,7 @@ def test_until_budget_composes_each_release_step():
     f = Until(0, 1, held, Eventually(0, 3, left_of))
     tau = 0.01
     p = tau * 2.0 * math.log(4.0)
-    assert smoothing_budget(f, traj, tau) == pytest.approx(p + tau * math.log(18.0))
+    assert _budget(f, traj, tau) == pytest.approx(p + tau * math.log(18.0))
     assert _plain_smoothing_budget(f, traj, tau) == pytest.approx(p + tau * math.log(24.0))
 
 
@@ -1032,7 +1037,7 @@ def test_budget_takes_linear_time_under_nested_windows(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(formulas, "_window", counting)
-    budget = smoothing_budget(f, traj, 0.01)
+    budget = _budget(f, traj, 0.01)
     assert len(windows) <= depth * (depth + 1)
     # every level but the innermost sees two steps; the atom adds two soft extremes
     assert budget == pytest.approx(0.01 * (depth * math.log(2.0) + 2.0 * math.log(4.0)))
@@ -1048,7 +1053,7 @@ def test_between_budget_covers_the_mid_to_c_clause():
     f = Atom(PredicateKind.BETWEEN_PX, ("a", "mid", "c"),
              PredicateParams.for_kind(PredicateKind.BETWEEN_PX, [0.1]))
     gap = abs(eval_smooth(f, traj, cfg=SmoothingConfig(tau=0.1)).value - eval_exact(f, traj).value)
-    budget = smoothing_budget(f, traj, 0.1)
+    budget = _budget(f, traj, 0.1)
     assert gap == pytest.approx(0.650, abs=1e-3)
     assert budget == pytest.approx(0.1 * (math.log(2.0) + 2.0 * math.log(40.0)))
     assert gap <= budget
@@ -1083,7 +1088,7 @@ def test_smooth_stays_within_the_budget(tau):
             f = random_formula(rng, 3, pairs=groups, kinds=kinds)
             for t in range(traj.horizon + 1):
                 try:
-                    budget = smoothing_budget(f, traj, tau, t)
+                    budget = smoothing_budget(f, smooth, t)
                 except FormulaError:   # a window fell off the horizon
                     continue
                 gap = abs(smooth.eval(f, t) - exact.eval(f, t))
@@ -1111,10 +1116,8 @@ def test_budget_reads_the_gaps_of_the_smooth_pass(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(formulas, "smooth_gaps", counting)
-    assert smoothing_budget(f, traj, 0.01, smooth=smooth) == smoothing_budget(f, traj, 0.01)
+    assert smoothing_budget(f, smooth) == _budget(f, traj, 0.01)
     assert len(calls) == 4   # all from the budget with no smooth pass behind it
-    for other in (Evaluator(traj, smooth=False), Evaluator(traj, True, SmoothingConfig(tau=0.02)),
-                  Evaluator(traj_with_values([1.0, 3.0, -2.0, 0.5]), True,
-                            SmoothingConfig(tau=0.01))):
-        with pytest.raises(FormulaError, match="smoothing_budget: the evaluator"):
-            smoothing_budget(f, traj, 0.01, smooth=other)
+    # the budget bounds a smooth value; an exact evaluator has none
+    with pytest.raises(FormulaError, match="smoothing_budget: the evaluator must be smooth"):
+        smoothing_budget(f, Evaluator(traj, smooth=False))

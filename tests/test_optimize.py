@@ -83,11 +83,18 @@ def test_config_validation():
         OptimizerConfig(iterations=0)
     with pytest.raises(OptimizationError):
         OptimizerConfig(step_size=-1.0)
-    for field in ("step_size", "tau", "sigmoid_scale"):
-        for bad in (math.nan, math.inf, 0.0):
-            with pytest.raises(OptimizationError,
-                               match=f"^{field} must be positive and finite, got {bad}$"):
-                OptimizerConfig(**{field: bad})
+    for bad in (math.nan, math.inf, 0.0):
+        with pytest.raises(OptimizationError,
+                           match=f"^step_size must be positive and finite, got {bad}$"):
+            OptimizerConfig(step_size=bad)
+
+
+def test_config_shares_no_field_with_smoothing_config():
+    # the smoothing settings have one home: OptimizerConfig holds them
+    optimizer = {f.name for f in dataclasses.fields(OptimizerConfig)}
+    smoothing = {f.name for f in dataclasses.fields(SmoothingConfig)}
+    assert optimizer.isdisjoint(smoothing)
+    assert OptimizerConfig().smoothing == SmoothingConfig()
 
 
 # -- penalties -------------------------------------------------------------------
@@ -147,7 +154,7 @@ def test_already_satisfying_returns_immediately():
     prob = Problem(parse("G[0,2] closeTo(ee, goal; 3)"),
                    [static_square("goal", 1.5, 0.0, 0.5)],
                    [Movable("ee", square_template(0.2), line_poses(3))])
-    cfg = OptimizerConfig(iterations=50, samples_per_edge=8)
+    cfg = OptimizerConfig(iterations=50, smoothing=SmoothingConfig(samples_per_edge=8))
     res = optimize(prob, cfg)
     assert res.reached_margin
     assert res.iterations_run == 1
@@ -157,7 +164,7 @@ def test_already_satisfying_returns_immediately():
 
 def test_reach_repair_with_plain_descent():
     prob = reach_problem()
-    cfg = OptimizerConfig(iterations=250, samples_per_edge=8)
+    cfg = OptimizerConfig(iterations=250, smoothing=SmoothingConfig(samples_per_edge=8))
     res = optimize(prob, cfg)
     assert res.success, f"exact robustness stayed at {res.robustness_exact}"
     assert res.robustness_exact > 0.0
@@ -166,7 +173,7 @@ def test_reach_repair_with_plain_descent():
     assert res.poses["ee"][0] == (0.0, 0.0, 0.0)
     # trace rows are well formed
     row = res.trace[0]
-    assert row.iteration == 0 and row.tau == cfg.tau
+    assert row.iteration == 0
     assert all(math.isfinite(r.loss) for r in res.trace)
 
 
@@ -175,7 +182,8 @@ def test_reach_repair_takes_capped_polyak_steps():
     # loss / |g|^2 clamped to [step_size, POLYAK_CAP * step_size]; at
     # step_size 0.1 the run meets both ends of the clamp
     prob = reach_problem()
-    cfg = OptimizerConfig(iterations=250, samples_per_edge=8, step_size=0.1)
+    cfg = OptimizerConfig(iterations=250, step_size=0.1,
+                          smoothing=SmoothingConfig(samples_per_edge=8))
     res = optimize(prob, cfg, snapshot_iterations=range(250))
     assert res.success and res.iterations_run < 10
     flat = [[c for pose in res.snapshots[it]["ee"][1:] for c in pose]
@@ -191,7 +199,7 @@ def test_reach_repair_takes_capped_polyak_steps():
 
 def test_result_reports_best_iterate():
     prob = reach_problem()
-    cfg = OptimizerConfig(iterations=120, samples_per_edge=8)
+    cfg = OptimizerConfig(iterations=120, smoothing=SmoothingConfig(samples_per_edge=8))
     res = optimize(prob, cfg)
     best = max(r.robustness_exact for r in res.trace)
     # returned robustness can exceed the trace maximum only if the final
@@ -201,7 +209,7 @@ def test_result_reports_best_iterate():
 
 def test_reruns_are_deterministic():
     prob = reach_problem()
-    cfg = OptimizerConfig(iterations=40, samples_per_edge=8)
+    cfg = OptimizerConfig(iterations=40, smoothing=SmoothingConfig(samples_per_edge=8))
     a = optimize(prob, cfg)
     b = optimize(reach_problem(), cfg)
     assert [(r.loss, r.robustness_smooth, r.robustness_exact, r.gradient_norm)
@@ -217,28 +225,27 @@ def test_zero_gradient_ends_the_run():
     prob = Problem(parse("closeTo(g1, g2; 1)"),
                    [static_square("g1", 0, 0, 0.5), static_square("g2", 4, 0, 0.5)],
                    [Movable("ee", square_template(0.2), line_poses(3))])
-    res = optimize(prob, OptimizerConfig(iterations=15, samples_per_edge=4))
+    res = optimize(prob, OptimizerConfig(iterations=15,
+                                         smoothing=SmoothingConfig(samples_per_edge=4)))
     assert res.iterations_run == 1
     assert not res.success  # robustness is fixed and negative
     assert [r.gradient_norm for r in res.trace] == [0.0]
 
 
-def evaluate_poses(problem, poses, tau, cfg):
+def evaluate_poses(problem, poses, cfg):
     """(smooth, exact) robustness of the formula at the given float poses."""
     traj = build_trajectory(problem, poses)
-    scfg = SmoothingConfig(tau=tau, samples_per_edge=cfg.samples_per_edge,
-                           sigmoid_scale=cfg.sigmoid_scale)
-    smooth = eval_smooth(problem.formula, traj, cfg=scfg).value
+    smooth = eval_smooth(problem.formula, traj, cfg=cfg.smoothing).value
     exact = eval_exact(problem.formula, traj).value
     return smooth, exact
 
 
 def test_evaluate_poses_matches_trace_head():
     prob = reach_problem()
-    cfg = OptimizerConfig(iterations=1, samples_per_edge=8)
+    cfg = OptimizerConfig(iterations=1, smoothing=SmoothingConfig(samples_per_edge=8))
     res = optimize(prob, cfg)
     poses = {"ee": [(0.01 * t, 0.0, 0.0) for t in range(5)]}
-    smooth, exact = evaluate_poses(prob, poses, cfg.tau, cfg)
+    smooth, exact = evaluate_poses(prob, poses, cfg)
     assert smooth == pytest.approx(res.trace[0].robustness_smooth, abs=1e-12)
     assert exact == pytest.approx(res.trace[0].robustness_exact, abs=1e-12)
 
@@ -254,7 +261,7 @@ def test_directional_objective_moves_the_box_world():
         movables=[Movable("ee", square_template(0.2),
                           [(1.0 + 0.01 * t, 0.0, 0.0) for t in range(4)])],
     )
-    cfg = OptimizerConfig(iterations=300, samples_per_edge=4)
+    cfg = OptimizerConfig(iterations=300, smoothing=SmoothingConfig(samples_per_edge=4))
     res = optimize(prob, cfg)
     assert res.success
     xs = [p[0] for p in res.poses["ee"]]
@@ -334,7 +341,8 @@ def test_non_finite_loss_is_reported_after_the_exact_pass(monkeypatch, bad):
 
     monkeypatch.setattr(opt, "eval_smooth", bad_at_third)
     with pytest.raises(OptimizationError, match="non-finite loss at iteration 2"):
-        optimize(reach_problem(), OptimizerConfig(iterations=10, samples_per_edge=4))
+        optimize(reach_problem(),
+                 OptimizerConfig(iterations=10, smoothing=SmoothingConfig(samples_per_edge=4)))
     assert len(partners) == 3
     assert all(isinstance(e, Evaluator) and not e.smooth for e in partners)
 

@@ -6,6 +6,7 @@ import os
 
 import pytest
 
+from polystl.geometry import SmoothingConfig
 from polystl.mining import make_demo_set
 from polystl.optimize import TraceRow
 from polystl.scenario import (ScenarioFileError, accuracy_summary, fmt,
@@ -77,9 +78,14 @@ class TestScenarioSchema:
             scenario_from_dict(doc(optimizer={"stepsize": 0.1}))
 
     def test_optimizer_overrides_apply(self):
-        scn = scenario_from_dict(doc(optimizer={"iterations": 7, "tau": 0.005}))
+        # the optimizer block stays flat; SmoothingConfig's fields go to its smoothing
+        scn = scenario_from_dict(doc(optimizer={"iterations": 7, "tau": 0.005,
+                                                "samples_per_edge": 4, "sigmoid_scale": 40}))
         assert scn.optimizer.iterations == 7
-        assert scn.optimizer.tau == 0.005
+        assert scn.optimizer.smoothing == SmoothingConfig(tau=0.005, samples_per_edge=4,
+                                                          sigmoid_scale=40.0)
+        with pytest.raises(ScenarioFileError, match="unknown optimizer key 'smoothing'"):
+            scenario_from_dict(doc(optimizer={"smoothing": {"tau": 0.02}}))
 
     def test_bad_formula_rejected_with_location(self):
         with pytest.raises(ScenarioFileError, match="does not parse"):
@@ -175,13 +181,13 @@ class TestCsvRoundTrips:
             read_trajectory_csv(path, ["ee"], horizon=0)
 
     def test_trace_header_and_precision(self, tmp_path):
-        rows = [TraceRow(0, 1 / 3, -0.25, -0.3, 1e-8, 0.01)]
+        rows = [TraceRow(0, 1 / 3, -0.25, -0.3, 1e-8)]
         path = str(tmp_path / "trace.csv")
         write_trace_csv(path, rows)
         lines = open(path).read().strip().splitlines()
-        assert lines[0] == "iteration,loss,rho_smooth,rho_exact,grad_norm,tau"
+        assert lines[0] == "iteration,loss,rho_smooth,rho_exact,grad_norm"
         assert float(lines[1].split(",")[1]) == 1 / 3
-        assert float(lines[1].split(",")[5]) == 0.01
+        assert float(lines[1].split(",")[4]) == 1e-8
 
     def test_accuracy_summary_groups_and_sorts(self):
         rows = [(0, 1e-3, 32, "distance", 1.0, 1.01),
