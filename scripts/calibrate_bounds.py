@@ -26,15 +26,15 @@ TAU, SAMPLES = 1e-3, 32
 
 def main():
     n_pairs = int(sys.argv[1]) if len(sys.argv) > 1 else 300
+    cfg = SmoothingConfig(tau=TAU, samples_per_edge=SAMPLES)
     observed = dict.fromkeys(QUANTITIES, 0.0)
     for index in range(n_pairs):
         va, vb = pair_for_index(seed=0, index=index)
-        for _, _, quantity, exact, smooth in pair_quantities(va, vb, [(TAU, SAMPLES)]):
+        for _, _, quantity, exact, smooth in pair_quantities(va, vb, [cfg]):
             observed[quantity] = max(observed[quantity], abs(smooth - exact))
 
     big = ConvexPolygon([(3.0 * math.cos(2 * math.pi * k / 10),
                           3.0 * math.sin(2 * math.pi * k / 10)) for k in range(10)])
-    cfg = SmoothingConfig(tau=TAU, samples_per_edge=SAMPLES)
     clearance = clearance_error_budget(big, big, cfg)
     budgets = {
         "distance": clearance,   # the positive part of the clearance

@@ -42,31 +42,28 @@ FROZEN_BOUNDS = {
 SIGN_AGREEMENT_GATE = 0.05  # |exact| above this must match smooth in sign
 
 
-def pair_quantities(va: list, vb: list, settings: Sequence[tuple[float, int]]) -> list[tuple]:
+def pair_quantities(va: list, vb: list, settings: Sequence[SmoothingConfig]) -> list[tuple]:
     """(tau, samples, quantity, exact, smooth) for one polygon pair given as
-    float vertices, at each (tau, samples) of ``settings`` in turn. The
-    polygons and the exact values are computed once for all of them, and
-    the pair kernel once per setting."""
+    float vertices, at each setting of ``settings`` in turn. The polygons
+    and the exact values are computed once for all of them, and the pair
+    kernel once per setting."""
     pa, pb = ConvexPolygon(va), ConvexPolygon(vb)
     scene = Scene([SceneObject("a", pa), SceneObject("b", pb)])
     params = PredicateParams.for_kind(PredicateKind.ENCL_IN, [ENCLOSURE_DELTA])
     exact = (xg.exact_distance(va, vb), xg.exact_clearance(va, vb), xg.exact_penetration(va, vb),
              atom_robustness(scene, PredicateKind.ENCL_IN, ("a", "b"), params, smooth=False))
     out = []
-    for tau, samples in settings:
-        cfg = SmoothingConfig(tau=tau, samples_per_edge=samples)
+    for cfg in settings:
         clr, m_in = clearance_parts(pa, pb, cfg)
         smooth = (max(0.0, clr), clr, max(0.0, m_in),
                   atom_robustness(scene, PredicateKind.ENCL_IN, ("a", "b"), params,
                                   smooth=True, cfg=cfg))
-        out.extend((tau, samples, q, float(e), float(v))
+        out.extend((cfg.tau, cfg.samples_per_edge, q, float(e), float(v))
                    for q, e, v in zip(QUANTITIES, exact, smooth))
     return out
 
 
-def _rows_for_pair(index: int, seed: int, taus: Sequence[float],
-                   samples_list: Sequence[int]) -> list[tuple]:
-    settings = [(tau, samples) for tau in taus for samples in samples_list]
+def _rows_for_pair(index: int, seed: int, settings: Sequence[SmoothingConfig]) -> list[tuple]:
     return [(index, *row) for row in pair_quantities(*pair_for_index(seed, index), settings)]
 
 
@@ -79,11 +76,10 @@ def run_sweep(n_pairs: int, taus: Sequence[float], samples_list: Sequence[int],
         for i, v in enumerate(values):
             if v in values[:i]:
                 raise ValueError(f"{name} {v:g} is given more than once")
-    for tau in taus:    # reject every bad entry, even when no pair would use it
-        for samples in samples_list:
-            SmoothingConfig(tau=tau, samples_per_edge=samples)
-    return [row for i in range(n_pairs)
-            for row in _rows_for_pair(i, seed, taus, samples_list)]
+    # built, and so checked, before any pair: a bad entry no pair uses still fails
+    settings = [SmoothingConfig(tau=tau, samples_per_edge=samples)
+                for tau in taus for samples in samples_list]
+    return [row for i in range(n_pairs) for row in _rows_for_pair(i, seed, settings)]
 
 
 def max_errors(rows: Sequence[tuple]) -> dict[tuple, float]:

@@ -16,7 +16,7 @@ from . import __version__
 from . import scenario as sio
 from .accuracy import run_sweep
 from .formulas import Evaluator, FormulaError, satisfies, smoothing_budget
-from .geometry import (DEFAULT_SAMPLES_PER_EDGE, DEFAULT_TAU, SmoothingConfig)
+from .geometry import SmoothingConfig
 from .mining import check_retention, make_demo_set, mine
 from .optimize import build_trajectory, optimize
 from .render import write_frames
@@ -36,6 +36,13 @@ def _ensure_out(args) -> str:
     return args.out_dir
 
 
+def _smoothing(scn: sio.Scenario, args) -> SmoothingConfig:
+    """The scenario's smoothing settings, with ``--tau``/``--samples`` where given."""
+    overrides = {"tau": args.tau, "samples_per_edge": args.samples}
+    return dataclasses.replace(scn.optimizer.smoothing,
+                               **{k: v for k, v in overrides.items() if v is not None})
+
+
 # -- eval -----------------------------------------------------------------------
 
 
@@ -48,7 +55,7 @@ def cmd_eval(args) -> int:
                                         scn.horizon)
     traj = build_trajectory(scn.problem, poses)
 
-    cfg = SmoothingConfig(tau=args.tau, samples_per_edge=args.samples)
+    cfg = _smoothing(scn, args)
     # one evaluator per mode: the breakdown re-anchors the formula on the
     # memoized step values of the t=0 evaluation, so it adds no atom calls;
     # the exact values also let smooth windows skip steps with no weight
@@ -62,11 +69,11 @@ def cmd_eval(args) -> int:
     print(f"formula:  {scn.formula_text}")
     print(f"robustness (exact):  {sio.fmt(exact.value)}")
     print(f"robustness (smooth): {sio.fmt(smooth.value)}"
-          f"  [tau={args.tau:g}, S={args.samples}]")
+          f"  [tau={cfg.tau:g}, S={cfg.samples_per_edge}]")
     budget = smoothing_budget(scn.formula, evaluators["smooth"])
     if budget is not None:
         gap = abs(smooth.value - exact.value)
-        print(f"smoothing budget (tau={args.tau:g}): {sio.fmt(budget)}"
+        print(f"smoothing budget (tau={cfg.tau:g}): {sio.fmt(budget)}"
               f"  observed gap: {sio.fmt(gap)}")
     if args.breakdown:
         print("per-step breakdown (formula re-anchored at each step):")
@@ -94,15 +101,9 @@ def cmd_optimize(args) -> int:
     if args.svg_every < 0:
         return _fail(f"--svg-every must be >= 0, got {args.svg_every}")
     scn = sio.load_scenario(args.scenario)
-    cfg = scn.optimizer
+    cfg = dataclasses.replace(scn.optimizer, smoothing=_smoothing(scn, args))
     if args.iterations is not None:
         cfg = dataclasses.replace(cfg, iterations=args.iterations)
-    smoothing = {}
-    if args.tau is not None:
-        smoothing["tau"] = args.tau
-    if args.samples is not None:
-        smoothing["samples_per_edge"] = args.samples
-    cfg = dataclasses.replace(cfg, smoothing=dataclasses.replace(cfg.smoothing, **smoothing))
 
     result = optimize(scn.problem, cfg,
                       snapshot_iterations=_checkpoints(cfg.iterations, args.svg_every))
@@ -138,19 +139,17 @@ def cmd_learn(args) -> int:
     if args.demos is None and args.synthetic < 1:
         return _fail(f"--synthetic must be >= 1, got {args.synthetic}")
     out = _ensure_out(args)
-    inputs = []
-    written = []
-    if args.demos is not None:
-        demo_dir = args.demos
-        inputs.append(os.path.join(args.demos, sio.DEMO_META_NAME))
-    else:
+    if args.demos is None:
         demo_dir = os.path.join(out, "demos")
-        written += sio.write_demo_dir(
+        written = sio.write_demo_dir(
             demo_dir, make_demo_set(seed=args.seed, n_demos=args.synthetic))
+    else:
+        demo_dir, written = args.demos, []
     # Mine the demos as persisted, not the in-memory set: centre/half round-trips
     # can move box corners by an ulp, and mining the on-disk artifact makes a
     # later run over the written demos reproduce this output byte for byte.
     demos = sio.read_demo_dir(demo_dir)
+    inputs = [] if args.demos is None else sio.demo_paths(demo_dir)
 
     result = mine(demos, base_kappa=args.kappa, keep_per_group=args.keep)
 
@@ -239,8 +238,8 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument("scenario")
     pe.add_argument("--trajectory", help="trajectory CSV overriding initial poses")
     pe.add_argument("--mode", choices=["exact", "smooth"], default="exact")
-    pe.add_argument("--tau", type=float, default=DEFAULT_TAU)
-    pe.add_argument("--samples", type=int, default=DEFAULT_SAMPLES_PER_EDGE)
+    pe.add_argument("--tau", type=float, help="smoothing temperature (default: the scenario's)")
+    pe.add_argument("--samples", type=int)
     pe.add_argument("--breakdown", action="store_true",
                     help="print per-step robustness of the outer window")
     pe.set_defaults(fn=cmd_eval)

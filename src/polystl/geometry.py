@@ -29,8 +29,7 @@ from .exactgeo import minkowski_difference, validate_convex_ccw
 ScalarPoint = tuple  # (Scalar, Scalar)
 
 DEFAULT_TAU = 1e-2
-DEFAULT_SAMPLES_PER_EDGE = 16
-DEFAULT_SIGMOID_SCALE = 50.0
+SIGMOID_SCALE = 50.0   # k, the signed distance's inside/outside blend: fixed, not a setting
 
 
 @dataclass(frozen=True)
@@ -42,17 +41,13 @@ class SmoothingConfig:
     tau: log-sum-exp temperature; smaller is sharper.
     samples_per_edge: kept for the command line and the accuracy CSV; no
         kernel samples the boundary any more, so it changes no value.
-    sigmoid_scale: inside/outside blending steepness for signed distance.
     """
     tau: float = DEFAULT_TAU
-    samples_per_edge: int = DEFAULT_SAMPLES_PER_EDGE
-    sigmoid_scale: float = DEFAULT_SIGMOID_SCALE
+    samples_per_edge: int = 16
 
     def __post_init__(self):
-        for name in ("tau", "sigmoid_scale"):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and v > 0.0):
-                raise ValueError(f"{name} must be positive and finite, got {v}")
+        if not (math.isfinite(self.tau) and self.tau > 0.0):
+            raise ValueError(f"tau must be positive and finite, got {self.tau}")
         if self.samples_per_edge < 1:
             raise ValueError(f"samples_per_edge must be >= 1, got {self.samples_per_edge}")
 
@@ -232,13 +227,13 @@ def _blend(px: float, py: float, pts: list[tuple[float, float]],
     m_in, w_in, s_in = ad.lse_parts(margins, tau, -1.0)
     offsets = _segment_offsets(px, py, pts, segs)
     m_out, w_out, s_out = ad.lse_parts([o[0] for o in offsets], tau, -1.0)
-    w = ad.sigmoid(cfg.sigmoid_scale * m_in)
+    w = ad.sigmoid(SIGMOID_SCALE * m_in)
     value = (1.0 - w) * m_out - w * m_in
     if not live:
         return value, m_in, None
 
     g_out = 1.0 - w
-    g_in = (-m_out - m_in) * (w * (1.0 - w)) * cfg.sigmoid_scale - w
+    g_in = (-m_out - m_in) * (w * (1.0 - w)) * SIGMOID_SCALE - w
     gp = [0.0, 0.0]
     gv = [0.0] * (2 * len(pts))
     for (k, l), edge, (nx, ny, length), wk in zip(faces, edges, normals, w_in):
@@ -358,7 +353,7 @@ def enclosure_error_budget(inner: ConvexPolygon, outer: ConvexPolygon,
     one more tau*log V on top.
     """
     return (cfg.tau * (math.log(len(inner)) + math.log(len(outer)))
-            + 2.0 / cfg.sigmoid_scale * _BLEND_SUP)
+            + 2.0 / SIGMOID_SCALE * _BLEND_SUP)
 
 
 def clearance_error_budget(A: ConvexPolygon, B: ConvexPolygon,
@@ -380,5 +375,5 @@ def clearance_error_budget(A: ConvexPolygon, B: ConvexPolygon,
     2/k sup u*sigmoid(-u) + 2 L_in above. The guarded square root adds at
     most sqrt(SQRT_GUARD). The clamped inside branch, the smooth push-out
     depth, lies within L_in of the exact one with no blend term."""
-    return (2.0 * cfg.tau * math.log(len(A) + len(B)) + 2.0 / cfg.sigmoid_scale * _BLEND_SUP
+    return (2.0 * cfg.tau * math.log(len(A) + len(B)) + 2.0 / SIGMOID_SCALE * _BLEND_SUP
             + math.sqrt(SQRT_GUARD))

@@ -307,6 +307,8 @@ def read_trajectory_csv(path: str, expected_objects: Sequence[str],
             if len(row) != 5:
                 raise ScenarioFileError(f"{path}:{lineno}: expected 5 columns")
             t = _step(row[0], f"{path}:{lineno}")
+            if not 0 <= t <= horizon:
+                raise ScenarioFileError(f"{path}:{lineno}: step {t} outside 0..{horizon}")
             name = row[1]
             if name not in rows:
                 raise ScenarioFileError(f"{path}:{lineno}: unknown object {name!r}")
@@ -431,6 +433,13 @@ def write_demo_dir(path: str, demos: DemonstrationSet) -> list[str]:
     return written
 
 
+def demo_paths(path: str) -> list[str]:
+    """A demo directory's meta.json, then its demo_*.csv files by name."""
+    return [os.path.join(path, DEMO_META_NAME)] + [
+        os.path.join(path, f) for f in sorted(os.listdir(path))
+        if f.startswith("demo_") and f.endswith(".csv")]
+
+
 def read_demo_dir(path: str) -> DemonstrationSet:
     meta_path = os.path.join(path, DEMO_META_NAME)
     if not os.path.exists(meta_path):
@@ -474,16 +483,14 @@ def read_demo_dir(path: str) -> DemonstrationSet:
         except MiningError as exc:
             raise ScenarioFileError(f"{meta_path}: {exc}") from None
 
-    demo_files = sorted(f for f in os.listdir(path)
-                        if f.startswith("demo_") and f.endswith(".csv"))
+    demo_files = demo_paths(path)[1:]
     if not demo_files:
         raise ScenarioFileError(f"{path}: no demo_*.csv files")
     subject = meta["subject"]
     if any(s.name == subject for s in statics):
         raise ScenarioFileError(f"{meta_path}: subject {subject!r} is also an obstacle name")
     trajectories = []
-    for fname in demo_files:
-        fpath = os.path.join(path, fname)
+    for fpath in demo_files:
         centers: dict[int, tuple[float, float, float]] = {}
         with open(fpath, newline="") as fh:
             r = csv.reader(fh)
@@ -498,6 +505,8 @@ def read_demo_dir(path: str) -> DemonstrationSet:
                 if t in centers:
                     raise ScenarioFileError(f"{fpath}:{lineno}: duplicate step {t}")
                 centers[t] = _finite_floats(row[2:], f"{fpath}:{lineno}")
+        if not centers:
+            raise ScenarioFileError(f"{fpath}: no rows after the header")
         horizon = max(centers)
         if sorted(centers) != list(range(horizon + 1)):
             raise ScenarioFileError(f"{fpath}: steps must cover 0..{horizon} without gaps")

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from polystl import autodiff as _autodiff
 from polystl import exactgeo as _exactgeo
 from polystl.autodiff import SQRT_GUARD, Scalar, lift, value_of
-from polystl.geometry import ConvexPolygon, ScalarPoint, SmoothingConfig
+from polystl.geometry import SIGMOID_SCALE, ConvexPolygon, ScalarPoint, SmoothingConfig
 
 
 def max2(a: Scalar, b: Scalar) -> Scalar:
@@ -134,7 +134,7 @@ def point_polygon_signed_distance(p: ScalarPoint, polygon: ConvexPolygon,
         margins.append((px - vx) * nx + (py - vy) * ny)
     m_in = ad.lse_min(margins, tau)
     m_out = ad.lse_min([point_segment_distance(p, a, b) for a, b in edges], tau)
-    w = ad.sigmoid(cfg.sigmoid_scale * m_in)
+    w = ad.sigmoid(SIGMOID_SCALE * m_in)
     return (1.0 - w) * m_out - w * m_in
 
 
@@ -160,7 +160,7 @@ def signed_clearance(A: ConvexPolygon, B: ConvexPolygon,
     segs = ([(pt[i][j], pt[(i + 1) % n][j]) for i in range(n) for j in range(m)]
             + [(pt[i][j], pt[i][(j + 1) % m]) for i in range(n) for j in range(m)])
     m_out = ad.lse_min([point_segment_distance((0.0, 0.0), a, b) for a, b in segs], tau)
-    w = ad.sigmoid(cfg.sigmoid_scale * m_in)
+    w = ad.sigmoid(SIGMOID_SCALE * m_in)
     return (1.0 - w) * m_out - w * m_in
 
 

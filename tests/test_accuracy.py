@@ -14,7 +14,8 @@ from polystl import geometry as geo
 from polystl.predicates import _corners_blunt
 from polystl.randgeom import pair_for_index
 
-SETTINGS = [(1e-1, 4), (1e-2, 16), (1e-3, 32), (1e-3, 64)]
+SETTINGS = [geo.SmoothingConfig(tau=tau, samples_per_edge=samples)
+            for tau, samples in [(1e-1, 4), (1e-2, 16), (1e-3, 32), (1e-3, 64)]]
 
 
 def test_each_kernel_runs_once_per_pair_and_setting(monkeypatch):
@@ -34,6 +35,19 @@ def test_each_kernel_runs_once_per_pair_and_setting(monkeypatch):
     assert calls == {"clearance": 12}
 
 
+def test_each_setting_is_built_once_per_sweep(monkeypatch):
+    built = []
+
+    def counted(**kwargs):
+        built.append(kwargs)
+        return geo.SmoothingConfig(**kwargs)
+
+    monkeypatch.setattr(accuracy, "SmoothingConfig", counted)
+    rows = accuracy.run_sweep(3, (1e-2, 1e-3), (4, 16), seed=0)
+    assert built == [{"tau": tau, "samples_per_edge": s} for tau in (1e-2, 1e-3) for s in (4, 16)]
+    assert {(tau, s) for _, tau, s, *_ in rows} == {(1e-2, 4), (1e-2, 16), (1e-3, 4), (1e-3, 16)}
+
+
 @pytest.mark.parametrize("index", range(8))
 def test_smooth_clearance_is_signed_clearance_bit_for_bit(index):
     va, vb = pair_for_index(5, index)
@@ -41,9 +55,9 @@ def test_smooth_clearance_is_signed_clearance_bit_for_bit(index):
     rows = accuracy.pair_quantities(va, vb, SETTINGS)
     clearance = [(tau, samples, smooth) for tau, samples, q, _, smooth in rows
                  if q == "clearance"]
-    assert [(tau, samples) for tau, samples, _ in clearance] == SETTINGS
-    for tau, samples, smooth in clearance:
-        cfg = geo.SmoothingConfig(tau=tau, samples_per_edge=samples)
+    assert [(tau, samples) for tau, samples, _ in clearance] == [
+        (cfg.tau, cfg.samples_per_edge) for cfg in SETTINGS]
+    for cfg, (_, _, smooth) in zip(SETTINGS, clearance):
         assert smooth == geo.signed_clearance(pa, pb, cfg)
 
 

@@ -23,7 +23,8 @@ from polystl.geometry import SmoothingConfig
 from polystl.mining import make_demo_set
 from polystl.optimize import build_trajectory
 from polystl.render import render_frame
-from polystl.scenario import fmt, load_scenario, write_demo_dir, write_trajectory_csv
+from polystl.scenario import (fmt, load_scenario, sha256_file, write_demo_dir,
+                              write_trajectory_csv)
 
 HERE = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SCENARIOS = os.path.join(HERE, "scenarios")
@@ -187,6 +188,30 @@ class TestEval:
         assert rc == 0
         assert "SATISFIED" in out
 
+    @pytest.mark.parametrize("name", ["corridor", "free_space", "single_obstacle"])
+    def test_reads_the_scenario_smoothing_like_optimize(self, tmp_path, capsys, name):
+        # both commands take their smoothing settings from the scenario, so
+        # eval on optimize's best iterate prints optimize's smooth value
+        main(["optimize", scenario_path(name), "--iterations", "20",
+              "--out-dir", str(tmp_path)])
+        best = capsys.readouterr().out.split("smooth robustness (best): ")[1].split("\n")[0]
+        main(["eval", scenario_path(name), "--trajectory", str(tmp_path / "trajectory.csv")])
+        out = capsys.readouterr().out
+        assert f"robustness (smooth): {best}  [tau=0.005, S=8]\n" in out
+
+    @pytest.mark.parametrize("step", [13, -1])
+    def test_trajectory_step_outside_the_horizon_names_its_line(self, tmp_path, capsys, step):
+        path = tmp_path / "trajectory.csv"
+        rows = ["t,object,x,y,theta"]
+        rows += [f"{t},ee,{0.5 + 0.25 * t!r},2,0" for t in range(13)]
+        rows.append(f"{step},ee,9,9,0")
+        path.write_text("\n".join(rows) + "\n")
+        rc = main(["eval", scenario_path("free_space"), "--trajectory", str(path)])
+        out, err = capsys.readouterr()
+        assert rc == 2
+        assert out == ""
+        assert err == f"error: {path}:15: step {step} outside 0..12\n"
+
 
 class TestOptimize:
     def test_outputs_written_and_satisfied(self, tmp_path, capsys):
@@ -240,9 +265,8 @@ class TestOptimize:
         assert len(doc["outputs"]["trajectory.csv"]) == 64
 
     @pytest.mark.parametrize("flags, smoothing", [
-        ([], {"tau": 0.02, "samples_per_edge": 4, "sigmoid_scale": 40.0}),
-        (["--tau", "0.03", "--samples", "2"],
-         {"tau": 0.03, "samples_per_edge": 2, "sigmoid_scale": 40.0})],
+        ([], {"tau": 0.02, "samples_per_edge": 4}),
+        (["--tau", "0.03", "--samples", "2"], {"tau": 0.03, "samples_per_edge": 2})],
         ids=["scenario", "flags"])
     def test_smoothing_settings_reach_the_nested_manifest_config(self, tmp_path, flags,
                                                                  smoothing):
@@ -250,8 +274,7 @@ class TestOptimize:
         # both land in the config's smoothing block, next to the descent keys
         with open(scenario_path("free_space")) as fh:
             doc = json.load(fh)
-        doc["optimizer"] = {"iterations": 2, "tau": 0.02, "samples_per_edge": 4,
-                            "sigmoid_scale": 40}
+        doc["optimizer"] = {"iterations": 2, "tau": 0.02, "samples_per_edge": 4}
         path = tmp_path / "scn.json"
         path.write_text(json.dumps(doc))
         main(["optimize", str(path), "--out-dir", str(tmp_path / "out")] + flags)
@@ -363,6 +386,9 @@ MALFORMED = {
         f"optimizer key 'smoothness_weight': number too large for a float in [{10 ** 400}]"),
     "huge_integer_tau": (_set(["optimizer", "tau"], 10 ** 400),
                          f"optimizer key 'tau': number too large for a float in [{10 ** 400}]"),
+    # the blend steepness is a constant of the semantics, not a setting
+    "optimizer_sigmoid_scale": (_set(["optimizer", "sigmoid_scale"], 50),
+                                "unknown optimizer key 'sigmoid_scale'"),
 }
 
 
@@ -680,6 +706,26 @@ class TestLearn:
         a = (first / "mined_spec.csv").read_bytes()
         b = (second / "mined_spec.csv").read_bytes()
         assert a == b
+
+    def test_manifest_hashes_every_demo_file_read(self, tmp_path, capsys):
+        demos = tmp_path / "demos"
+        write_demo_dir(str(demos), make_demo_set(seed=0, n_demos=2))
+        assert main(["learn", str(demos), "--out-dir", str(tmp_path / "out")]) == 0
+        capsys.readouterr()
+        inputs = json.load(open(tmp_path / "out" / "manifest.json"))["inputs"]
+        assert inputs == {name: sha256_file(demos / name)
+                          for name in ("meta.json", "demo_000.csv", "demo_001.csv")}
+
+    def test_demo_csv_without_rows_names_the_file(self, tmp_path, capsys):
+        demos = tmp_path / "demos"
+        write_demo_dir(str(demos), make_demo_set(seed=0, n_demos=2))
+        csv_path = demos / "demo_001.csv"
+        csv_path.write_text(csv_path.read_text().splitlines()[0] + "\n")
+        rc = main(["learn", str(demos), "--out-dir", str(tmp_path / "out")])
+        out, err = capsys.readouterr()
+        assert rc == 2
+        assert out == ""
+        assert err == f"error: {csv_path}: no rows after the header\n"
 
     def test_nan_demo_row_exits_2(self, tmp_path, capsys):
         demos = tmp_path / "demos"

@@ -1,5 +1,6 @@
 """Smooth geometry vs the exact reference: frozen values, gradients,
 invariances."""
+import dataclasses
 import math
 import random
 
@@ -37,12 +38,20 @@ def test_polygon_rejects_bad_input():
         geo.ConvexPolygon([(0, 0), (0, 1), (1, 1), (1, 0)])  # clockwise
 
 
-@pytest.mark.parametrize("field", ["tau", "sigmoid_scale"])
+@pytest.mark.parametrize("field", ["tau"])   # the one float setting
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -1e-3])
 def test_smoothing_config_rejects_non_finite_or_non_positive(field, bad):
     # NaN compares false with everything, so a plain <= 0 test lets it through
     with pytest.raises(ValueError, match=f"{field} must be positive and finite"):
         geo.SmoothingConfig(**{field: bad})
+
+
+def test_smoothing_config_holds_only_the_settings_that_vary():
+    # the blend steepness k is a constant of the semantics, not a setting
+    assert [f.name for f in dataclasses.fields(geo.SmoothingConfig)] == [
+        "tau", "samples_per_edge"]
+    with pytest.raises(TypeError):
+        geo.SmoothingConfig(sigmoid_scale=40.0)
 
 
 def test_polygon_warns_once_per_near_collinear_corner():
@@ -172,7 +181,7 @@ def test_point_signed_distance_sign_agreement():
         a_v, _ = pair_for_index(33, i)
         p = (rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0))
         exact = xg.exact_point_signed_distance(p, a_v)
-        gate = max(cfg.tau * math.log(len(a_v)), 3.0 / cfg.sigmoid_scale)
+        gate = max(cfg.tau * math.log(len(a_v)), 3.0 / geo.SIGMOID_SCALE)
         if abs(exact) <= gate:
             continue
         smooth = geo.point_polygon_signed_distance(p, poly(a_v), cfg)

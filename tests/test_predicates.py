@@ -420,8 +420,7 @@ def polygons(draw, near=None):
 @st.composite
 def smoothing(draw):
     return geo.SmoothingConfig(tau=draw(st.sampled_from([1e-1, 1e-2, 1e-3])),
-                               samples_per_edge=draw(st.sampled_from([1, 2, 4, 16])),
-                               sigmoid_scale=draw(st.sampled_from([10.0, 50.0, 200.0])))
+                               samples_per_edge=draw(st.sampled_from([1, 2, 4, 16])))
 
 
 def _check_gaps(sc, kind, names, cfg, **params):

@@ -80,10 +80,9 @@ class TestScenarioSchema:
     def test_optimizer_overrides_apply(self):
         # the optimizer block stays flat; SmoothingConfig's fields go to its smoothing
         scn = scenario_from_dict(doc(optimizer={"iterations": 7, "tau": 0.005,
-                                                "samples_per_edge": 4, "sigmoid_scale": 40}))
+                                                "samples_per_edge": 4}))
         assert scn.optimizer.iterations == 7
-        assert scn.optimizer.smoothing == SmoothingConfig(tau=0.005, samples_per_edge=4,
-                                                          sigmoid_scale=40.0)
+        assert scn.optimizer.smoothing == SmoothingConfig(tau=0.005, samples_per_edge=4)
         with pytest.raises(ScenarioFileError, match="unknown optimizer key 'smoothing'"):
             scenario_from_dict(doc(optimizer={"smoothing": {"tau": 0.02}}))
 
