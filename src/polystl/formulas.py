@@ -46,7 +46,7 @@ from . import autodiff as ad
 from .autodiff import Scalar, value_of
 from .geometry import SmoothingConfig
 from .predicates import (ARITY, MOTION_BOUNDED, MOTION_ROUNDING, PARAM_ORDER, PredicateKind,
-                         PredicateParams, Scene, atom_robustness, displacement,
+                         PredicateParams, Scene, apart, atom_robustness, displacement,
                          smooth_gaps)
 
 
@@ -410,9 +410,13 @@ class Evaluator:
     with upper bounds (the ``above`` gap). The soft extrema add their
     weights with ``math.fsum``, which rounds once, so the value is the
     unscreened one unless the weight sum lies within e^-CULL_GAP of a
-    rounding boundary. An infinite gap, no partner, a child that is not an
-    atom or a bound that is not finite leaves every step in. A left-out
-    step is not in the child's table; ``eval`` computes it on demand.
+    rounding boundary. Where the needed gap is infinite, the partner's
+    interval may prove the other one (``predicates.apart``: closeTo and
+    farFrom away from overlap); a step left with an infinite gap is
+    evaluated and kept, and v* comes from a step with a finite one. No
+    finite gap in the window, no partner, a child that is not an atom or
+    a bound that is not finite leaves every step in. A left-out step is
+    not in the child's table; ``eval`` computes it on demand.
     The partner may hold intervals instead of values (``bounds``); a step
     whose interval straddles the cut, or could tie the first step, is
     evaluated exactly, so the kept steps are those exact values give.
@@ -518,13 +522,18 @@ class Evaluator:
             out.append((value, value))
         return out
 
-    def _gaps(self, atom: Atom, t: int) -> tuple[float, float]:
-        """The atom's proved (below, above) gaps at step ``t`` under this
-        evaluator's smoothing (``predicates.smooth_gaps``), memoized."""
+    def _gaps(self, atom: Atom, ts: range) -> list[tuple[float, float]]:
+        """The atom's proved (below, above) gaps at each step of ``ts``
+        under this evaluator's smoothing (``predicates.smooth_gaps``),
+        memoized; the atom is looked up once for all of them."""
         table = self._gap_tables.setdefault(atom, {})
-        out = table.get(t)
-        if out is None:
-            out = table[t] = smooth_gaps(self.traj.scene(t), atom.kind, atom.objects, self.cfg)
+        out = []
+        for t in ts:
+            gaps = table.get(t)
+            if gaps is None:
+                gaps = table[t] = smooth_gaps(self.traj.scene(t), atom.kind, atom.objects,
+                                              self.cfg)
+            out.append(gaps)
         return out
 
     def _atom(self, f: Atom, t: int) -> Scalar:
@@ -597,13 +606,17 @@ class Evaluator:
         exact = self.exact
         if exact is None or not isinstance(child, Atom) or len(ts) == 1:
             return [self.eval(child, u) for u in ts]
-        gaps = []
-        for u in ts:
-            below, above = self._gaps(child, u)
-            gap = below if sign < 0.0 else above
-            if gap == math.inf:
-                return [self.eval(child, u) for u in ts]
-            gaps.append(gap)
+        sides = self._gaps(child, ts)
+        if all(min(g) == math.inf for g in sides):   # no bound for the partner to lend
+            return [self.eval(child, u) for u in ts]
+        bounds = exact.bounds(child, ts)
+        side = int(sign > 0.0)   # a min needs the below gap, a max the above one
+        # where that side is open, the partner's interval may prove the other
+        gaps = [min(g) if g[side] == math.inf and apart(child.kind, child.params, lo, hi)
+                else g[side] for g, (lo, hi) in zip(sides, bounds)]
+        bounded = [i for i, gap in enumerate(gaps) if gap < math.inf]
+        if not bounded:
+            return [self.eval(child, u) for u in ts]
 
         def key(i: int) -> float:
             """A lower bound on -sign * (smooth value at ts[i])."""
@@ -612,16 +625,16 @@ class Evaluator:
         # (lo, hi) around each key, from the partner's intervals; a key is
         # computed only where the interval cannot decide
         spans = [(lo - gap, hi - gap) if sign < 0.0 else (-hi - gap, -lo - gap)
-                 for (lo, hi), gap in zip(exact.bounds(child, ts), gaps)]
-        top = min(hi for _, hi in spans)
-        first = min((i for i, (lo, _) in enumerate(spans) if lo <= top), key=key)
+                 for (lo, hi), gap in zip(bounds, gaps)]
+        top = min(spans[i][1] for i in bounded)
+        first = min((i for i in bounded if spans[i][0] <= top), key=key)
         cut = (-sign * value_of(self.eval(child, ts[first]))
                + ad.cull_width(self.cfg.tau, len(ts)))
         out = []
         for i, (lo, hi) in enumerate(spans):
             if cut < lo and hi < math.inf:
                 continue
-            if hi <= cut or not cut < key(i) < math.inf:
+            if hi <= cut or not cut < key(i) < math.inf:   # an open gap gives hi -inf
                 out.append(self.eval(child, ts[i]))
         return out
 
@@ -756,7 +769,7 @@ class _Budgets(Evaluator):
         self._gap_tables = smooth._gap_tables
 
     def _atom(self, f: Atom, t: int) -> float:
-        return max(self._gaps(f, t))
+        return max(self._gaps(f, range(t, t + 1))[0])
 
     def _neg(self, x: float) -> float:
         return x
@@ -771,8 +784,8 @@ def smoothing_budget(formula: Formula, smooth: Evaluator, t: int = 0) -> Optiona
     """Proved bound on |smooth - exact| for ``formula`` anchored at ``t``,
     composed per soft extreme (see ``_Budgets``); an ``U`` window counts
     the soft-min at each release step and the soft-max over them. None
-    when an atom the formula reaches has no two-sided gap, as the pair and
-    the enclosure atoms have not.
+    when an atom the formula reaches has no two-sided gap, as closeTo,
+    farFrom, touch, partOvlp and enclIn have not.
 
     ``smooth`` is the smooth Evaluator whose value the budget bounds; the
     trajectory and the settings are its own, and the gaps its screened

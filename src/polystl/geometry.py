@@ -30,6 +30,7 @@ ScalarPoint = tuple  # (Scalar, Scalar)
 
 DEFAULT_TAU = 1e-2
 SIGMOID_SCALE = 50.0   # k, the signed distance's inside/outside blend: fixed, not a setting
+MIN_BUDGET_EDGE = 1e-3   # shortest edge the error budgets are claimed for (``long_edges``)
 
 
 @dataclass(frozen=True)
@@ -67,23 +68,59 @@ class ConvexPolygon:
     """Counter-clockwise convex polygon over generic scalar coordinates.
 
     Validation runs :func:`exactgeo.validate_convex_ccw` on the float
-    snapshot of the coordinates; near-collinear corners inside its
-    tolerance only produce a warning.
+    snapshot of the coordinates, which is kept; near-collinear corners
+    inside its tolerance only produce a warning.
     """
 
-    __slots__ = ("vertices",)
+    __slots__ = ("vertices", "_floats", "_blunt", "_long_edges")
 
     def __init__(self, vertices: Sequence[ScalarPoint]):
         vs = [(vx, vy) for vx, vy in vertices]
-        for i in validate_convex_ccw([(value_of(vx), value_of(vy)) for vx, vy in vs]):
+        floats = [(value_of(vx), value_of(vy)) for vx, vy in vs]
+        for i in validate_convex_ccw(floats):
             warnings.warn(f"near-collinear corner at vertex {i}", stacklevel=2)
         self.vertices = vs
+        self._floats = floats
+        self._blunt = self._long_edges = None
+
+    @property
+    def blunt(self) -> bool:
+        """True when every interior angle phi has sin(phi/2) >= 1/3, that
+        is cos(phi) <= 7/9 (phi >= 38.94 degrees): the corner condition of
+        the error budgets below. Tested once per polygon, since a static
+        object is one polygon in every scene of every iterate."""
+        if self._blunt is None:
+            fv = self._floats
+            n = len(fv)
+            self._blunt = True
+            for i in range(n):
+                (ax, ay), (bx, by), (cx, cy) = fv[i - 1], fv[i], fv[(i + 1) % n]
+                ux, uy, wx, wy = bx - ax, by - ay, cx - bx, cy - by
+                # cos(phi) is minus the cosine of the turn between the two edges
+                if ux * wx + uy * wy < -7.0 / 9.0 * math.hypot(ux, uy) * math.hypot(wx, wy):
+                    self._blunt = False
+                    break
+        return self._blunt
+
+    @property
+    def long_edges(self) -> bool:
+        """True when every edge is at least ``MIN_BUDGET_EDGE`` long: the
+        edge condition of the error budgets below. The square-root guard
+        shortens an edge's inward normal to l/sqrt(l^2 + SQRT_GUARD) of
+        unit length, which the budgets' arguments leave out: at least
+        1 - 5e-7 from this length on, near 0 for an edge about 1e-6 long."""
+        if self._long_edges is None:
+            fv = self._floats
+            self._long_edges = min(map(math.dist, fv, fv[1:] + fv[:1])) >= MIN_BUDGET_EDGE
+        return self._long_edges
 
     def __len__(self) -> int:
         return len(self.vertices)
 
     def float_vertices(self) -> list[tuple[float, float]]:
-        return [(value_of(x), value_of(y)) for x, y in self.vertices]
+        """The float snapshot of the vertices, one list shared by every
+        caller: read it, do not change it."""
+        return self._floats
 
     def centroid(self, floats: bool = False) -> ScalarPoint:
         """Vertex mean; of the float snapshot, recording no node, if ``floats``."""
@@ -342,7 +379,8 @@ def enclosure_error_budget(inner: ConvexPolygon, outer: ConvexPolygon,
                            cfg: SmoothingConfig = SmoothingConfig()) -> float:
     """How far the smooth containment margin of two polygons can rise
     above the exact one, when every corner of the outer polygon is at least
-    38.94 degrees. Nothing bounds the fall below, nor the rise past a
+    38.94 degrees and none of its edges is shorter than
+    ``MIN_BUDGET_EDGE``. Nothing bounds the fall below, nor the rise past a
     sharper corner: ``predicates.smooth_gaps`` gives the argument and
     ``test_enclosure_budget_fails_*`` in the predicate tests both failures.
 
@@ -359,7 +397,8 @@ def enclosure_error_budget(inner: ConvexPolygon, outer: ConvexPolygon,
 def clearance_error_budget(A: ConvexPolygon, B: ConvexPolygon,
                            cfg: SmoothingConfig = SmoothingConfig()) -> float:
     """Bound on |smooth - exact| signed clearance when every corner of A,
-    or every corner of B, is at least 38.94 degrees.
+    or every corner of B, is at least 38.94 degrees, and no edge of either
+    is shorter than ``MIN_BUDGET_EDGE``.
 
     M's edges are A's and -B's merged by angle, so each exterior angle of
     M lies inside one exterior angle of A and one of B: no corner of M is

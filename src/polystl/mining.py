@@ -40,7 +40,6 @@ from typing import Sequence
 
 from . import autodiff as ad
 from .formulas import Always, Atom, Eventually, Formula, FormulaError, Trajectory
-from .geometry import DEFAULT_TAU
 from .predicates import (DIRECTIONAL, DIRECTIONAL_AXES, AxisAlignedBox3, PredicateKind,
                          PredicateParams, Scene, SceneObject, axis_extremes)
 
@@ -150,8 +149,7 @@ def window_extremes(candidates: Sequence[Candidate], demos: DemonstrationSet,
             """(mins, maxs) of one object along one axis over a phase window."""
             key = (name, axis, phase)
             if key not in reads:
-                reads[key] = tuple(zip(*(axis_extremes(scene.get(name), axis, kind, False,
-                                                       DEFAULT_TAU)
+                reads[key] = tuple(zip(*(axis_extremes(scene.get(name), axis, kind, False)
                                          for scene in traj.scenes[phase.lo:phase.hi + 1])))
             return reads[key]
 

@@ -18,7 +18,7 @@ from . import autodiff as ad
 from . import exactgeo as xg
 from . import geometry as geo
 from .autodiff import Scalar, value_of
-from .geometry import DEFAULT_TAU, ConvexPolygon, SmoothingConfig
+from .geometry import ConvexPolygon, SmoothingConfig
 
 CENTROID_GUARD = 1e-9
 
@@ -180,7 +180,7 @@ def _polygon(obj: SceneObject, kind: PredicateKind) -> ConvexPolygon:
 
 
 def axis_extremes(obj: SceneObject, axis: int, kind: PredicateKind,
-                  smooth: bool, tau: float) -> tuple[Scalar, Scalar]:
+                  smooth: bool, cfg: SmoothingConfig = SmoothingConfig()) -> tuple[Scalar, Scalar]:
     """(min, max) extent of an object along a coordinate axis.
 
     Polygon extremes use soft extrema in smooth mode; box extremes are the
@@ -194,7 +194,7 @@ def axis_extremes(obj: SceneObject, axis: int, kind: PredicateKind,
             f"{kind.value}: object {obj.name!r} is planar; the z axis needs a 3D box")
     coords = [v[axis] for v in shape.vertices]
     if smooth:
-        return ad.lse_min(coords, tau), ad.lse_max(coords, tau)
+        return ad.lse_min(coords, cfg.tau), ad.lse_max(coords, cfg.tau)
     floats = [value_of(c) for c in coords]
     return min(floats), max(floats)
 
@@ -257,24 +257,24 @@ def _enclosure(inner: SceneObject, outer: SceneObject, delta_inside: float,
 
 
 def directional_gap(a: SceneObject, b: SceneObject, kind: PredicateKind,
-                    smooth: bool = False, tau: float = DEFAULT_TAU) -> Scalar:
+                    smooth: bool = False, cfg: SmoothingConfig = SmoothingConfig()) -> Scalar:
     """The threshold-free quantity of a directional relation: how far a's
     extent is clear of b's along the kind's axis, min(hi_obj extent) -
     max(lo_obj extent). The atom with threshold kappa is this minus kappa,
     positive when the extents are clear by more than kappa."""
     axis, flipped = DIRECTIONAL_AXES[kind]
     lo_obj, hi_obj = (b, a) if flipped else (a, b)
-    _, lo_max = axis_extremes(lo_obj, axis, kind, smooth, tau)
-    hi_min, _ = axis_extremes(hi_obj, axis, kind, smooth, tau)
+    _, lo_max = axis_extremes(lo_obj, axis, kind, smooth, cfg)
+    hi_min, _ = axis_extremes(hi_obj, axis, kind, smooth, cfg)
     return hi_min - lo_max
 
 
 def _between(a: SceneObject, mid: SceneObject, c: SceneObject, axis: int,
              kind: PredicateKind, kappa: float, smooth: bool,
              cfg: SmoothingConfig) -> Scalar:
-    _, a_max = axis_extremes(a, axis, kind, smooth, cfg.tau)
-    m_min, m_max = axis_extremes(mid, axis, kind, smooth, cfg.tau)
-    c_min, _ = axis_extremes(c, axis, kind, smooth, cfg.tau)
+    _, a_max = axis_extremes(a, axis, kind, smooth, cfg)
+    m_min, m_max = axis_extremes(mid, axis, kind, smooth, cfg)
+    c_min, _ = axis_extremes(c, axis, kind, smooth, cfg)
     first = m_min - a_max - kappa
     second = c_min - m_max - kappa
     if smooth:
@@ -344,7 +344,7 @@ def atom_robustness(scene: Scene, kind: PredicateKind, names: Sequence[str],
         return _enclosure(objs[0], objs[1], params.require("delta_inside", kind), smooth, cfg)
     if kind in DIRECTIONAL:
         kappa = params.require("kappa", kind)
-        return directional_gap(objs[0], objs[1], kind, smooth, cfg.tau) - kappa
+        return directional_gap(objs[0], objs[1], kind, smooth, cfg) - kappa
     if kind is PredicateKind.BETWEEN_PX:
         return _between(objs[0], objs[1], objs[2], 0, kind,
                         params.require("kappa", kind), smooth, cfg)
@@ -359,18 +359,13 @@ def atom_robustness(scene: Scene, kind: PredicateKind, names: Sequence[str],
     raise SceneError(f"unhandled predicate {kind}")  # pragma: no cover
 
 
-def _corners_blunt(polygon: ConvexPolygon) -> bool:
-    """True when every interior angle phi of the polygon has
-    sin(phi/2) >= 1/3, that is cos(phi) <= 7/9 (phi >= 38.94 degrees)."""
-    fv = polygon.float_vertices()
-    n = len(fv)
-    for i in range(n):
-        (ax, ay), (bx, by), (cx, cy) = fv[i - 1], fv[i], fv[(i + 1) % n]
-        ux, uy, wx, wy = bx - ax, by - ay, cx - bx, cy - by
-        # cos(phi) is minus the cosine of the turn between the two edges
-        if ux * wx + uy * wy < -7.0 / 9.0 * math.hypot(ux, uy) * math.hypot(wx, wy):
-            return False
-    return True
+# the kinds that read the signed clearance, and which of their (below,
+# above) gaps ``clearance_error_budget`` bounds wherever the polygons lie
+_CLEARANCE_SIDES = {
+    PredicateKind.CLOSE_TO: (True, False),
+    PredicateKind.FAR_FROM: (False, True),
+    PredicateKind.OVLP: (True, True),
+}
 
 
 def smooth_gaps(scene: Scene, kind: PredicateKind, names: Sequence[str],
@@ -380,8 +375,20 @@ def smooth_gaps(scene: Scene, kind: PredicateKind, names: Sequence[str],
     ``math.inf`` wherever no bound is proved. The threshold parameters
     shift both values alike, so they do not enter.
 
+    - closeTo, farFrom and ovlp on polygons, when every corner of one of
+      them is at least 38.94 degrees and no edge of either is shorter than
+      ``geometry.MIN_BUDGET_EDGE`` (``ConvexPolygon.blunt`` and
+      ``long_edges``): the smooth side reads the signed clearance s,
+      and ``clearance_error_budget`` B proves |s - c| <= B
+      against the exact signed clearance c. ovlp reads -c on both sides,
+      so both its gaps are B. closeTo and farFrom read the distance
+      d = max(0, c) on the exact side, so s <= c + B <= d + B everywhere,
+      while s >= d - B only where d > 0: under overlap s falls a whole
+      depth below 0. So farFrom gets B above and closeTo B below; their
+      other side is B only where the exact value proves d > 0 (``apart``).
     - enclIn on polygons, above by ``enclosure_error_budget``, when every
-      corner of the outer polygon is at least 38.94 degrees. Inside, the
+      corner of the outer polygon is at least 38.94 degrees and none of its
+      edges is shorter than ``geometry.MIN_BUDGET_EDGE``. Inside, the
       blended signed distance of a vertex is at least the exact one minus
       tau*log E. Outside, at distance d from a corner of angle phi, the hard
       inward margin is at most -d*sin(phi/2), so the sigmoid weight on the
@@ -401,13 +408,20 @@ def smooth_gaps(scene: Scene, kind: PredicateKind, names: Sequence[str],
     - oriented and bearingTo compute the same arithmetic in both modes, so
       both gaps are 0.
 
-    Every other kind gets ``inf`` on both sides, closeTo and farFrom
-    included: their smooth side reads the blended signed clearance, whose
-    gaps against the exact distance are not proved yet."""
+    Every other kind, and polygons that fail those conditions, get
+    ``inf`` on both sides."""
     shapes = [scene.get(n).shape for n in names]
-    polygons = all(isinstance(s, ConvexPolygon) for s in shapes)
-    if kind is PredicateKind.ENCL_IN and polygons and _corners_blunt(shapes[1]):
-        return math.inf, geo.enclosure_error_budget(shapes[0], shapes[1], cfg)
+    if kind in _CLEARANCE_SIDES or kind is PredicateKind.ENCL_IN:
+        a, b = shapes   # a static operand, one polygon in every scene, is usually b
+        polygons = isinstance(a, ConvexPolygon) and isinstance(b, ConvexPolygon)
+        if kind is PredicateKind.ENCL_IN:
+            if polygons and b.blunt and b.long_edges:
+                return math.inf, geo.enclosure_error_budget(a, b, cfg)
+        elif polygons and (b.blunt or a.blunt) and b.long_edges and a.long_edges:
+            budget = geo.clearance_error_budget(a, b, cfg)
+            below, above = _CLEARANCE_SIDES[kind]
+            return budget if below else math.inf, budget if above else math.inf
+        return math.inf, math.inf
     if kind in DIRECTIONAL:
         return cfg.tau * sum(math.log(len(s)) for s in shapes
                              if isinstance(s, ConvexPolygon)), 0.0
@@ -418,6 +432,21 @@ def smooth_gaps(scene: Scene, kind: PredicateKind, names: Sequence[str],
     if kind in (PredicateKind.ORIENTED, PredicateKind.BEARING_TO):
         return 0.0, 0.0
     return math.inf, math.inf
+
+
+def apart(kind: PredicateKind, params: PredicateParams, lo: float, hi: float) -> bool:
+    """True when ``lo <= v <= hi``, v the exact value of a closeTo or
+    farFrom atom, proves the distance d of its operands positive, so that
+    both of its ``smooth_gaps`` are the clearance budget there. v is
+    fl(d - eps_far) or fl(eps_close - d), and rounding is monotone, so
+    d >= 0 keeps v on the near side of the exact value d = 0 gives: -eps_far
+    or eps_close. A bound strictly past that value needs d > 0. False for
+    every other kind."""
+    if kind is PredicateKind.FAR_FROM:
+        return lo > -params.eps_far
+    if kind is PredicateKind.CLOSE_TO:
+        return hi < params.eps_close
+    return False
 
 
 # Kinds whose exact value moves by at most the sum, over its operands, of

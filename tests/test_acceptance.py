@@ -399,7 +399,7 @@ def test_4_conservative_and_budgeted_smoothing():
         # own budgets; the clearance budget is proved for blunt corners
         clr, m_in = geo.clearance_parts(pa, pb, cfg)
         c_budget = (geo.clearance_error_budget(pa, pb, cfg)
-                    if pr._corners_blunt(pa) or pr._corners_blunt(pb) else math.inf)
+                    if pa.blunt or pb.blunt else math.inf)
         p_budget = cfg.tau * math.log(len(va) + len(vb))
         d_err = abs(max(0.0, clr) - xg.exact_distance(va, vb))
         c_err = abs(clr - xg.exact_clearance(va, vb))

@@ -11,7 +11,6 @@ from pathlib import Path
 from polystl import accuracy
 from polystl import exactgeo as xg
 from polystl import geometry as geo
-from polystl.predicates import _corners_blunt
 from polystl.randgeom import pair_for_index
 
 SETTINGS = [geo.SmoothingConfig(tau=tau, samples_per_edge=samples)
@@ -96,7 +95,7 @@ def test_nested_pairs_stay_within_the_proved_budgets():
             continue
         nested += 1
         pa, pb = geo.ConvexPolygon(va), geo.ConvexPolygon(vb)
-        blunt = _corners_blunt(pa) or _corners_blunt(pb)
+        blunt = pa.blunt or pb.blunt
         for tau, samples, quantity, exact, smooth in accuracy.pair_quantities(va, vb, SETTINGS):
             cfg = geo.SmoothingConfig(tau=tau, samples_per_edge=samples)
             if quantity == "penetration":

@@ -114,6 +114,21 @@ class TestEval:
         assert rc == 1   # exit code still follows the exact verdict
         assert "tau=0.005" in out
 
+    def test_prints_a_budget_for_a_formula_over_ovlp(self, tmp_path, capsys):
+        # ovlp reads the signed clearance on both sides, so its gap is
+        # two-sided and the budget covers the observed gap
+        with open(scenario_path("single_obstacle")) as fh:
+            doc = json.load(fh)
+        doc["formula"] = "F[0,16] ovlp(ee, obs; 0.01)"
+        path = tmp_path / "ovlp.json"
+        path.write_text(json.dumps(doc))
+        main(["eval", str(path)])
+        line = next(ln for ln in capsys.readouterr().out.splitlines()
+                    if ln.startswith("smoothing budget"))
+        assert line.startswith("smoothing budget (tau=0.005): ")
+        budget, gap = (float(part.split()[-1]) for part in line.split("  observed gap: "))
+        assert 0.0 <= gap <= budget
+
     def test_missing_scenario_exits_2(self, capsys):
         rc = main(["eval", os.path.join(SCENARIOS, "nope.json")])
         assert rc == 2

@@ -775,20 +775,57 @@ def test_screen_skips_the_steps_far_from_the_obstacle(monkeypatch):
                 == [unscreened.eval(f.child, u) for u in range(17)])
 
 
+def _needle(cx, tip=10.0):
+    """An isosceles triangle along x with a ``tip``-degree apex, every corner
+    sharper than the clearance budget covers."""
+    half = math.tan(math.radians(tip / 2.0))
+    return ConvexPolygon([(cx, -half), (cx + 1.0, 0.0), (cx, half)])
+
+
 def test_screen_needs_a_proved_gap_and_an_atom_child(monkeypatch):
     steps = [8.0] * 17
     steps[5] = 1.5
     traj = Trajectory([pair_scene(d) for d in steps])
-    exact = Evaluator(traj, smooth=False)
+    needles = Trajectory([Scene([SceneObject("a", _needle(0.0)), SceneObject("b", _needle(d))])
+                          for d in steps])
     calls = _counting_atoms(monkeypatch)
     touch = Atom(PredicateKind.TOUCH, ("a", "b"),
                  PredicateParams.for_kind(PredicateKind.TOUCH, [0.1]))
-    for f in (Always(0, 16, touch),                          # no proved gap
-              Eventually(0, 16, _far_from("a", "b", 0.3)),   # farFrom has no upper bound
-              Always(0, 16, Not(close_to("a", "b", 0.3)))):  # not an atom
+    for f, tr in ((Always(0, 16, touch), traj),                           # no proved gap
+                  (Eventually(0, 16, _far_from("a", "b", 0.3)), needles),  # sharp corners
+                  (Always(0, 16, Not(close_to("a", "b", 0.3))), traj)):   # not an atom
+        exact = Evaluator(tr, smooth=False)
         del calls[:]
-        eval_smooth(f, traj, cfg=SmoothingConfig(tau=1e-2), exact=exact)
+        eval_smooth(f, tr, cfg=SmoothingConfig(tau=1e-2), exact=exact)
         assert calls.count(True) == 17, to_text(f)
+    # on squares, F farFrom has its gap above, and the screen leaves out
+    # step 5, where b comes near and the value lies far below the maximum
+    exact = Evaluator(traj, smooth=False)
+    del calls[:]
+    eval_smooth(Eventually(0, 16, _far_from("a", "b", 0.3)), traj,
+                cfg=SmoothingConfig(tau=1e-2), exact=exact)
+    assert calls.count(True) == 16
+
+
+def test_screen_keeps_the_overlapping_steps_of_a_far_from_window(monkeypatch):
+    # b overlaps a at steps 3 and 9, where farFrom's exact value is -eps
+    # and proves no positive distance: the smooth value may fall a whole
+    # depth below it, so those steps have no gap below and are kept. Step 5
+    # (distance 0.5) is the screen's first step; the far steps are left out
+    steps = [8.0] * 17
+    steps[3], steps[9], steps[5] = 0.5, 0.6, 1.5
+    traj = Trajectory([pair_scene(d) for d in steps])
+    cfg = SmoothingConfig(tau=1e-2)
+    f = Always(0, 16, _far_from("a", "b", 0.3))
+    exact = Evaluator(traj, smooth=False)
+    exact.eval(f, 0)
+    assert [exact.eval(f.child, u) for u in (3, 9)] == [-0.3, -0.3]
+    full = eval_smooth(f, traj, cfg=cfg).value
+    calls = _counting_atoms(monkeypatch)
+    screened = Evaluator(traj, True, cfg, exact=exact)
+    assert screened.eval(f, 0) == full
+    assert calls == [True, True, True]
+    assert sorted(screened._atom_tables[f.child]) == [3, 5, 9]
 
 
 def test_exact_partner_must_be_exact_over_as_many_steps():
@@ -1062,12 +1099,12 @@ def test_between_budget_covers_the_mid_to_c_clause():
 @pytest.mark.parametrize("tau", [0.1, 0.02])
 def test_smooth_stays_within_the_budget(tau):
     """|smooth - exact| <= smoothing_budget at every anchor of random
-    formulas, ``U`` among them, over directional, between and oriented
-    atoms on polygons of 3 to 40 vertices that move and turn."""
+    formulas, ``U`` among them, over directional, between, oriented and
+    ovlp atoms on polygons of 3 to 40 vertices that move and turn."""
     rng = random.Random(20261104)
     cfg = SmoothingConfig(tau=tau)
     kinds = (PredicateKind.LEFT_OF, PredicateKind.BEHIND, PredicateKind.BETWEEN_PX,
-             PredicateKind.ORIENTED)
+             PredicateKind.ORIENTED, PredicateKind.OVLP)
     groups = (("a", "b"), ("b", "c"), ("a", "b", "c"))
     checked = until = 0
     for _ in range(8):

@@ -11,7 +11,6 @@ import geometry_reference as ref
 from polystl import autodiff as ad
 from polystl import exactgeo as xg
 from polystl import geometry as geo
-from polystl.predicates import _corners_blunt
 from polystl.randgeom import pair_for_index
 
 SHARP = geo.SmoothingConfig(tau=1e-3, samples_per_edge=32)
@@ -203,7 +202,7 @@ def test_distance_error_within_budget():
         for i in range(40):
             a_v, b_v = pair_for_index(35, i)
             a, b = poly(a_v), poly(b_v)
-            if not (_corners_blunt(a) or _corners_blunt(b)):
+            if not (a.blunt or b.blunt):
                 continue   # the budget is proved for blunt corners only
             checked += 1
             budget = geo.clearance_error_budget(a, b, cfg)

@@ -432,14 +432,72 @@ def _check_gaps(sc, kind, names, cfg, **params):
     return below, above
 
 
-@settings(max_examples=300, deadline=None)
-@given(a=polygons(), b=polygons(), cfg=smoothing())
-def test_distance_gaps_hold(a, b, cfg):
-    # the smooth side reads the signed clearance, which falls below the
-    # exact distance by the depth under overlap; no gap is proved yet
+def _touching(a, b):
+    """b moved so that its leftmost vertex lands on a's rightmost one: the
+    line x = that vertex's x separates them, and they share the vertex."""
+    (ax, ay), (bx, by) = max(a.float_vertices()), min(b.float_vertices())
+    return geo.ConvexPolygon([(x + ax - bx, y + ay - by) for x, y in b.float_vertices()])
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data(), cfg=smoothing(), touching=st.booleans())
+def test_clearance_gaps_hold(data, cfg, touching):
+    # apart, touching and overlapping pairs, needles among them: every side
+    # is checked where it is claimed, closeTo's above and farFrom's below
+    # only where the exact value proves the distance positive
+    a = data.draw(polygons())
+    b = data.draw(polygons(near=a))
+    if touching:
+        b = _touching(a, b)
     sc = scene(a=a, b=b)
-    assert _check_gaps(sc, K.FAR_FROM, ["a", "b"], cfg, eps_far=0.3) == (math.inf, math.inf)
-    assert _check_gaps(sc, K.CLOSE_TO, ["a", "b"], cfg, eps_close=0.3) == (math.inf, math.inf)
+    proved = (a.blunt or b.blunt) and a.long_edges and b.long_edges
+    budget = geo.clearance_error_budget(a, b, cfg) if proved else math.inf
+    assert _check_gaps(sc, K.OVLP, ["a", "b"], cfg, delta_overlap=0.1) == (budget, budget)
+    assert _check_gaps(sc, K.FAR_FROM, ["a", "b"], cfg, eps_far=0.3) == (math.inf, budget)
+    assert _check_gaps(sc, K.CLOSE_TO, ["a", "b"], cfg, eps_close=0.3) == (budget, math.inf)
+    far, close = PredicateParams(eps_far=0.3), PredicateParams(eps_close=0.3)
+    exact = rob(sc, K.FAR_FROM, ["a", "b"], False, cfg, eps_far=0.3)
+    if pr.apart(K.FAR_FROM, far, exact, exact):
+        assert rob(sc, K.FAR_FROM, ["a", "b"], True, cfg, eps_far=0.3) >= exact - budget - ROUNDING
+    exact = rob(sc, K.CLOSE_TO, ["a", "b"], False, cfg, eps_close=0.3)
+    if pr.apart(K.CLOSE_TO, close, exact, exact):
+        assert rob(sc, K.CLOSE_TO, ["a", "b"], True, cfg, eps_close=0.3) <= exact + budget + ROUNDING
+
+
+def test_clearance_budget_needs_long_edges():
+    # b's first edge is 1e-9 long: the square-root guard shrinks its normal
+    # to about 1e-3 of unit length, so the inside margin across it reads
+    # about 0 where the pair overlaps by 0.33, and the smooth clearance
+    # comes out positive; the budget does not cover that, so no gap
+    a = geo.ConvexPolygon([(0.0, -0.708237145061396), (2.0, 0.0), (0.0, 0.708237145061396)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")   # near-collinear corners at the short edge
+        b = geo.ConvexPolygon([(1.0, 0.0), (1.0, 1e-9), (0.5403023058681398, 0.8414709848078965)])
+    cfg = geo.SmoothingConfig(tau=1e-2)
+    exact = xg.exact_clearance(a.float_vertices(), b.float_vertices())
+    assert exact < -0.3 and geo.signed_clearance(a, b, cfg) > 0.1
+    assert a.blunt and a.long_edges and not b.long_edges
+    assert abs(geo.signed_clearance(a, b, cfg) - exact) > 5.0 * geo.clearance_error_budget(a, b, cfg)
+    sc = scene(a=a, b=b)
+    for kind in (K.CLOSE_TO, K.FAR_FROM, K.OVLP):
+        assert pr.smooth_gaps(sc, kind, ["a", "b"], cfg) == (math.inf, math.inf)
+
+
+def test_far_from_falls_a_whole_depth_below_under_overlap():
+    # squares overlapping by 0.4: the exact distance is 0 and the smooth
+    # side reads minus the depth, far more than the budget below the exact
+    # value; the exact value proves no positive distance, so the screen
+    # keeps farFrom's below side open there
+    sc = scene(a=square(0.0, 0.0), b=square(0.6, 0.0))
+    cfg = geo.SmoothingConfig(tau=1e-2)
+    budget = geo.clearance_error_budget(sc.get("a").shape, sc.get("b").shape, cfg)
+    exact = rob(sc, K.FAR_FROM, ["a", "b"], False, cfg, eps_far=0.3)
+    smooth = rob(sc, K.FAR_FROM, ["a", "b"], True, cfg, eps_far=0.3)
+    assert exact == -0.3
+    assert smooth < exact - 5.0 * budget
+    assert pr.smooth_gaps(sc, K.FAR_FROM, ["a", "b"], cfg) == (math.inf, budget)
+    assert not pr.apart(K.FAR_FROM, PredicateParams(eps_far=0.3), exact, exact)
+    assert pr.apart(K.FAR_FROM, PredicateParams(eps_far=0.3), math.nextafter(-0.3, 0.0), 1.0)
 
 
 @settings(max_examples=400, deadline=None)
@@ -451,7 +509,7 @@ def test_enclosure_gap_holds(data, cfg):
                                delta_inside=0.05)
     assert below == math.inf
     assert above == (geo.enclosure_error_budget(inner, outer, cfg)
-                     if pr._corners_blunt(outer) else math.inf)
+                     if outer.blunt and outer.long_edges else math.inf)
 
 
 def _boxed(shapes, boxes):
@@ -511,7 +569,7 @@ def test_heading_and_bearing_gaps_are_zero():
 
 def test_kinds_without_a_proof_get_no_gap():
     sc = scene(a=(square(0, 0), (1.0, 0.0)), b=(square(3, 0.2), (0.0, 1.0)))
-    for kind in (K.TOUCH, K.OVLP, K.PART_OVLP):
+    for kind in (K.TOUCH, K.PART_OVLP):
         assert pr.smooth_gaps(sc, kind, ["a", "b"], SHARP) == (math.inf, math.inf)
     boxes = scene(a=AxisAlignedBox3((0, 0, 0), (1, 1, 1)), b=AxisAlignedBox3((0, 0, 0), (2, 2, 2)))
     assert pr.smooth_gaps(boxes, K.ENCL_IN, ["a", "b"], SHARP) == (math.inf, math.inf)
@@ -529,7 +587,7 @@ def test_enclosure_budget_fails_above_past_an_acute_corner():
     over = (rob(sc, K.ENCL_IN, ["i", "o"], True, cfg, delta_inside=0.05)
             - rob(sc, K.ENCL_IN, ["i", "o"], False, cfg, delta_inside=0.05))
     assert over > 2.0 * geo.enclosure_error_budget(inner, outer, cfg)
-    assert not pr._corners_blunt(outer)
+    assert not outer.blunt
     assert pr.smooth_gaps(sc, K.ENCL_IN, ["i", "o"], cfg) == (math.inf, math.inf)
 
 
@@ -547,7 +605,7 @@ def test_enclosure_budget_fails_below_along_near_collinear_edges():
         under = max(under, rob(sc, K.ENCL_IN, ["i", "o"], False, cfg, delta_inside=0.05)
                     - rob(sc, K.ENCL_IN, ["i", "o"], True, cfg, delta_inside=0.05))
     assert under > geo.enclosure_error_budget(sc.get("i").shape, outer, cfg)
-    assert pr._corners_blunt(outer)
+    assert outer.blunt
     assert pr.smooth_gaps(sc, K.ENCL_IN, ["i", "o"], cfg)[0] == math.inf
 
 
