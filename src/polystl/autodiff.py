@@ -8,9 +8,9 @@ operators included, enters the tape through :func:`lift`, which takes a
 value computed on plain floats with its partials, and returns the float
 unchanged when no operand is a ``Var``; only :meth:`Tape.var` and
 :meth:`Tape.node` append to a tape. The primitives here, the smoothed
-extrema and the fused geometry kernels in :mod:`polystl.geometry` are
-built on it, so the same client code runs in recorded (differentiable)
-mode or in plain float mode with identical arithmetic.
+extrema and the geometry kernels, one node each over the poses they read
+(:func:`polystl.geometry.lift_onto_poses`), are built on it, so the same
+code runs in recorded or plain float mode with identical arithmetic.
 """
 from __future__ import annotations
 

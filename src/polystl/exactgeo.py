@@ -87,8 +87,11 @@ def validate_convex_ccw(vertices: Sequence[Point]) -> list[int]:
 
 
 def centroid(vertices: Sequence[Point]) -> Point:
-    n = len(vertices)
-    return (sum(v[0] for v in vertices) / n, sum(v[1] for v in vertices) / n)
+    """Vertex mean, added left to right (``sum`` compensates from 3.12 on)."""
+    sx, sy = vertices[0]
+    for vx, vy in vertices[1:]:
+        sx, sy = sx + vx, sy + vy
+    return (sx / len(vertices), sy / len(vertices))
 
 
 def point_segment_distance(p: Point, a: Point, b: Point) -> float:

@@ -1,18 +1,18 @@
 """Smooth convex-polygon geometry: poses and the differentiable signed
 distance surrogates.
 
-Coordinates are generic scalars (tape ``Var`` or plain float). The one
+Vertices are floats; the tape variables, if any, are the poses that
+:meth:`PolygonTemplate.at` places templates at, recording no node. The one
 smooth primitive is the blended signed distance of a point to a convex
 polygon. Every pair quantity is that primitive at the origin against the
 Minkowski difference M = A + (-B) = {a - b}: M is convex, has at most
 n + m vertices a_i - b_j, and the origin's signed distance to it is the
-distance of the two polygons when they are apart and minus their
-push-out depth when they overlap. The kernels run on the float snapshot
-of the vertices, so both modes compute the same value bit for bit; when
-some input coordinate is a ``Var`` they also derive the partials with
-respect to every vertex coordinate analytically and record the result as
-one tape node through :func:`polystl.autodiff.lift`. Hard counterparts
-for every quantity live in :mod:`polystl.exactgeo`.
+distance of the two polygons when they are apart and minus their push-out
+depth when they overlap. The kernels compute the same value in both
+modes; on the tape they also derive the partials in every vertex
+coordinate analytically, and :func:`lift_onto_poses` records the result
+as one node over the poses. Hard counterparts for every quantity live in
+:mod:`polystl.exactgeo`.
 """
 from __future__ import annotations
 
@@ -20,13 +20,11 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from . import autodiff as ad
 from .autodiff import SQRT_GUARD, Scalar, value_of
 from .exactgeo import minkowski_difference, validate_convex_ccw
-
-ScalarPoint = tuple  # (Scalar, Scalar)
 
 DEFAULT_TAU = 1e-2
 SIGMOID_SCALE = 50.0   # k, the signed distance's inside/outside blend: fixed, not a setting
@@ -53,34 +51,27 @@ class SmoothingConfig:
             raise ValueError(f"samples_per_edge must be >= 1, got {self.samples_per_edge}")
 
 
-@dataclass
-class Pose2D:
+class Pose2D(NamedTuple):
     """Planar rigid pose; coordinates may be Vars or floats."""
     x: Scalar
     y: Scalar
     theta: Scalar
 
-    def heading(self) -> ScalarPoint:
-        return (ad.cos(self.theta), ad.sin(self.theta))
-
 
 class ConvexPolygon:
-    """Counter-clockwise convex polygon over generic scalar coordinates.
+    """Validated counter-clockwise convex polygon with float vertices;
+    near-collinear corners only warn. :meth:`PolygonTemplate.at` sets the ``pose``, the
+    template's ``local`` vertices, ``cs``, the cos and sin of its heading,
+    and ``on_tape``, whether the pose holds a tape variable."""
 
-    Validation runs :func:`exactgeo.validate_convex_ccw` on the float
-    snapshot of the coordinates, which is kept; near-collinear corners
-    inside its tolerance only produce a warning.
-    """
+    __slots__ = ("vertices", "pose", "local", "cs", "on_tape", "_blunt", "_long_edges")
 
-    __slots__ = ("vertices", "_floats", "_blunt", "_long_edges")
-
-    def __init__(self, vertices: Sequence[ScalarPoint]):
-        vs = [(vx, vy) for vx, vy in vertices]
-        floats = [(value_of(vx), value_of(vy)) for vx, vy in vs]
-        for i in validate_convex_ccw(floats):
+    def __init__(self, vertices: Sequence[tuple[float, float]], pose=None, local=(), cs=None):
+        self.vertices = [(float(vx), float(vy)) for vx, vy in vertices]
+        for i in validate_convex_ccw(self.vertices):
             warnings.warn(f"near-collinear corner at vertex {i}", stacklevel=2)
-        self.vertices = vs
-        self._floats = floats
+        self.pose, self.local, self.cs = pose, local, cs
+        self.on_tape = pose is not None and ad.Var in map(type, pose)
         self._blunt = self._long_edges = None
 
     @property
@@ -90,7 +81,7 @@ class ConvexPolygon:
         the error budgets below. Tested once per polygon, since a static
         object is one polygon in every scene of every iterate."""
         if self._blunt is None:
-            fv = self._floats
+            fv = self.vertices
             n = len(fv)
             self._blunt = True
             for i in range(n):
@@ -110,7 +101,7 @@ class ConvexPolygon:
         unit length, which the budgets' arguments leave out: at least
         1 - 5e-7 from this length on, near 0 for an edge about 1e-6 long."""
         if self._long_edges is None:
-            fv = self._floats
+            fv = self.vertices
             self._long_edges = min(map(math.dist, fv, fv[1:] + fv[:1])) >= MIN_BUDGET_EDGE
         return self._long_edges
 
@@ -118,19 +109,8 @@ class ConvexPolygon:
         return len(self.vertices)
 
     def float_vertices(self) -> list[tuple[float, float]]:
-        """The float snapshot of the vertices, one list shared by every
-        caller: read it, do not change it."""
-        return self._floats
-
-    def centroid(self, floats: bool = False) -> ScalarPoint:
-        """Vertex mean; of the float snapshot, recording no node, if ``floats``."""
-        vs = self.float_vertices() if floats else self.vertices
-        n = len(vs)
-        sx, sy = vs[0]
-        for vx, vy in vs[1:]:
-            sx = sx + vx
-            sy = sy + vy
-        return (sx / n, sy / n)
+        """The vertices, one list shared by every caller: do not change it."""
+        return self.vertices
 
 
 @dataclass
@@ -145,28 +125,39 @@ class PolygonTemplate:
         ConvexPolygon(self.local_vertices)
 
     def at(self, pose: Pose2D) -> ConvexPolygon:
-        """Each world coordinate is one node over the pose and the heading's
-        cos and sin, computed as x + c lx - s ly and y + s lx + c ly."""
-        x, y = pose.x, pose.y
-        c = ad.cos(pose.theta)
-        s = ad.sin(pose.theta)
-        xv, yv, cv, sv = value_of(x), value_of(y), value_of(c), value_of(s)
-        world = []
-        for lx, ly in self.local_vertices:
-            world.append((ad.lift(xv + cv * lx - sv * ly, (x, c, s), (1.0, lx, -ly), "place"),
-                          ad.lift(yv + sv * lx + cv * ly, (y, s, c), (1.0, lx, ly), "place")))
-        return ConvexPolygon(world)
+        """The polygon placed at ``pose``, computed on the floats behind it
+        as x + c lx - s ly and y + s lx + c ly; records no node."""
+        x, y, theta = map(value_of, pose)
+        c, s = math.cos(theta), math.sin(theta)
+        world = [(x + c * lx - s * ly, y + s * lx + c * ly) for lx, ly in self.local_vertices]
+        return ConvexPolygon(world, pose, self.local_vertices, (c, s))
+
+
+def lift_onto_poses(value: float, parts: Sequence[tuple], op: str) -> Scalar:
+    """``value`` as one node over the tape poses of the polygons in
+    ``parts``, each paired with the partials of ``value`` in its vertex
+    coordinates, flat. A vertex at (x, y, theta) moves by (1, lx, -ly) .
+    (dx, dc, ds) and (1, lx, ly) . (dy, ds, dc), (dc, ds) = (-s, c) dtheta."""
+    operands, partials = [], []
+    for polygon, g in parts:
+        if polygon.on_tape:
+            gx = gy = gc = gs = 0.0
+            for (lx, ly), ax, ay in zip(polygon.local, g[0::2], g[1::2]):
+                gx += ax
+                gy += ay
+                gc += ax * lx + ay * ly
+                gs += ay * lx - ax * ly
+            c, s = polygon.cs
+            operands += polygon.pose
+            partials += (gx, gy, c * gs - s * gc)
+    return ad.lift(value, operands, partials, op)
 
 
 # -- float kernels ---------------------------------------------------------------
 #
-# The smooth quantities below evaluate on the float snapshot of the vertices.
-# When some input coordinate is a tape Var they also accumulate the analytic
-# partials of the result with respect to every vertex coordinate (and the
-# query point) in reverse order, and record the result as one tape node whose
-# parents are those Vars. Distances use envelope partials: the clamped
-# projection parameter of a point onto a segment is held fixed, since the
-# distance is stationary in it wherever it is not clamped.
+# Distances use envelope partials: the clamped projection parameter of a
+# point onto a segment is held fixed, since the distance is stationary in it
+# wherever it is not clamped.
 
 
 def _segments(pts: list[tuple[float, float]], idx: Sequence[tuple[int, int]]) -> list[tuple]:
@@ -215,10 +206,6 @@ def _segment_offsets(px: float, py: float, pts: list[tuple[float, float]],
         dy = py - (ay + t * ey)
         out.append((math.sqrt(dx * dx + dy * dy + SQRT_GUARD), t, dx, dy))
     return out
-
-
-def _flat(points) -> list[Scalar]:
-    return [c for pt in points for c in pt]
 
 
 def _segment_adjoint(g: list[float], k: int, l: int, t: float, gx: float, gy: float) -> None:
@@ -290,21 +277,23 @@ def _blend(px: float, py: float, pts: list[tuple[float, float]],
     return value, m_in, gp + gv
 
 
-def point_polygon_signed_distance(p: ScalarPoint, polygon: ConvexPolygon,
-                                  cfg: SmoothingConfig = SmoothingConfig()) -> Scalar:
-    """Smooth signed distance from a point to a polygon boundary, negative
-    inside.
-
-    Blends an inside depth (soft-min of inward half-plane margins) with an
-    outside distance (soft-min of point-to-edge distances) through a
-    sigmoid on the inside depth.
-    """
-    coords = list(p) + _flat(polygon.vertices)
-    live = ad.Var in map(type, coords)
-    ring = _ring(len(polygon))
-    value, _, partials = _blend(value_of(p[0]), value_of(p[1]), polygon.float_vertices(),
-                                ring, ring, cfg, live)
-    return ad.lift(value, coords, partials, "point_polygon_signed_distance")
+def smooth_enclosure(inner: ConvexPolygon, outer: ConvexPolygon,
+                     cfg: SmoothingConfig = SmoothingConfig()) -> Scalar:
+    """Soft maximum over ``inner``'s vertices of their signed distance to
+    ``outer`` (negative inside), one node. Each blends the soft-min of the
+    inward edge margins and that of the edge distances through a sigmoid."""
+    live = inner.on_tape or outer.on_tape
+    ring = _ring(len(outer))
+    blends = [_blend(px, py, outer.vertices, ring, ring, cfg, live) for px, py in inner.vertices]
+    value, ws, s = ad.lse_parts([b[0] for b in blends], cfg.tau, 1.0)
+    if not live:
+        return value
+    g_in, g_out = [], [0.0] * (2 * len(outer))
+    for (_, _, g), w in zip(blends, ws):
+        a = w / s   # adjoint of this vertex's distance
+        g_in += (a * g[0], a * g[1])
+        g_out = [o + a * gk for o, gk in zip(g_out, g[2:])]
+    return lift_onto_poses(value, ((inner, g_in), (outer, g_out)), "smooth_enclosure")
 
 
 @lru_cache(maxsize=None)
@@ -335,9 +324,8 @@ def clearance_parts(A: ConvexPolygon, B: ConvexPolygon,
     edges alone would jump by up to tau*log 2. Point a_i - b_j sends its
     adjoint to +a_i and -b_j.
     """
-    coords = _flat(A.vertices) + _flat(B.vertices)
-    live = ad.Var in map(type, coords)
-    fa, fb = A.float_vertices(), B.float_vertices()
+    live = A.on_tape or B.on_tape
+    fa, fb = A.vertices, B.vertices
     n, m = len(fa), len(fb)
     pts = [(ax - bx, ay - by) for ax, ay in fa for bx, by in fb]   # a_i - b_j at i*m + j
     order = [i * m + j for i, j in minkowski_difference(fa, fb)[1]]
@@ -345,16 +333,16 @@ def clearance_parts(A: ConvexPolygon, B: ConvexPolygon,
     value, m_in, g = _blend(0.0, 0.0, pts, faces, _vertex_edge_segments(n, m), cfg, live)
     if not live:
         return value, m_in
-    partials = [0.0] * len(coords)
+    ga, gb = [0.0] * (2 * n), [0.0] * (2 * m)
     for k in range(n * m):
         gx, gy = g[2 * k + 2], g[2 * k + 3]
         if gx != 0.0 or gy != 0.0:
             i, j = divmod(k, m)
-            partials[2 * i] += gx
-            partials[2 * i + 1] += gy
-            partials[2 * (n + j)] -= gx
-            partials[2 * (n + j) + 1] -= gy
-    return ad.lift(value, coords, partials, "signed_clearance"), m_in
+            ga[2 * i] += gx
+            ga[2 * i + 1] += gy
+            gb[2 * j] -= gx
+            gb[2 * j + 1] -= gy
+    return lift_onto_poses(value, ((A, ga), (B, gb)), "signed_clearance"), m_in
 
 
 def signed_clearance(A: ConvexPolygon, B: ConvexPolygon,
@@ -362,9 +350,8 @@ def signed_clearance(A: ConvexPolygon, B: ConvexPolygon,
     """Smooth signed distance of the origin to the Minkowski difference
     M = A + (-B): positive when the polygons are apart (their distance),
     negative when they overlap (minus the depth that pushes them apart,
-    also when one contains the other). It blends the two branches of
-    :func:`point_polygon_signed_distance` at the origin against M, with no
-    boundary samples, and is recorded as one node."""
+    also when one contains the other): the point signed distance of
+    :func:`smooth_enclosure` at the origin against M, recorded as one node."""
     return clearance_parts(A, B, cfg)[0]
 
 

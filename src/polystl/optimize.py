@@ -150,19 +150,17 @@ def _poses_from_flat(problem: Problem, flat: Sequence[Scalar]) -> dict[str, list
 
 
 def build_trajectory(problem: Problem, poses: dict[str, list[tuple]]) -> Trajectory:
-    """Scenes for steps 0..T with statics shared and movables placed; a
-    placement that fails the polygon checks raises naming object and step."""
+    """Scenes for steps 0..T with statics shared and movables placed, off the
+    tape; a placement that fails the polygon checks raises naming object and step."""
     scenes = []
     for t in range(problem.horizon + 1):
         objs = list(problem.statics)
         for m in problem.movables:
-            x, y, theta = poses[m.name][t]
-            pose = Pose2D(x, y, theta)
             try:
-                polygon = m.template.at(pose)
+                polygon = m.template.at(Pose2D(*poses[m.name][t]))
             except GeometryError as exc:
                 raise GeometryError(f"object {m.name!r} at t={t}: {exc}") from None
-            objs.append(SceneObject(m.name, polygon, pose.heading()))
+            objs.append(SceneObject(m.name, polygon))
         scenes.append(Scene(objs))
     return Trajectory(scenes)
 

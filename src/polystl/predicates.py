@@ -144,11 +144,11 @@ Shape = Union[ConvexPolygon, AxisAlignedBox3]
 class SceneObject:
     name: str
     shape: Shape
-    heading: Optional[tuple] = None  # unit vector (Scalar, Scalar)
+    heading: Optional[tuple[float, float]] = None  # unit vector; a placed polygon's is its pose's
 
     def __post_init__(self):
         if self.heading is not None:
-            ux, uy = (value_of(c) for c in self.heading)
+            ux, uy = self.heading
             if not abs(math.hypot(ux, uy) - 1.0) <= 1e-6:   # NaN fails too
                 raise SceneError(f"object {self.name!r}: heading must be unit length")
 
@@ -193,23 +193,37 @@ def axis_extremes(obj: SceneObject, axis: int, kind: PredicateKind,
         raise SceneError(
             f"{kind.value}: object {obj.name!r} is planar; the z axis needs a 3D box")
     coords = [v[axis] for v in shape.vertices]
-    if smooth:
-        return ad.lse_min(coords, cfg.tau), ad.lse_max(coords, cfg.tau)
-    floats = [value_of(c) for c in coords]
-    return min(floats), max(floats)
+    if not smooth:
+        return min(coords), max(coords)
+    return tuple(_axis_node(shape, axis, *ad.lse_parts(coords, cfg.tau, sign), "soft_extreme")
+                 for sign in (-1.0, 1.0))
+
+
+def _axis_node(polygon: ConvexPolygon, axis: int, value: float, ws: Sequence[float],
+               s: float, op: str) -> Scalar:
+    """``value``, whose partial in vertex k's ``axis`` coordinate is ws[k] / s, as a node."""
+    partials = [0.0] * (2 * len(ws))
+    partials[axis::2] = [w / s for w in ws]
+    return geo.lift_onto_poses(value, ((polygon, partials),), op)
 
 
 def _centroid_xy(obj: SceneObject, smooth: bool) -> tuple[Scalar, Scalar]:
     shape = obj.shape
     if isinstance(shape, AxisAlignedBox3):
         return ((shape.lo[0] + shape.hi[0]) / 2.0, (shape.lo[1] + shape.hi[1]) / 2.0)
-    return shape.centroid(floats=not smooth)
+    c, n = xg.centroid(shape.vertices), len(shape.vertices)
+    return tuple(_axis_node(shape, axis, c[axis], [1.0] * n, n, "centroid")
+                 for axis in (0, 1)) if smooth else c
 
 
 def _heading(obj: SceneObject, kind: PredicateKind, smooth: bool) -> tuple[Scalar, Scalar]:
+    """Unit heading; a placed polygon's is its pose's, whose cos and sin a smooth one records."""
+    pose = getattr(obj.shape, "pose", None)
+    if pose is not None:
+        return (ad.cos(pose.theta), ad.sin(pose.theta)) if smooth else obj.shape.cs
     if obj.heading is None:
         raise SceneError(f"{kind.value}: object {obj.name!r} has no heading")
-    return obj.heading if smooth else tuple(map(value_of, obj.heading))
+    return obj.heading
 
 
 def _pair_clearance(a: SceneObject, b: SceneObject, kind: PredicateKind,
@@ -217,7 +231,7 @@ def _pair_clearance(a: SceneObject, b: SceneObject, kind: PredicateKind,
     pa, pb = _polygon(a, kind), _polygon(b, kind)
     if smooth:
         return geo.signed_clearance(pa, pb, cfg)
-    return xg.exact_clearance(pa.float_vertices(), pb.float_vertices())
+    return xg.exact_clearance(pa.vertices, pb.vertices)
 
 
 def _pair_distance(a: SceneObject, b: SceneObject, kind: PredicateKind,
@@ -249,10 +263,8 @@ def _enclosure(inner: SceneObject, outer: SceneObject, delta_inside: float,
     pi = _polygon(inner, PredicateKind.ENCL_IN)
     po = _polygon(outer, PredicateKind.ENCL_IN)
     if smooth:
-        sds = [geo.point_polygon_signed_distance(v, po, cfg) for v in pi.vertices]
-        return -delta_inside - ad.lse_max(sds, cfg.tau)
-    outer_f = po.float_vertices()
-    worst = max(xg.exact_point_signed_distance(p, outer_f) for p in pi.float_vertices())
+        return -delta_inside - geo.smooth_enclosure(pi, po, cfg)
+    worst = max(xg.exact_point_signed_distance(p, po.vertices) for p in pi.vertices)
     return -delta_inside - worst
 
 
@@ -310,12 +322,11 @@ def atom_robustness(scene: Scene, kind: PredicateKind, names: Sequence[str],
                     cfg: SmoothingConfig = SmoothingConfig()) -> Scalar:
     """Quantitative semantics of one spatial predicate on one scene.
 
-    smooth=False gives the exact reference semantics as a plain float. It
-    reads the floats behind polygon vertices and headings, so a scene whose
-    polygons are placed on tape variables records no node; box corners are
-    read as given, floats in every scene the program builds. smooth=True
-    gives the differentiable surrogate, which returns a Var whenever the
-    scene geometry carries tape variables.
+    smooth=False gives the exact reference semantics as a plain float,
+    read off float vertices and headings; box corners are read as given,
+    floats in every scene the program builds. smooth=True gives the
+    differentiable surrogate, which returns a Var whenever an operand is a
+    polygon placed at a tape pose: one node over the poses per kernel.
     """
     if len(names) != ARITY[kind]:
         raise SceneError(f"{kind.value}: expected {ARITY[kind]} objects, got {len(names)}")

@@ -1,13 +1,19 @@
 """Reference copies of the scalar Var-path geometry kernels, and brute-force
 references for the exact pair geometry.
 
-``point_polygon_signed_distance`` is the point signed distance as it was
-before the kernels were fused into single tape nodes, recorded as a chain
-of scalar tape operations; the body is kept verbatim, together with the
-hard ``max2``/``min2`` it clamps with, so the fused kernels can be checked
-against it for equal values and matching adjoints. ``signed_clearance``
-writes the fused pair kernel the same way, with every point a_i - b_j a
-tape difference.
+``place`` is ``PolygonTemplate.at`` as it was before placement left the
+tape: with a pose of tape variables, every product, sum and difference of
+the pose chain is a ``Var`` node, and the vertices it returns are ``Var``
+pairs. ``point_polygon_signed_distance`` is the point signed distance as it
+was before the kernels were fused into single tape nodes, recorded as a
+chain of scalar tape operations; the body is kept verbatim, together with
+the hard ``max2``/``min2`` it clamps with, so the fused kernels can be
+checked against it for equal values and matching adjoints.
+``smooth_enclosure`` is the enclosure kernel as it was before it became one
+node: that distance per inner vertex, then their soft maximum.
+``signed_clearance`` writes the fused pair kernel the same way, with every
+point a_i - b_j a tape difference. They read only ``.vertices``, so they
+take what ``place`` returns as well as a ``ConvexPolygon``.
 
 ``sqrt_guarded`` is the guarded square root those bodies measure with.
 ``polygon_edges``, ``sample_boundary``, ``edge_normals`` and
@@ -26,7 +32,9 @@ from dataclasses import dataclass
 from polystl import autodiff as _autodiff
 from polystl import exactgeo as _exactgeo
 from polystl.autodiff import SQRT_GUARD, Scalar, lift, value_of
-from polystl.geometry import SIGMOID_SCALE, ConvexPolygon, ScalarPoint, SmoothingConfig
+from polystl.geometry import SIGMOID_SCALE, ConvexPolygon, PolygonTemplate, Pose2D, SmoothingConfig
+
+ScalarPoint = tuple  # (Scalar, Scalar)
 
 
 def max2(a: Scalar, b: Scalar) -> Scalar:
@@ -54,6 +62,16 @@ def sqrt_guarded(x: Scalar) -> Scalar:
 
 
 ad = types.SimpleNamespace(**vars(_autodiff), max2=max2, min2=min2, sqrt_guarded=sqrt_guarded)
+
+
+def place(template: PolygonTemplate, pose: Pose2D) -> types.SimpleNamespace:
+    c = ad.cos(pose.theta)
+    s = ad.sin(pose.theta)
+    world = []
+    for lx, ly in template.local_vertices:
+        world.append((pose.x + c * lx - s * ly,
+                      pose.y + s * lx + c * ly))
+    return types.SimpleNamespace(vertices=world)
 
 
 def polygon_edges(polygon: ConvexPolygon) -> list[tuple[ScalarPoint, ScalarPoint]]:
@@ -85,7 +103,7 @@ def sample_boundary(polygon: ConvexPolygon, samples_per_edge: int) -> BoundarySa
                 pts.append((ax, ay))
             else:
                 pts.append((ax + t * ex, ay + t * ey))
-    fs = polygon.float_vertices()
+    fs = [(value_of(x), value_of(y)) for x, y in polygon.vertices]
     longest = max(math.dist(a, b) for a, b in zip(fs, fs[1:] + fs[:1]))
     return BoundarySamples(pts, longest / samples_per_edge)
 
@@ -138,6 +156,12 @@ def point_polygon_signed_distance(p: ScalarPoint, polygon: ConvexPolygon,
     return (1.0 - w) * m_out - w * m_in
 
 
+def smooth_enclosure(inner: ConvexPolygon, outer: ConvexPolygon,
+                     cfg: SmoothingConfig = SmoothingConfig()) -> Scalar:
+    return ad.lse_max([point_polygon_signed_distance(v, outer, cfg) for v in inner.vertices],
+                      cfg.tau)
+
+
 def signed_clearance(A: ConvexPolygon, B: ConvexPolygon,
                      cfg: SmoothingConfig = SmoothingConfig()) -> Scalar:
     """Smooth signed clearance as scalar tape operations: every point
@@ -150,7 +174,8 @@ def signed_clearance(A: ConvexPolygon, B: ConvexPolygon,
     va, vb = A.vertices, B.vertices
     n, m = len(va), len(vb)
     pt = [[(a[0] - b[0], a[1] - b[1]) for b in vb] for a in va]
-    _, pairs = _exactgeo.minkowski_difference(A.float_vertices(), B.float_vertices())
+    fa, fb = ([(value_of(x), value_of(y)) for x, y in vs] for vs in (va, vb))
+    _, pairs = _exactgeo.minkowski_difference(fa, fb)
     ring = [pt[i][j] for i, j in pairs]
     M = types.SimpleNamespace(vertices=ring)
     margins = []

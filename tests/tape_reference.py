@@ -1,10 +1,10 @@
 """Reference copies of code paths that used to run on generic tape
 arithmetic.
 
-``place`` and ``smoothness_penalty`` are ``PolygonTemplate.at`` and
-``optimize._smoothness_penalty`` as they were before each placed vertex
-coordinate, and the whole penalty, became one tape node: every product, sum
-and difference is a ``Var`` operator node. ``tape_ascent`` is the margin
+``smoothness_penalty`` is ``optimize._smoothness_penalty`` as it was before
+the whole penalty became one tape node: every product, sum and difference
+is a ``Var`` operator node (``geometry_reference.place`` does the same for
+placement). ``tape_ascent`` is the margin
 ascent of ``mining.learn_margins`` as it was before its gradient became
 closed form: each iteration records the full soft-min over every stacked
 residual on a fresh tape. The bodies are kept verbatim so the current
@@ -13,17 +13,6 @@ bit for bit.
 """
 from polystl import autodiff as ad
 from polystl.autodiff import Scalar
-from polystl.geometry import ConvexPolygon, Pose2D, PolygonTemplate
-
-
-def place(template: PolygonTemplate, pose: Pose2D) -> ConvexPolygon:
-    c = ad.cos(pose.theta)
-    s = ad.sin(pose.theta)
-    world = []
-    for lx, ly in template.local_vertices:
-        world.append((pose.x + c * lx - s * ly,
-                      pose.y + s * lx + c * ly))
-    return ConvexPolygon(world)
 
 
 def smoothness_penalty(problem, poses: dict[str, list[tuple]]) -> Scalar:

@@ -148,7 +148,7 @@ def _sample_gap(a: geo.ConvexPolygon, b: geo.ConvexPolygon,
 
 
 def _pose_scene(kind, pose, static):
-    objs = [SceneObject("ee", MOVER.at(pose), pose.heading())]
+    objs = [SceneObject("ee", MOVER.at(pose))]
     for name, shape in static.items():
         heading = (0.0, 1.0) if kind is K.ORIENTED else None
         objs.append(SceneObject(name, shape, heading))

@@ -11,7 +11,7 @@ from polystl.formulas import (MAX_NESTING, Always, And, Atom, Evaluator, Eventua
                               FormulaError, Not, Or, Trajectory, Until, atoms_of,
                               eval_exact, eval_smooth, parse, satisfies,
                               smoothing_budget, to_text)
-from polystl.geometry import ConvexPolygon, SmoothingConfig
+from polystl.geometry import ConvexPolygon, PolygonTemplate, Pose2D, SmoothingConfig
 from polystl.predicates import (ARITY, DIRECTIONAL, AxisAlignedBox3, PredicateKind,
                                 PredicateParams, Scene, SceneObject)
 
@@ -19,6 +19,14 @@ from polystl.predicates import (ARITY, DIRECTIONAL, AxisAlignedBox3, PredicateKi
 def square(cx, cy, half=0.5):
     return ConvexPolygon([(cx - half, cy - half), (cx + half, cy - half),
                           (cx + half, cy + half), (cx - half, cy + half)])
+
+
+UNIT_SQUARE = PolygonTemplate(square(0, 0).vertices)
+
+
+def placed_square(x, y=0.0, theta=0.0):
+    """A unit square placed at (x, y, theta), which may be tape variables."""
+    return UNIT_SQUARE.at(Pose2D(x, y, theta))
 
 
 def _ngon(cx, cy, n, r, rot=0.0):
@@ -345,9 +353,7 @@ def test_smooth_matches_exact_as_tau_shrinks():
 def test_smooth_result_carries_tape_node():
     tape = ad.Tape()
     x = tape.var(2.5)
-    objs = [SceneObject("a", square(0, 0)),
-            SceneObject("b", ConvexPolygon([(x - 0.5, -0.5), (x + 0.5, -0.5),
-                                            (x + 0.5, 0.5), (x - 0.5, 0.5)]))]
+    objs = [SceneObject("a", square(0, 0)), SceneObject("b", placed_square(x))]
     traj = Trajectory([Scene(objs)])
     res = eval_smooth(close_to("a", "b", 4.0), traj)
     assert isinstance(res.node, ad.Var)
@@ -358,15 +364,9 @@ def test_smooth_result_carries_tape_node():
 
 def test_gradient_through_temporal_operators():
     # d/dx_t of a smooth G over three steps, against central differences.
-    def build(xs, tape=None):
-        scenes = []
-        for x in xs:
-            xv = tape.var(x) if tape is not None else x
-            b = ConvexPolygon([(xv - 0.5, -0.5), (xv + 0.5, -0.5),
-                               (xv + 0.5, 0.5), (xv - 0.5, 0.5)])
-            scenes.append(Scene([SceneObject("a", square(0, 0)),
-                                 SceneObject("b", b)]))
-        return Trajectory(scenes)
+    def build(xs):
+        return Trajectory([Scene([SceneObject("a", square(0, 0)),
+                                  SceneObject("b", placed_square(x))]) for x in xs])
 
     f = Always(0, 2, close_to("a", "b", 4.0))
     cfg = SmoothingConfig(tau=0.05)
@@ -374,12 +374,7 @@ def test_gradient_through_temporal_operators():
 
     tape = ad.Tape()
     vs = [tape.var(x) for x in xs]
-    scenes = []
-    for xv in vs:
-        b = ConvexPolygon([(xv - 0.5, -0.5), (xv + 0.5, -0.5),
-                           (xv + 0.5, 0.5), (xv - 0.5, 0.5)])
-        scenes.append(Scene([SceneObject("a", square(0, 0)), SceneObject("b", b)]))
-    res = eval_smooth(f, Trajectory(scenes), cfg=cfg)
+    res = eval_smooth(f, build(vs), cfg=cfg)
     g = ad.backward(res.node)
     analytic = [g.wrt(v) for v in vs]
 
@@ -653,17 +648,20 @@ def _far_from(x, y, eps):
 
 def _three_squares(steps, tape=None):
     """a at the origin, b and c at the given x per step (c lifted by 0.3),
-    headed at that x read as an angle (a along the x axis); with a tape,
-    b's and c's x are tape variables, returned as well."""
+    turned by a quarter turn per whole unit of that x, so that they stay
+    axis-aligned (a along the x axis); with a tape, b's and c's poses are
+    tape variables, returned as well."""
     scenes, xs = [], []
     for d_ab, d_ac in steps:
+        poses = [(d_ab, 0.0, math.pi / 2 * math.floor(d_ab)),
+                 (d_ac, 0.3, math.pi / 2 * math.floor(d_ac))]
         if tape is not None:
-            d_ab, d_ac = tape.var(d_ab), tape.var(d_ac)
-            xs += [d_ab, d_ac]
+            poses = [tuple(map(tape.var, p)) for p in poses]
+            xs += [c for p in poses for c in p]
         scenes.append(Scene([
             SceneObject("a", square(0, 0), (1.0, 0.0)),
-            SceneObject("b", square(d_ab, 0), (ad.cos(d_ab), ad.sin(d_ab))),
-            SceneObject("c", square(d_ac, 0.3), (ad.cos(d_ac), ad.sin(d_ac)))]))
+            SceneObject("b", placed_square(*poses[0])),
+            SceneObject("c", placed_square(*poses[1]))]))
     return Trajectory(scenes), xs
 
 

@@ -27,6 +27,12 @@ def poly(vertices):
     return geo.ConvexPolygon(vertices)
 
 
+def dot(p, size=1e-3):
+    """A triangle ``size`` across at p: the enclosure kernel of a point."""
+    px, py = p
+    return poly([(px, py), (px + size, py), (px, py + size)])
+
+
 # -- construction and sampling ----------------------------------------------
 
 
@@ -72,7 +78,9 @@ def test_template_pose_gradient_flows():
     t = ad.Tape()
     pose = geo.Pose2D(t.var(1.0), t.var(2.0), t.var(0.3))
     p = tpl.at(pose)
-    out = p.vertices[2][0]  # world x of third vertex
+    assert len(t) == 3   # placement records nothing
+    # world x of third vertex, its one partial folded onto the pose
+    out = geo.lift_onto_poses(p.vertices[2][0], ((p, [0.0] * 4 + [1.0] + [0.0] * 3),), "x")
     g = ad.backward(out)
     assert g.wrt(pose.x) == pytest.approx(1.0)
     # d/dtheta [x + cos*lx - sin*ly] = -sin*lx - cos*ly
@@ -96,8 +104,7 @@ def test_edge_normals_point_inward():
 
 
 def test_centroid_is_vertex_mean():
-    cx, cy = square(2.0, 3.0).centroid()
-    assert (geo.value_of(cx), geo.value_of(cy)) == pytest.approx((2.0, 3.0))
+    assert xg.centroid(square(2.0, 3.0).vertices) == pytest.approx((2.0, 3.0))
 
 
 # -- frozen smooth values -----------------------------------------------------
@@ -133,8 +140,8 @@ def test_nested_squares_clear_by_minus_the_push_out_depth():
 
 
 def test_signed_distance_center_and_outside():
-    sd_in = geo.point_polygon_signed_distance((0.5, 0.5), UNIT_SQUARE, SHARP)
-    sd_out = geo.point_polygon_signed_distance((2.0, 0.5), UNIT_SQUARE, SHARP)
+    sd_in = geo.smooth_enclosure(dot((0.5, 0.5)), UNIT_SQUARE, SHARP)
+    sd_out = geo.smooth_enclosure(dot((2.0, 0.5)), UNIT_SQUARE, SHARP)
     assert sd_in == pytest.approx(-0.5, abs=0.01)
     assert sd_out == pytest.approx(1.0, abs=0.01)
 
@@ -174,16 +181,17 @@ def test_signed_clearance_sign_matches_exact():
 
 
 def test_point_signed_distance_sign_agreement():
+    # the enclosure kernel on a dot, against the exact enclosure quantity
     cfg = SHARP
     rng = random.Random(17)
     for i in range(150):
         a_v, _ = pair_for_index(33, i)
-        p = (rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0))
-        exact = xg.exact_point_signed_distance(p, a_v)
-        gate = max(cfg.tau * math.log(len(a_v)), 3.0 / geo.SIGMOID_SCALE)
+        inner = dot((rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0)))
+        exact = max(xg.exact_point_signed_distance(p, a_v) for p in inner.vertices)
+        gate = max(cfg.tau * math.log(3 * len(a_v)), 3.0 / geo.SIGMOID_SCALE)
         if abs(exact) <= gate:
             continue
-        smooth = geo.point_polygon_signed_distance(p, poly(a_v), cfg)
+        smooth = geo.smooth_enclosure(inner, poly(a_v), cfg)
         assert smooth * exact > 0.0, f"pair {i}: exact={exact} smooth={smooth}"
 
 
@@ -292,26 +300,26 @@ def test_pose_gradients_match_finite_differences(name, fn):
     assert checked == 25
 
 
-def test_point_sd_gradient():
+def test_enclosure_pose_gradient():
     cfg = geo.SmoothingConfig(tau=5e-2)
+    tpl = geo.PolygonTemplate([(-0.2, -0.15), (0.2, -0.15), (0.0, 0.25)])
     rng = random.Random(29)
     checked = 0
     for i in range(200):
         if checked >= 25:
             break
         poly_v, _ = pair_for_index(39, i)
-        p = (rng.uniform(-2, 2), rng.uniform(-2, 2))
-        if abs(xg.exact_point_signed_distance(p, poly_v)) <= 0.05:
+        xs = [rng.uniform(-2, 2), rng.uniform(-2, 2), rng.uniform(-math.pi, math.pi)]
+        inner = tpl.at(geo.Pose2D(*xs))
+        if min(abs(xg.exact_point_signed_distance(p, poly_v)) for p in inner.vertices) <= 0.05:
             continue
         checked += 1
         t = ad.Tape()
-        px, py = t.var(p[0]), t.var(p[1])
-        out = geo.point_polygon_signed_distance((px, py), poly(poly_v), cfg)
-        g = ad.backward(out)
+        pose = geo.Pose2D(*map(t.var, xs))
+        g = ad.backward(geo.smooth_enclosure(tpl.at(pose), poly(poly_v), cfg))
         numeric = central_difference(
-            lambda xs: geo.point_polygon_signed_distance((xs[0], xs[1]), poly(poly_v), cfg),
-            list(p), 1e-5)
-        assert max_gradient_error([g.wrt(px), g.wrt(py)], numeric) < 1e-4
+            lambda v: geo.smooth_enclosure(tpl.at(geo.Pose2D(*v)), poly(poly_v), cfg), xs, 1e-5)
+        assert max_gradient_error([g.wrt(c) for c in pose], numeric) < 1e-4
     assert checked == 25
 
 
@@ -319,10 +327,23 @@ def test_point_sd_gradient():
 
 REFERENCE_GRID = [(tau, s) for tau in (5e-3, 1e-3) for s in (8, 16)]
 ADJOINT_TOL = 1e-9
+# both operands take this rigid motion, which keeps the pair's regime
+MOTION = (0.7, -0.4, 0.9)
 
 
-def _on_tape(t, vertices):
-    return geo.ConvexPolygon([(t.var(x), t.var(y)) for x, y in vertices])
+def _placed(vertices):
+    return geo.PolygonTemplate(vertices).at(geo.Pose2D(*MOTION))
+
+
+def _pose_adjoints(fn, place, shapes, cfg):
+    """Value of fn on the shapes, each a local vertex list that ``place``
+    puts at MOTION through its own pose of tape variables, and the
+    adjoint of every pose scalar."""
+    t = ad.Tape()
+    poses = [geo.Pose2D(*map(t.var, MOTION)) for _ in shapes]
+    out = fn(*(place(geo.PolygonTemplate(v), p) for v, p in zip(shapes, poses)), cfg)
+    g = ad.backward(out)
+    return out.value, [g.wrt(c) for p in poses for c in p]
 
 
 def _reference_pairs(seed, n):
@@ -336,17 +357,9 @@ def _reference_pairs(seed, n):
         yield a_v, [(x + dx, y + dy) for x, y in b_v]
 
 
-def _pair_adjoints(fn, a_v, b_v, cfg):
-    """Value of fn with Vars on both polygons, and every coordinate's adjoint."""
-    t = ad.Tape()
-    a, b = _on_tape(t, a_v), _on_tape(t, b_v)
-    out = fn(a, b, cfg)
-    g = ad.backward(out)
-    return out.value, [g.wrt(c) for v in a.vertices + b.vertices for c in v]
-
-
 # The fused pair kernel runs the reference's arithmetic on the same floats,
-# so values are equal. The cases split the pairs by regime: as drawn (mostly
+# and placement the reference pose chain's, so values are equal. The cases
+# split the pairs by regime: as drawn (mostly
 # apart, the distance), moved together (overlapping, the penetration), and
 # both (the clearance).
 FUSED_CASES = [("distance", (0,)), ("penetration", (1,)), ("clearance", (0, 1))]
@@ -360,52 +373,53 @@ def test_fused_pair_kernels_match_scalar_reference(name, regimes):
         for k, (a_v, b_v) in enumerate(_reference_pairs(41, 5)):
             if k % 2 not in regimes:
                 continue
-            value = geo.signed_clearance(poly(a_v), poly(b_v), cfg)
-            assert value == ref.signed_clearance(poly(a_v), poly(b_v), cfg)
-            got, adjoints = _pair_adjoints(geo.signed_clearance, a_v, b_v, cfg)
-            want, expected = _pair_adjoints(ref.signed_clearance, a_v, b_v, cfg)
+            assert (geo.signed_clearance(poly(a_v), poly(b_v), cfg)
+                    == ref.signed_clearance(poly(a_v), poly(b_v), cfg))
+            value = geo.signed_clearance(_placed(a_v), _placed(b_v), cfg)
+            got, adjoints = _pose_adjoints(geo.signed_clearance, geo.PolygonTemplate.at,
+                                           (a_v, b_v), cfg)
+            want, expected = _pose_adjoints(ref.signed_clearance, ref.place, (a_v, b_v), cfg)
             assert got == value == want
             assert max(abs(x - y) for x, y in zip(adjoints, expected)) <= ADJOINT_TOL
             active += any(y != 0.0 for y in expected)
     assert active >= 10 * len(regimes), f"{name}: only {active} cases with a non-zero gradient"
 
 
-def test_fused_point_signed_distance_matches_scalar_reference():
+def test_fused_enclosure_matches_scalar_reference():
+    # the inner polygon shrunk to a third about its centroid and moved to a
+    # point near the outer one's, so its vertices lie inside and outside
     rng = random.Random(43)
+    active = 0
     for tau, s in REFERENCE_GRID:
         cfg = geo.SmoothingConfig(tau=tau, samples_per_edge=s)
         for i in range(12):
-            poly_v, _ = pair_for_index(43, i)
-            cx, cy = xg.centroid(poly_v)
-            p = (cx + rng.uniform(-1.5, 1.5), cy + rng.uniform(-1.5, 1.5))
-            value = geo.point_polygon_signed_distance(p, poly(poly_v), cfg)
-            assert value == ref.point_polygon_signed_distance(p, poly(poly_v), cfg)
-            results = []
-            for fn in (geo.point_polygon_signed_distance, ref.point_polygon_signed_distance):
-                t = ad.Tape()
-                pv = (t.var(p[0]), t.var(p[1]))
-                shape = _on_tape(t, poly_v)
-                out = fn(pv, shape, cfg)
-                g = ad.backward(out)
-                results.append((out.value, [g.wrt(c) for c in pv]
-                                + [g.wrt(c) for v in shape.vertices for c in v]))
-            (got, adjoints), (want, expected) = results
+            outer_v, v = pair_for_index(43, i)
+            (cx, cy), (ix, iy) = xg.centroid(outer_v), xg.centroid(v)
+            px, py = cx + rng.uniform(-1.5, 1.5), cy + rng.uniform(-1.5, 1.5)
+            inner_v = [(px + (x - ix) / 3.0, py + (y - iy) / 3.0) for x, y in v]
+            assert (geo.smooth_enclosure(poly(inner_v), poly(outer_v), cfg)
+                    == ref.smooth_enclosure(poly(inner_v), poly(outer_v), cfg))
+            value = geo.smooth_enclosure(_placed(inner_v), _placed(outer_v), cfg)
+            got, adjoints = _pose_adjoints(geo.smooth_enclosure, geo.PolygonTemplate.at,
+                                           (inner_v, outer_v), cfg)
+            want, expected = _pose_adjoints(ref.smooth_enclosure, ref.place,
+                                            (inner_v, outer_v), cfg)
             assert got == value == want
             assert max(abs(x - y) for x, y in zip(adjoints, expected)) <= ADJOINT_TOL
+            active += any(y != 0.0 for y in expected)
+    assert active >= 40
 
 
 def test_fused_kernels_record_one_node():
     cfg = geo.SmoothingConfig(tau=5e-3, samples_per_edge=8)
     a_v, b_v = pair_for_index(44, 0)
     t = ad.Tape()
-    a, b = _on_tape(t, a_v), _on_tape(t, b_v)
-    before = len(t)
+    a, b = (geo.PolygonTemplate(v).at(geo.Pose2D(*map(t.var, MOTION))) for v in (a_v, b_v))
+    assert len(t) == 6
     out = geo.signed_clearance(a, b, cfg)
-    assert isinstance(out, ad.Var) and len(t) == before + 1
-    t = ad.Tape()
-    shape = poly(a_v)
-    out = geo.point_polygon_signed_distance((t.var(0.1), t.var(0.2)), shape, cfg)
-    assert len(t) == 3 and out.tape is t
+    assert isinstance(out, ad.Var) and len(t) == 7
+    out = geo.smooth_enclosure(a, poly(b_v), cfg)
+    assert isinstance(out, ad.Var) and len(t) == 8 and out.tape is t
 
 
 # -- the Minkowski-difference kernel: containment and merge-order changes ------

@@ -7,14 +7,18 @@ import random
 
 import pytest
 
+import geometry_reference as gref
 import tape_reference as ref
+from gradcheck import central_difference, max_gradient_error
 from polystl import autodiff as ad
+from polystl import exactgeo as xg
 from polystl.formulas import Evaluator, atoms_of, eval_exact, eval_smooth, parse, to_text
 from polystl.geometry import ConvexPolygon, PolygonTemplate, Pose2D, SmoothingConfig
 from polystl.optimize import (POLYAK_CAP, Movable, OptimizationError, OptimizerConfig,
                               Problem, build_trajectory, optimize,
                               _poses_from_flat, _smoothness_penalty)
-from polystl.predicates import AxisAlignedBox3, PredicateKind, SceneObject
+from polystl.predicates import (AxisAlignedBox3, PredicateKind, PredicateParams, Scene,
+                                SceneObject, atom_robustness)
 from polystl.scenario import load_scenario
 
 
@@ -143,7 +147,7 @@ def test_build_trajectory_shapes_and_heading():
     traj = build_trajectory(prob, poses)
     assert traj.horizon == 2
     ee = traj.scene(1).get("ee")
-    ux, uy = ee.heading
+    ux, uy = ee.shape.cs   # a placed polygon's heading is its pose's
     assert (ux, uy) == pytest.approx((0.0, 1.0), abs=1e-12)
 
 
@@ -279,8 +283,8 @@ EVERY_KIND = ("closeTo(ee, obs; 1.0) & farFrom(ee, obs; 0.3) & touch(ee, obs; 0.
 
 
 def test_exact_pass_over_tape_scenes_reads_floats_and_records_no_node():
-    # the scenes optimize builds from tape poses: a polygon movable with Var
-    # vertices and heading, float polygon and box statics. Every atom kind
+    # the scenes optimize builds from tape poses: a polygon movable placed
+    # at a pose of Vars, float polygon and box statics. Every atom kind
     # gives the bits of a float copy of the scenes, and the tape gains no node
     formula = parse(EVERY_KIND)
     assert {atom.kind for atom in atoms_of(formula)} == set(PredicateKind)
@@ -407,22 +411,19 @@ def _poses(rng, steps, crossing):
     return out
 
 
-def _recorded(place, penalty, problem, poses, seed):
+def _recorded(place, penalty, problem, poses):
     """Every movable placed at every step, then the penalty, in the order
-    optimize records them; the step-0 pose stays float. A node over every
-    vertex coordinate, with seeded partials, stands in for the formula.
-    Returns the tape size after placement, the bits of every vertex
-    coordinate and of the loss, and the adjoint of every pose scalar."""
-    rng = random.Random(seed)
+    optimize records them; the step-0 pose stays float. Returns the tape
+    size after placement, the bits of every vertex coordinate and of the
+    loss, and the adjoint of every pose scalar."""
     tape = ad.Tape()
     taped = {name: [p if t == 0 else tuple(map(tape.var, p)) for t, p in enumerate(ps)]
              for name, ps in poses.items()}
     coords = [c for m in problem.movables for pose in taped[m.name]
               for vertex in place(m.template, Pose2D(*pose)).vertices for c in vertex]
     placed = len(tape)
-    rho = ad.lift(1.0, coords, [rng.uniform(-2.0, 2.0) for _ in coords])
-    loss = rho + 0.01 * penalty(problem, taped)
-    grads = ad.backward(loss)
+    loss = 0.01 * penalty(problem, taped)
+    grads = ad.backward(loss) if isinstance(loss, ad.Var) else ad.Gradients([])
     leaves = [c for ps in taped.values() for p in ps[1:] for c in p]
     return (placed, [ad.value_of(c).hex() for c in coords], ad.value_of(loss).hex(),
             [grads.wrt(v).hex() for v in leaves])
@@ -438,16 +439,15 @@ def _two_movables(steps):
 @pytest.mark.parametrize("seed", range(6))
 @pytest.mark.parametrize("crossing", [True, False], ids=["crossing", "random"])
 def test_one_node_placement_and_penalty_keep_every_bit(seed, crossing):
-    # against the generic arithmetic they replaced: the same values, and the
-    # same adjoint for every pose scalar, compared as bits
+    # against the generic arithmetic they replaced: the same vertices and
+    # penalty, and the same adjoint for every pose scalar, compared as bits
     rng = random.Random(seed)
     problem = _two_movables(7)
     poses = {m.name: _poses(rng, 7, crossing) for m in problem.movables}
-    got = _recorded(PolygonTemplate.at, _smoothness_penalty, problem, poses, seed)
-    want = _recorded(ref.place, ref.smoothness_penalty, problem, poses, seed)
+    got = _recorded(PolygonTemplate.at, _smoothness_penalty, problem, poses)
+    want = _recorded(gref.place, ref.smoothness_penalty, problem, poses)
     assert got[1:] == want[1:]
-    # two nodes per vertex and the heading's cos and sin, per taped placement
-    assert got[0] == 2 * 6 * 3 + 6 * (2 + 2 * 4) + 6 * (2 + 2 * 3)
+    assert got[0] == 2 * 6 * 3   # placement records nothing: the pose leaves alone
 
 
 def test_penalty_over_horizon_1_is_the_float_zero():
@@ -460,13 +460,69 @@ def test_penalty_over_horizon_1_is_the_float_zero():
         value = penalty(problem, taped)
         assert type(value) is float and value == 0.0
     assert len(tape) == 6
-    got = _recorded(PolygonTemplate.at, _smoothness_penalty, problem, poses, 7)
-    assert got[1:] == _recorded(ref.place, ref.smoothness_penalty, problem, poses, 7)[1:]
+    got = _recorded(PolygonTemplate.at, _smoothness_penalty, problem, poses)
+    assert got[1:] == _recorded(gref.place, ref.smoothness_penalty, problem, poses)[1:]
+
+
+def test_placement_records_nothing():
+    # scenes built on tape poses: the tape holds the pose leaves alone, and
+    # every vertex and heading (a placed polygon's cos and sin) is a float
+    problem = _two_movables(5)
+    rng = random.Random(3)
+    tape = ad.Tape()
+    poses = {m.name: [tuple(map(tape.var, p)) for p in _poses(rng, 5, False)]
+             for m in problem.movables}
+    traj = build_trajectory(problem, poses)
+    assert len(tape) == 2 * 5 * 3
+    for t in range(traj.horizon + 1):
+        objs = traj.scene(t).objects
+        for obj in objs.values():
+            assert all(type(c) is float for v in obj.shape.vertices for c in v)
+        for name in ("ee", "arm"):
+            assert all(type(c) is float for c in objs[name].shape.cs)
+
+
+BOTH_ON_TAPE = [(PredicateKind.FAR_FROM, [0.3]), (PredicateKind.OVLP, [0.05]),
+                (PredicateKind.ENCL_IN, [0.05])]
+
+
+@pytest.mark.parametrize("kind,params", BOTH_ON_TAPE, ids=[k.value for k, _ in BOTH_ON_TAPE])
+def test_pose_gradients_with_both_operands_on_the_tape(kind, params):
+    # all six pose partials of one kernel whose operands are both movables,
+    # against central differences; configurations near a kink are skipped
+    movables = _two_movables(2).movables
+    pp = PredicateParams.for_kind(kind, params)
+    cfg = SmoothingConfig(tau=5e-2)
+
+    def scene(xs):
+        return Scene([SceneObject(m.name, m.template.at(Pose2D(*xs[3 * k:3 * k + 3])))
+                      for k, m in enumerate(movables)])
+
+    def value(xs):
+        return atom_robustness(scene(xs), kind, ("ee", "arm"), pp, True, cfg)
+
+    rng = random.Random(5)
+    checked = 0
+    while checked < 10:
+        xs = [rng.uniform(-0.6, 0.6), rng.uniform(-0.6, 0.6), rng.uniform(-math.pi, math.pi),
+              rng.uniform(-0.6, 0.6), rng.uniform(-0.6, 0.6), rng.uniform(-math.pi, math.pi)]
+        ee, arm = (o.shape.vertices for o in scene(xs).objects.values())
+        near = ([xg.exact_clearance(ee, arm)] if kind is not PredicateKind.ENCL_IN
+                else [xg.exact_point_signed_distance(p, arm) for p in ee])
+        if min(map(abs, near)) <= 0.05:
+            continue
+        checked += 1
+        tape = ad.Tape()
+        leaves = [tape.var(x) for x in xs]
+        g = ad.backward(value(leaves))
+        analytic = [g.wrt(v) for v in leaves]
+        assert max_gradient_error(analytic, central_difference(value, xs, 1e-5)) < 1e-6
 
 
 def test_first_iteration_tape_stays_small(monkeypatch):
-    # placement records two nodes per vertex and the penalty one; the
-    # generic arithmetic they replaced made this tape 908 nodes long
+    # 48 pose leaves and 26 formula nodes: placement records nothing, each
+    # kernel one node and the penalty one; the generic arithmetic they
+    # replaced made this tape 908 nodes long
     sizes = []
     real = ad.backward
 
@@ -477,4 +533,4 @@ def test_first_iteration_tape_stays_small(monkeypatch):
     monkeypatch.setattr(ad, "backward", sizing)
     scn = load_scenario(SINGLE_OBSTACLE)
     optimize(scn.problem, dataclasses.replace(scn.optimizer, iterations=1))
-    assert len(sizes) == 1 and sizes[0] < 300
+    assert sizes == [74]

@@ -298,9 +298,7 @@ EE_TPL = geo.PolygonTemplate([(-0.3, -0.25), (0.3, -0.25), (0.35, 0.2), (0.0, 0.
 
 def _predicate_scene(kind, pose, extra_static):
     """Scene with one posed polygon 'ee' plus static partners."""
-    ee_poly = EE_TPL.at(pose)
-    heading = pose.heading()
-    objs = [SceneObject("ee", ee_poly, heading)]
+    objs = [SceneObject("ee", EE_TPL.at(pose))]
     for name, shape in extra_static.items():
         h = (0.0, 1.0) if kind is K.ORIENTED else None
         objs.append(SceneObject(name, shape, h))
@@ -656,7 +654,7 @@ def test_motion_bound_holds(index, kind, layout, moves):
     a, b = (geo.ConvexPolygon(v) for v in pair_for_index(11, index))
     c = geo.ConvexPolygon(pair_for_index(12, index)[0])
     if layout == "nested":
-        cx, cy = b.centroid()
+        cx, cy = xg.centroid(b.vertices)
         a = geo.ConvexPolygon([(cx + 0.3 * (x - cx), cy + 0.3 * (y - cy))
                                for x, y in b.float_vertices()])
     shapes = {"a": a, "b": b, "c": c}
